@@ -49,9 +49,11 @@ from .diagnostics import (
     EvalGrid,
     convergence_table,
     decay_profile,
+    error_slopes,
     l2_error,
     lebesgue_constant,
     lebesgue_function,
+    measure_levels,
     norm_growth_sequence,
     sup_error,
 )

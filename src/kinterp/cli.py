@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,7 +108,12 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config syntax error: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    return _validate(cp)
 
+
+def _validate(cp: configparser.ConfigParser) -> ExperimentConfig:
+    """Check the sections and fields of a parsed config and build the
+    ExperimentConfig, raising ConfigError on the first problem."""
     for section in cp.sections():
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -267,21 +274,7 @@ def parse_metadata_config(meta: dict) -> ExperimentConfig:
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section, name, str(value))
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-        cp.write(fh)
-        tmp = fh.name
-    try:
-        return parse_config(tmp)
-    finally:
-        os.unlink(tmp)
-
-
-def _build_domain(cfg: ExperimentConfig):
-    from .geometry import Box
-
-    return Box(lower=cfg.lower, upper=cfg.upper)
+    return _validate(cp)
 
 
 def _build_kernel(cfg: ExperimentConfig):
@@ -296,236 +289,144 @@ def _build_kernel(cfg: ExperimentConfig):
     return kernels.matern(nu=nu, gamma=cfg.kernel.gamma, dim=cfg.kernel.dim)
 
 
-def _build_design(cfg: ExperimentConfig, domain):
-    """Returns (design, per_level_pointsets). For `equispaced_levels` the
-    levels are independent equispaced sets rather than nested prefixes."""
+def _build_levels(cfg: ExperimentConfig, domain) -> list:
+    """The point set of every level: nested prefixes of one design, or for
+    `equispaced_levels` independent equispaced sets."""
     import numpy as np
 
     from . import geometry
 
     scheme = cfg.design.scheme
     levels = cfg.design.levels
-    if scheme == "equispaced_nested":
-        n0 = levels[0]
-        design = geometry.nested_equispaced_design(
-            domain.lower[0], domain.upper[0], n0, len(levels))
-        return design, [design.level_points(i) for i in range(len(design))]
     if scheme == "equispaced_levels":
-        sets = [geometry.equispaced_interval(domain.lower[0], domain.upper[0], n)
+        return [geometry.equispaced_interval(domain.lower[0], domain.upper[0], n)
                 for n in levels]
-        return None, sets
-    pool_scheme = "low_discrepancy" if scheme == "greedy_low_discrepancy" else "uniform_random"
-    cands = geometry.generate_candidates(domain, cfg.design.candidates, pool_scheme,
-                                         seed=cfg.design.seed)
-    center = 0.5 * (np.asarray(domain.lower) + np.asarray(domain.upper))
-    seed_index = int(np.argmin(np.sum((cands.points - center) ** 2, axis=1)))
-    design = geometry.geometric_greedy(cands, max(levels), seed_index, levels)
-    return design, [design.level_points(i) for i in range(len(design))]
+    if scheme == "equispaced_nested":
+        design = geometry.nested_equispaced_design(
+            domain.lower[0], domain.upper[0], levels[0], len(levels))
+    else:
+        pool_scheme = ("low_discrepancy" if scheme == "greedy_low_discrepancy"
+                       else "uniform_random")
+        cands = geometry.generate_candidates(domain, cfg.design.candidates, pool_scheme,
+                                             seed=cfg.design.seed)
+        center = 0.5 * (np.asarray(domain.lower) + np.asarray(domain.upper))
+        seed_index = int(np.argmin(np.sum((cands.points - center) ** 2, axis=1)))
+        design = geometry.geometric_greedy(cands, max(levels), seed_index, levels)
+    return [design.level_points(i) for i in range(len(design))]
 
 
-def _build_target(cfg: ExperimentConfig, kernel, domain):
-    if cfg.target_name is None:
-        return None
-    from .targets import make_target
+def _norm_growth_metadata(rows) -> dict:
+    from .diagnostics import classify_norm_growth
 
-    return make_target(cfg.target_name, cfg.target_params, kernel, domain)
+    ok = [r for r in rows if r["jitter_flag"] != "failed"]
+    label, slope = classify_norm_growth([r["n"] for r in ok], [r["native_norm"] for r in ok])
+    return {"norm_growth.classification": label, "norm_growth.slope": repr(slope)}
+
+
+def _convergence_metadata(rows) -> dict:
+    from .diagnostics import error_slopes
+
+    return {f"convergence.{key}": repr(v) if math.isfinite(v) else "n/a"
+            for key, v in error_slopes(rows).items()}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How `run` measures and charts one experiment kind."""
+
+    quantities: dict  # measure_levels keyword arguments (decay: _decay_rows)
+    series: tuple  # (label, x column, y column) of each charted series
+    xlabel: str
+    ylabel: str
+    title: str  # formatted with the values of the metadata hook
+    metadata: Callable[[list], dict] | None = None  # rows -> metadata after the config's
+    log_log: bool = False  # chart log-log whatever output.xscale / yscale say
+
+
+_KINDS = {
+    "lebesgue_trace": _Kind({"lebesgue": True},
+                            (("Lebesgue constant", "n", "lebesgue_constant"),),
+                            "n", "Lebesgue constant", "Lebesgue constant per level"),
+    "norm_growth": _Kind({}, (("native norm", "n", "native_norm"),),
+                         "n", "native norm", "norm growth: {0}",
+                         metadata=_norm_growth_metadata),
+    "convergence": _Kind({"lebesgue": True, "errors": True},
+                         (("sup error", "h", "sup_error"), ("L2 error", "h", "l2_error")),
+                         "fill distance h", "error", "convergence",
+                         metadata=_convergence_metadata, log_log=True),
+    "decay": _Kind({}, (("decay rate", "n", "nu_hat"),),
+                   "n", "fitted decay rate", "Lagrange decay rate per level"),
+}
+
+
+def _decay_rows(kernel, domain, level_sets, grid) -> list[dict]:
+    """Decay fit of the central cardinal function of each level; a level
+    whose solve or fit fails gets nan values and no usable points."""
+    from dataclasses import asdict
+
+    from . import diagnostics as dg
+    from .interpolation import FactorizationError
+
+    nan = float("nan")
+    rows = []
+    for X in level_sets:
+        h = dg.fill_distance_interval(X, domain.lower[0], domain.upper[0])
+        i = (len(X) - 1) // 2
+        try:
+            f = dg.decay_profile(kernel, X, i, grid, h)
+        except (FactorizationError, dg.DecayFitError):
+            f = dg.DecayFit(nu_hat=nan, c_hat=nan, r_squared=nan, c_env=nan,
+                            n_points=0, floor=nan)
+        rows.append({"n": len(X), "node_index": i, **asdict(f)})
+    return rows
 
 
 def run(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     """Execute one experiment; returns (exit_code, written file paths)."""
-    import numpy as np
-
     from . import diagnostics as dg
-    from .interpolation import FactorizationError, fit, interpolant_to_csv, native_norm
-    from .kernels import assemble_gram
-    from .interpolation import factorize
+    from .geometry import Box
+    from .interpolation import fit, interpolant_to_csv
     from .svg import AxesSpec, Series, emit_svg
+    from .targets import make_target
 
-    domain = _build_domain(cfg)
+    domain = Box(lower=cfg.lower, upper=cfg.upper)
     kernel = _build_kernel(cfg)
-    target = _build_target(cfg, kernel, domain)
-    design, level_sets = _build_design(cfg, domain)
+    target = (None if cfg.target_name is None
+              else make_target(cfg.target_name, cfg.target_params, kernel, domain))
+    level_sets = _build_levels(cfg, domain)
     grid = dg.EvalGrid.tensor(domain, cfg.grid_points_per_axis)
     meta = config_metadata(cfg)
     out_prefix = Path(cfg.output_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = str(out_prefix) + ".csv"
-    written = []
 
     if cfg.experiment == "interp_once":
         X = level_sets[0]
-        s = fit(kernel, X, target(X.points))
-        interpolant_to_csv(s, csv_path)
-        written.append(csv_path)
-        return 0, written
+        interpolant_to_csv(fit(kernel, X, target(X.points)), csv_path)
+        return 0, [csv_path]
 
+    kind = _KINDS[cfg.experiment]
     if cfg.experiment == "decay":
-        rows = []
-        for X in level_sets:
-            h = dg.fill_distance_interval(X, domain.lower[0], domain.upper[0])
-            i = (len(X) - 1) // 2
-            try:
-                f = dg.decay_profile(kernel, X, i, grid, h)
-                rows.append((len(X), i, f.nu_hat, f.c_hat, f.r_squared, f.c_env,
-                             f.n_points, f.floor))
-            except (FactorizationError, dg.DecayFitError):
-                rows.append((len(X), i, float("nan"), float("nan"), float("nan"),
-                             float("nan"), 0, float("nan")))
-        import csv as _csv
-
-        with open(csv_path, "w", newline="") as fh:
-            for key, value in meta.items():
-                fh.write(f"# {key} = {value}\n")
-            w = _csv.writer(fh)
-            w.writerow(["n", "node_index", "nu_hat", "c_hat", "r_squared",
-                        "c_env", "n_points", "floor"])
-            for rec in rows:
-                w.writerow([rec[0], rec[1]] + [repr(float(v)) for v in rec[2:6]]
-                           + [rec[6], repr(float(rec[7]))])
-        written.append(csv_path)
-        good = [r for r in rows if np.isfinite(r[2])]
-        if cfg.svg and good:
-            svg_path = str(out_prefix) + ".svg"
-            emit_svg([Series("decay rate", tuple(r[0] for r in good),
-                             tuple(r[2] for r in good))],
-                     AxesSpec(xlabel="n", ylabel="fitted decay rate",
-                              xscale=cfg.xscale, yscale=cfg.yscale,
-                              title="Lagrange decay rate per level"), svg_path)
-            written.append(svg_path)
-        return (2 if not good else 0), written
-
-    if cfg.experiment == "norm_growth":
-        from .diagnostics import DiagnosticsReport, classify_norm_growth
-
-        fill_probe = (None if domain.dim == 1
-                      else dg.EvalGrid.tensor(domain, dg.DEFAULT_FILL_PROBE))
-        rows, norms, ns = [], [], []
-        for X in level_sets:
-            h, q, rho = dg._level_geometry(X, fill_probe)
-            row = {"n": len(X), "h": h, "q": q, "rho": rho,
-                   "lebesgue_constant": float("nan"), "native_norm": float("nan"),
-                   "sup_error": float("nan"), "l2_error": float("nan"),
-                   "jitter_flag": "failed",
-                   "sampling_condition": dg.sampling_condition(
-                       h, kernel.sobolev_order_tau, domain.lower[0], domain.upper[0])
-                   if domain.dim == 1 and np.isfinite(kernel.sobolev_order_tau) else "n/a"}
-            try:
-                gram = assemble_gram(kernel, X)
-                fact = factorize(gram)
-                s = fit(kernel, X, target(X.points), factorization=fact, gram=gram)
-                row["jitter_flag"] = dg._jitter_flag(fact.jitter_step)
-                row["native_norm"] = native_norm(s)
-                ns.append(len(X))
-                norms.append(row["native_norm"])
-            except FactorizationError:
-                pass
-            rows.append(row)
-        label, slope = classify_norm_growth(ns, norms)
-        meta["norm_growth.classification"] = label
-        meta["norm_growth.slope"] = repr(slope)
-        report = DiagnosticsReport(rows=tuple(rows), metadata=meta)
-        report.to_csv(csv_path)
-        written.append(csv_path)
-        if cfg.svg and norms:
-            svg_path = str(out_prefix) + ".svg"
-            emit_svg([Series("native norm", tuple(ns), tuple(norms))],
-                     AxesSpec(xlabel="n", ylabel="native norm",
-                              xscale=cfg.xscale, yscale=cfg.yscale,
-                              title=f"norm growth: {label}"), svg_path)
-            written.append(svg_path)
-        return (2 if not norms else 0), written
-
-    if cfg.experiment == "lebesgue_trace":
-        fill_probe = (None if domain.dim == 1
-                      else dg.EvalGrid.tensor(domain, dg.DEFAULT_FILL_PROBE))
-        rows = []
-        for X in level_sets:
-            h, q, rho = dg._level_geometry(X, fill_probe)
-            row = {"n": len(X), "h": h, "q": q, "rho": rho,
-                   "lebesgue_constant": float("nan"), "native_norm": float("nan"),
-                   "sup_error": float("nan"), "l2_error": float("nan"),
-                   "jitter_flag": "failed",
-                   "sampling_condition": dg.sampling_condition(
-                       h, kernel.sobolev_order_tau, domain.lower[0], domain.upper[0])
-                   if domain.dim == 1 and np.isfinite(kernel.sobolev_order_tau) else "n/a"}
-            try:
-                gram = assemble_gram(kernel, X)
-                fact = factorize(gram)
-                row["jitter_flag"] = dg._jitter_flag(fact.jitter_step)
-                C = fact.solve(np.eye(len(X)))
-                row["lebesgue_constant"] = dg.lebesgue_max_from_coefficients(
-                    kernel, X, C, grid)
-            except FactorizationError:
-                pass
-            rows.append(row)
-        report = dg.DiagnosticsReport(rows=tuple(rows), metadata=meta)
-        report.to_csv(csv_path)
-        written.append(csv_path)
-        good = [r for r in rows if r["jitter_flag"] != "failed"]
-        if cfg.svg and good:
-            svg_path = str(out_prefix) + ".svg"
-            emit_svg([Series("Lebesgue constant",
-                             tuple(r["n"] for r in good),
-                             tuple(r["lebesgue_constant"] for r in good))],
-                     AxesSpec(xlabel="n", ylabel="Lebesgue constant",
-                              xscale=cfg.xscale, yscale=cfg.yscale,
-                              title="Lebesgue constant per level"), svg_path)
-            written.append(svg_path)
-        return (2 if not good else 0), written
-
-    # convergence
-    report, slopes = _convergence_report(kernel, target, design, level_sets, grid, meta)
-    report.to_csv(csv_path)
-    written.append(csv_path)
-    good = [r for r in report.rows if r["jitter_flag"] != "failed"]
+        rows, columns = _decay_rows(kernel, domain, level_sets, grid), dg.DECAY_COLUMNS
+    else:
+        rows = list(dg.measure_levels(kernel, level_sets, grid, target, **kind.quantities))
+        columns = dg.REPORT_COLUMNS
+    extra = kind.metadata(rows) if kind.metadata is not None else {}
+    dg.DiagnosticsReport(rows=tuple(rows), metadata={**meta, **extra},
+                         columns=columns).to_csv(csv_path)
+    written = [csv_path]
+    # a level counts as measured when its charted values are finite (failed ones hold nan)
+    good = [r for r in rows if all(math.isfinite(r[y]) for _, _, y in kind.series)]
     if cfg.svg and good:
-        from .svg import AxesSpec, Series, emit_svg
-
         svg_path = str(out_prefix) + ".svg"
-        emit_svg(
-            [Series("sup error", tuple(r["h"] for r in good),
-                    tuple(r["sup_error"] for r in good)),
-             Series("L2 error", tuple(r["h"] for r in good),
-                    tuple(r["l2_error"] for r in good))],
-            AxesSpec(xlabel="fill distance h", ylabel="error",
-                     xscale="log", yscale="log", title="convergence"), svg_path)
+        emit_svg([Series(label, tuple(r[x] for r in good), tuple(r[y] for r in good))
+                  for label, x, y in kind.series],
+                 AxesSpec(xlabel=kind.xlabel, ylabel=kind.ylabel,
+                          xscale="log" if kind.log_log else cfg.xscale,
+                          yscale="log" if kind.log_log else cfg.yscale,
+                          title=kind.title.format(*extra.values())), svg_path)
         written.append(svg_path)
     return (2 if not good else 0), written
-
-
-def _convergence_report(kernel, target, design, level_sets, grid, meta):
-    from . import diagnostics as dg
-
-    if design is not None:
-        report, slopes = dg.convergence_table(target, kernel, design, grid)
-    else:
-        # independent levels: run the table machinery one level at a time
-        import numpy as np
-
-        from .geometry import NestedDesign
-
-        all_rows = []
-        for X in level_sets:
-            rep, _ = dg.convergence_table(target, kernel,
-                                          NestedDesign(master=X, levels=(len(X),)), grid)
-            all_rows.extend(rep.rows)
-        half = all_rows[len(all_rows) // 2:]
-        hs = np.array([r["h"] for r in half])
-        slopes = {
-            "sup_slope": dg._loglog_slope(hs, np.array([r["sup_error"] for r in half])),
-            "l2_slope": dg._loglog_slope(hs, np.array([r["l2_error"] for r in half])),
-        }
-        report = dg.DiagnosticsReport(rows=tuple(all_rows), metadata={})
-    meta = dict(meta)
-    meta["convergence.sup_slope"] = _slope_str(slopes["sup_slope"])
-    meta["convergence.l2_slope"] = _slope_str(slopes["l2_slope"])
-    return dg.DiagnosticsReport(rows=report.rows, metadata=meta), slopes
-
-
-def _slope_str(v: float) -> str:
-    import math
-
-    return "n/a" if not math.isfinite(v) else repr(v)
 
 
 def plot(csv_path: str, spec: str) -> tuple[int, list[str]]:
@@ -535,8 +436,6 @@ def plot(csv_path: str, spec: str) -> tuple[int, list[str]]:
     column names separated by '+'), xscale, yscale, out. Rows whose plotted
     values are nan are dropped.
     """
-    import math
-
     from .diagnostics import read_report_csv
     from .svg import AxesSpec, Series, SvgError, emit_svg
 
@@ -603,16 +502,13 @@ def main(argv=None) -> int:
                 print(f"{key} = {value}")
             return 0
         if args.command == "run":
-            cfg = parse_config(args.config)
-            code, written = run(cfg)
-            for path in written:
-                print(f"wrote {path}")
-            if code == 2:
-                print("error: every level failed numerically", file=sys.stderr)
-            return code
-        code, written = plot(args.csv, args.spec)
+            code, written = run(parse_config(args.config))
+        else:
+            code, written = plot(args.csv, args.spec)
         for path in written:
             print(f"wrote {path}")
+        if code == 2:
+            print("error: every level failed numerically", file=sys.stderr)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,25 +26,22 @@ from .geometry import (
     sampling_condition,
     separation_distance,
 )
+from . import interpolation
 from .interpolation import (
-    EVAL_CHUNK,
     FactorizationError,
     Interpolant,
     evaluate,
-    factorize,
     fit,
+    kernel_blocks,
     lagrange_coefficients,
     native_norm,
 )
-from .kernels import Kernel, assemble_gram, kernel_matrix
+from .kernels import Kernel, assemble_gram, kernel_matrix  # noqa: F401 (re-exported)
 
 BOUNDED_LIKE = "bounded-like"
 DIVERGING_LIKE = "diverging-like"
 INCONCLUSIVE = "inconclusive"
 
-# Default evaluation grid densities (points per axis).
-DEFAULT_GRID_1D = 4097
-DEFAULT_GRID_2D = 513
 # Default probe density per axis for fill distances in dimension >= 2.
 DEFAULT_FILL_PROBE = 1001
 
@@ -94,19 +91,12 @@ class EvalGrid:
         return self.points.shape[0]
 
 
-def default_grid(domain: Box) -> EvalGrid:
-    per_axis = DEFAULT_GRID_1D if domain.dim == 1 else DEFAULT_GRID_2D
-    return EvalGrid.tensor(domain, per_axis)
-
-
 def lebesgue_max_from_coefficients(kernel: Kernel, X: PointSet, C: np.ndarray,
                                    grid: EvalGrid) -> float:
     """Chunked grid scan of max_x sum_i |l_i(x)| given the cardinal
     coefficient matrix."""
     lmax = 0.0
-    for start in range(0, len(grid), EVAL_CHUNK):
-        block = grid.points[start:start + EVAL_CHUNK]
-        cross = kernel_matrix(kernel, block, X.points)
+    for _, cross in kernel_blocks(kernel, grid.points, X.points):
         lmax = max(lmax, float(np.abs(cross @ C).sum(axis=1).max()))
     return lmax
 
@@ -123,10 +113,8 @@ def lebesgue_function(kernel: Kernel, X: PointSet, grid: EvalGrid) -> np.ndarray
     except FactorizationError as exc:
         raise FactorizationError(f"Lebesgue function at n={len(X)}: {exc}") from exc
     out = np.empty(len(grid))
-    for start in range(0, len(grid), EVAL_CHUNK):
-        block = grid.points[start:start + EVAL_CHUNK]
-        cross = kernel_matrix(kernel, block, X.points)
-        out[start:start + EVAL_CHUNK] = np.abs(cross @ C).sum(axis=1)
+    for rows, cross in kernel_blocks(kernel, grid.points, X.points):
+        out[rows] = np.abs(cross @ C).sum(axis=1)
     return out
 
 
@@ -196,15 +184,13 @@ def norm_growth_sequence(target, kernel: Kernel, design: NestedDesign) -> NormGr
     boundedness label. A failed level truncates the sequence and is noted."""
     levels, norms = [], []
     truncated, note = None, ""
-    for i in range(len(design)):
-        X = design.level_points(i)
-        try:
-            s = fit(kernel, X, target(X.points))
-        except FactorizationError as exc:
-            truncated, note = design.levels[i], str(exc)
+    level_sets = map(design.level_points, range(len(design)))
+    for row in measure_levels(kernel, level_sets, None, target):
+        if row["jitter_flag"] == "failed":
+            truncated, note = row["n"], row["error"]
             break
-        levels.append(design.levels[i])
-        norms.append(native_norm(s))
+        levels.append(row["n"])
+        norms.append(row["native_norm"])
     label, slope = classify_norm_growth(levels, norms)
     return NormGrowthResult(levels=tuple(levels), norms=tuple(norms),
                             classification=label, slope=slope,
@@ -262,34 +248,36 @@ def decay_profile(kernel: Kernel, X: PointSet, i: int, grid: EvalGrid,
 
 REPORT_COLUMNS = ("n", "h", "q", "rho", "lebesgue_constant", "native_norm",
                   "sup_error", "l2_error", "jitter_flag", "sampling_condition")
+# Decay reports: the level, the fitted node and the DecayFit fields.
+DECAY_COLUMNS = ("n", "node_index", "nu_hat", "c_hat", "r_squared", "c_env",
+                 "n_points", "floor")
 
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """Per-level rows of the measured quantities plus run metadata.
 
-    Rows are dicts keyed by REPORT_COLUMNS; numeric gaps hold nan and the
-    two flag columns are strings. Metadata round-trips through the CSV as
-    leading '#'-prefixed lines.
+    Rows are dicts keyed by `columns` (REPORT_COLUMNS, or DECAY_COLUMNS for
+    decay fits); numeric gaps hold nan, counts are ints and the two flag
+    columns are strings. Metadata round-trips through the CSV as leading
+    '#'-prefixed lines.
     """
 
     rows: tuple[dict, ...]
     metadata: dict = field(default_factory=dict)
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([row[name] for row in self.rows], dtype=float)
+    columns: tuple[str, ...] = REPORT_COLUMNS
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             for key, value in self.metadata.items():
                 fh.write(f"# {key} = {value}\n")
             w = csv.writer(fh)
-            w.writerow(REPORT_COLUMNS)
+            w.writerow(self.columns)
             for row in self.rows:
                 out = []
-                for col in REPORT_COLUMNS:
+                for col in self.columns:
                     v = row[col]
-                    if col == "n":
+                    if col == "n" or isinstance(v, int):
                         out.append(str(int(v)))
                     elif isinstance(v, str):
                         out.append(v)
@@ -323,69 +311,76 @@ def read_report_csv(path) -> tuple[list[dict], dict]:
     return rows, meta
 
 
-def _jitter_flag(jitter_step: float) -> str:
-    return "none" if jitter_step == 0.0 else f"{jitter_step:.0e}"
+def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=None,
+                   lebesgue: bool = False, errors: bool = False):
+    """Measure each level in turn, yielding one REPORT_COLUMNS row per level.
 
-
-def _level_geometry(X: PointSet, fill_probe: EvalGrid | None) -> tuple[float, float, float]:
-    dom = X.domain
-    if dom.dim == 1:
-        h = fill_distance_interval(X, dom.lower[0], dom.upper[0])
-    else:
-        probe = fill_probe if fill_probe is not None else EvalGrid.tensor(dom, DEFAULT_FILL_PROBE)
-        h = fill_distance_grid(X, probe)
-    q = separation_distance(X) if len(X) >= 2 else float("nan")
-    rho = mesh_ratio(X, h) if len(X) >= 2 else float("nan")
-    return h, q, rho
-
-
-def convergence_table(target, kernel: Kernel, design: NestedDesign, grid: EvalGrid,
-                      fill_probe: EvalGrid | None = None,
-                      with_lebesgue: bool = True) -> tuple[DiagnosticsReport, dict]:
-    """Full per-level report plus fitted log-log error slopes vs h.
-
-    Each level records its geometry (h exact on intervals, probe-grid
-    otherwise), the Lebesgue constant, the native norm of the fit, and the
-    discretized errors. Failed levels are annotated and skipped; slopes are
-    fitted over the last half of the successful levels and reported as nan
-    when undefined (for example for an exactly reproduced target).
+    A row always holds the level's geometry (h exact on intervals, probe-grid
+    otherwise), its sampling condition and the jitter rung of its Gram
+    factorization. A target adds the native norm of the fit, `errors` the sup
+    and L2 errors over `grid`, and `lebesgue` the Lebesgue constant over
+    `grid`; quantities not asked for stay nan. A level whose factorization
+    fails yields a "failed" row carrying the error text under "error", and
+    the next level is still measured.
     """
-    rows = []
     tau = kernel.sobolev_order_tau
-    if fill_probe is None and design.master.domain.dim >= 2:
-        fill_probe = EvalGrid.tensor(design.master.domain, DEFAULT_FILL_PROBE)
-    for i in range(len(design)):
-        X = design.level_points(i)
-        h, q, rho = _level_geometry(X, fill_probe)
-        dom = X.domain
-        cond = (sampling_condition(h, tau, dom.lower[0], dom.upper[0])
-                if dom.dim == 1 and np.isfinite(tau) else "n/a")
-        row = {"n": len(X), "h": h, "q": q, "rho": rho,
-               "lebesgue_constant": float("nan"), "native_norm": float("nan"),
-               "sup_error": float("nan"), "l2_error": float("nan"),
-               "jitter_flag": "failed", "sampling_condition": cond}
+    fill_probe = None
+    for X in level_sets:
+        n, dom = len(X), X.domain
+        if dom.dim == 1:
+            h = fill_distance_interval(X, dom.lower[0], dom.upper[0])
+        else:
+            if fill_probe is None:
+                fill_probe = EvalGrid.tensor(dom, DEFAULT_FILL_PROBE)
+            h = fill_distance_grid(X, fill_probe)
+        row = dict.fromkeys(REPORT_COLUMNS, float("nan"))
+        row.update(n=n, h=h, jitter_flag="failed", sampling_condition="n/a")
+        if n >= 2:
+            row.update(q=separation_distance(X), rho=mesh_ratio(X, h))
+        if dom.dim == 1 and np.isfinite(tau):
+            row["sampling_condition"] = sampling_condition(h, tau, dom.lower[0], dom.upper[0])
+        gram = assemble_gram(kernel, X)
         try:
-            gram = assemble_gram(kernel, X)
-            fact = factorize(gram)
+            fact = interpolation.factorize(gram)
+        except FactorizationError as exc:
+            row["error"] = str(exc)
+            yield row
+            continue
+        step = fact.jitter_step
+        row["jitter_flag"] = "none" if step == 0.0 else f"{step:.0e}"
+        if target is not None:
             s = fit(kernel, X, target(X.points), factorization=fact, gram=gram)
-            row["jitter_flag"] = _jitter_flag(fact.jitter_step)
             row["native_norm"] = native_norm(s)
-            row["sup_error"] = sup_error(target, s, grid)
-            row["l2_error"] = l2_error(target, s, grid)
-            if with_lebesgue:
-                C = fact.solve(np.eye(len(X)))
-                row["lebesgue_constant"] = lebesgue_max_from_coefficients(
-                    kernel, X, C, grid)
-        except FactorizationError:
-            pass
-        rows.append(row)
+            if errors:
+                row["sup_error"] = sup_error(target, s, grid)
+                row["l2_error"] = l2_error(target, s, grid)
+        if lebesgue:
+            C = fact.solve(np.eye(n))
+            row["lebesgue_constant"] = lebesgue_max_from_coefficients(kernel, X, C, grid)
+        yield row
 
+
+def error_slopes(rows) -> dict:
+    """Log-log slopes of the sup and L2 errors against h, fitted over the
+    last half of the successful rows; nan when undefined (for example for an
+    exactly reproduced target)."""
     ok = [r for r in rows if r["jitter_flag"] != "failed"]
     half = ok[len(ok) // 2:]
     hs = np.array([r["h"] for r in half])
-    slopes = {
+    return {
         "sup_slope": _loglog_slope(hs, np.array([r["sup_error"] for r in half])),
         "l2_slope": _loglog_slope(hs, np.array([r["l2_error"] for r in half])),
     }
-    report = DiagnosticsReport(rows=tuple(rows), metadata={})
-    return report, slopes
+
+
+def convergence_table(target, kernel: Kernel, design: NestedDesign, grid: EvalGrid,
+                      with_lebesgue: bool = True) -> tuple[DiagnosticsReport, dict]:
+    """Full per-level report (measure_levels with errors, and the Lebesgue
+    constant unless `with_lebesgue` is off) plus the fitted log-log error
+    slopes vs h (error_slopes). Failed levels are annotated and left out of
+    the slopes.
+    """
+    level_sets = map(design.level_points, range(len(design)))
+    rows = tuple(measure_levels(kernel, level_sets, grid, target,
+                                lebesgue=with_lebesgue, errors=True))
+    return DiagnosticsReport(rows=rows, metadata={}), error_slopes(rows)

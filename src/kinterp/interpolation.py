@@ -25,8 +25,8 @@ from .kernels import GramMatrix, Kernel, assemble_gram, kernel_matrix
 
 JITTER_LADDER = (1e-14, 1e-12, 1e-10, 1e-8)
 
-# Lebesgue-function grid scans run in chunks of this many evaluation points
-# to bound the size of the cross-kernel block.
+# Grid scans (evaluation, Lebesgue functions) run in chunks of this many
+# evaluation points to bound the size of the cross-kernel block.
 EVAL_CHUNK = 8192
 
 
@@ -120,6 +120,15 @@ def fit(kernel: Kernel, X: PointSet, values, factorization: Factorization | None
                        jitter=factorization.jitter, residual_inf=resid)
 
 
+def kernel_blocks(kernel: Kernel, points: np.ndarray, nodes: np.ndarray):
+    """Yield (row slice, kernel_matrix(kernel, points[rows], nodes)) pairs
+    that cover the points in EVAL_CHUNK steps, so a grid scan never holds
+    more than one cross-kernel block."""
+    for start in range(0, points.shape[0], EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        yield rows, kernel_matrix(kernel, points[rows], nodes)
+
+
 def evaluate(s: Interpolant, points) -> np.ndarray:
     """Evaluate the interpolant at a batch of points.
 
@@ -128,10 +137,8 @@ def evaluate(s: Interpolant, points) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], EVAL_CHUNK):
-        block = pts[start:start + EVAL_CHUNK]
-        cross = kernel_matrix(s.kernel, block, s.nodes.points)
-        out[start:start + EVAL_CHUNK] = np.sum(cross * s.coefficients[None, :], axis=1)
+    for rows, cross in kernel_blocks(s.kernel, pts, s.nodes.points):
+        out[rows] = np.sum(cross * s.coefficients[None, :], axis=1)
     return out
 
 

@@ -227,6 +227,47 @@ def test_exit_2_when_every_level_fails(tmp_path, monkeypatch):
     assert all(r["jitter_flag"] == "failed" for r in rows)
 
 
+@pytest.mark.parametrize("kind,scheme", [("convergence", "equispaced_nested"),
+                                         ("convergence", "equispaced_levels"),
+                                         ("norm_growth", "equispaced_nested")])
+def test_one_failed_level_is_skipped(tmp_path, monkeypatch, kind, scheme):
+    from kinterp import interpolation
+    from kinterp.diagnostics import classify_norm_growth, error_slopes
+    from kinterp.interpolation import FactorizationError
+
+    factorize = interpolation.factorize
+
+    def fail_at_23(K):
+        if K.order == 23:
+            raise FactorizationError("forced by test")
+        return factorize(K)
+
+    monkeypatch.setattr(interpolation, "factorize", fail_at_23)
+    cfg = base_cfg(tmp_path, kind=kind, scheme=scheme, extra_target=TARGET_ABS,
+                   levels="5, 11, 23, 47", grid=257)
+    assert cli.main(["run", cfg]) == 0
+    rows, meta = read_report_csv(tmp_path / "out" / "run.csv")
+    assert [int(r["n"]) for r in rows] == [5, 11, 23, 47]
+    assert [r["jitter_flag"] == "failed" for r in rows] == [False, False, True, False]
+    if kind == "convergence":
+        for key, slope in error_slopes(rows).items():
+            assert np.isfinite(slope)
+            assert meta[f"convergence.{key}"] == repr(slope)
+    else:
+        ok = [r for r in rows if r["jitter_flag"] != "failed"]
+        label, slope = classify_norm_growth([r["n"] for r in ok],
+                                            [r["native_norm"] for r in ok])
+        assert meta["norm_growth.classification"] == label
+        assert meta["norm_growth.slope"] == repr(slope)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")
+                                        .glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_round_trips_through_metadata(path):
+    cfg = parse_config(path)
+    assert parse_metadata_config(cli.config_metadata(cfg)) == cfg
+
+
 def test_plot_from_emitted_csv(tmp_path):
     cfg = base_cfg(tmp_path)
     assert cli.main(["run", cfg]) == 0
