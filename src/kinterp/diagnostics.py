@@ -33,6 +33,7 @@ from .interpolation import (
     evaluate,
     fit,
     kernel_blocks,
+    lagrange,
     lagrange_coefficients,
     native_norm,
 )
@@ -97,8 +98,14 @@ def lebesgue_max_from_coefficients(kernel: Kernel, X: PointSet, C: np.ndarray,
     coefficient matrix."""
     lmax = 0.0
     for _, cross in kernel_blocks(kernel, grid.points, X.points):
-        lmax = max(lmax, float(np.abs(cross @ C).sum(axis=1).max()))
+        lmax = max(lmax, _lebesgue_block_max(cross, C))
     return lmax
+
+
+def _lebesgue_block_max(cross: np.ndarray, C: np.ndarray) -> float:
+    """Max over the rows of one cross-kernel block of sum_i |l_i(x)|."""
+    p = cross @ C
+    return float(np.abs(p, out=p).sum(axis=1).max())
 
 
 def lebesgue_function(kernel: Kernel, X: PointSet, grid: EvalGrid) -> np.ndarray:
@@ -125,13 +132,20 @@ def lebesgue_constant(kernel: Kernel, X: PointSet, grid: EvalGrid) -> float:
 
 
 def sup_error(target, s: Interpolant, grid: EvalGrid) -> float:
-    return float(np.max(np.abs(target(grid.points) - evaluate(s, grid.points))))
+    return _sup_norm(target(grid.points) - evaluate(s, grid.points))
 
 
 def l2_error(target, s: Interpolant, grid: EvalGrid) -> float:
     """Trapezoid-quadrature L2 error; the quadrature error is O(spacing^2)
     for twice-differentiable integrands and unquantified for rougher ones."""
-    d = target(grid.points) - evaluate(s, grid.points)
+    return _l2_norm(target(grid.points) - evaluate(s, grid.points), grid)
+
+
+def _sup_norm(d: np.ndarray) -> float:
+    return float(np.max(np.abs(d)))
+
+
+def _l2_norm(d: np.ndarray, grid: EvalGrid) -> float:
     return float(np.sqrt(np.sum(grid.quad_weights * d * d)))
 
 
@@ -223,7 +237,7 @@ def decay_profile(kernel: Kernel, X: PointSet, i: int, grid: EvalGrid,
         raise DiagnosticsError("decay_profile needs a 1-d Matern kernel")
     if h <= 0:
         raise DiagnosticsError("decay_profile needs h > 0")
-    li = fit(kernel, X, np.eye(len(X))[i])
+    li = lagrange(kernel, X, i)
     lv = evaluate(li, grid.points)
     floor = max(1e-12, 10.0 * np.finfo(float).eps * kernel.diagonal_value()
                 * float(np.sum(np.abs(li.coefficients))))
@@ -313,7 +327,8 @@ def read_report_csv(path) -> tuple[list[dict], dict]:
 
 def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=None,
                    lebesgue: bool = False, errors: bool = False):
-    """Measure each level in turn, yielding one REPORT_COLUMNS row per level.
+    """Measure each level, yielding one REPORT_COLUMNS row per level in level
+    order.
 
     A row always holds the level's geometry (h exact on intervals, probe-grid
     otherwise), its sampling condition and the jitter rung of its Gram
@@ -322,7 +337,31 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
     `grid`; quantities not asked for stay nan. A level whose factorization
     fails yields a "failed" row carrying the error text under "error", and
     the next level is still measured.
+
+    Without grid quantities each row is yielded as soon as its level is
+    measured. With `errors` or `lebesgue`, every level is fitted first and
+    then all of them are measured in one shared scan of the grid (see
+    `_scan_levels`), so the rows are yielded after the last level.
     """
+    errors = errors and target is not None
+    fitted = _fit_levels(kernel, level_sets, target, lebesgue)
+    if not (lebesgue or errors):
+        for row, *_ in fitted:
+            yield row
+        return
+    fitted = list(fitted)
+    ok = [f for f in fitted if f[0]["jitter_flag"] != "failed"]
+    if ok:
+        _scan_levels(kernel, ok, grid, target if errors else None, lebesgue)
+    for row, *_ in fitted:
+        yield row
+
+
+def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool):
+    """Yield (row, X, alpha, C) for each level: the row with every quantity
+    but the grid ones, the fit coefficients (None without a target) and the
+    cardinal coefficient matrix (None unless `lebesgue`). The Gram matrix and
+    its factor are dropped once the level is fitted."""
     tau = kernel.sobolev_order_tau
     fill_probe = None
     for X in level_sets:
@@ -344,20 +383,60 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
             fact = interpolation.factorize(gram)
         except FactorizationError as exc:
             row["error"] = str(exc)
-            yield row
+            yield row, X, None, None
             continue
         step = fact.jitter_step
         row["jitter_flag"] = "none" if step == 0.0 else f"{step:.0e}"
+        alpha = C = None
         if target is not None:
             s = fit(kernel, X, target(X.points), factorization=fact, gram=gram)
             row["native_norm"] = native_norm(s)
-            if errors:
-                row["sup_error"] = sup_error(target, s, grid)
-                row["l2_error"] = l2_error(target, s, grid)
+            alpha = s.coefficients
         if lebesgue:
             C = fact.solve(np.eye(n))
-            row["lebesgue_constant"] = lebesgue_max_from_coefficients(kernel, X, C, grid)
-        yield row
+        del gram, fact
+        yield row, X, alpha, C
+
+
+def _scan_levels(kernel: Kernel, fitted, grid: EvalGrid, target, lebesgue: bool) -> None:
+    """Fill in the grid quantities of the fitted levels from one grid scan.
+
+    The scan's columns are the nodes of the largest level, plus the nodes of
+    every level that is not a prefix of them; each level reads its own
+    columns of the shared cross-kernel block, which are bit-identical to its
+    own block. Per block, the Lebesgue maxima use the arithmetic of
+    `lebesgue_max_from_coefficients` and the fitted values the row-wise sum
+    of `interpolation.evaluate`. The errors are reduced once over the whole
+    grid, as `sup_error` and `l2_error` do, so the results equal theirs.
+    """
+    base = max((X for _, X, _, _ in fitted), key=len).points
+    parts, width, columns = [base], len(base), []
+    for _, X, _, _ in fitted:
+        n = len(X)
+        if np.array_equal(X.points, base[:n]):
+            columns.append(slice(0, n))
+        else:
+            parts.append(X.points)
+            columns.append(slice(width, width + n))
+            width += n
+    nodes = np.concatenate(parts) if len(parts) > 1 else base
+    lmax = [0.0] * len(fitted)
+    values = [np.empty(len(grid)) for _ in fitted] if target is not None else None
+    for rows, cross in kernel_blocks(kernel, grid.points, nodes):
+        for k, (cols, (_, _, alpha, C)) in enumerate(zip(columns, fitted)):
+            block = cross[:, cols]
+            if lebesgue:
+                lmax[k] = max(lmax[k], _lebesgue_block_max(block, C))
+            if values is not None:
+                values[k][rows] = np.sum(block * alpha[None, :], axis=1)
+    exact = target(grid.points) if target is not None else None
+    for k, (row, _, _, _) in enumerate(fitted):
+        if lebesgue:
+            row["lebesgue_constant"] = lmax[k]
+        if exact is not None:
+            d = exact - values[k]
+            row["sup_error"] = _sup_norm(d)
+            row["l2_error"] = _l2_norm(d, grid)
 
 
 def error_slopes(rows) -> dict:

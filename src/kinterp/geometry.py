@@ -14,6 +14,7 @@ probe spacing times sqrt(N).
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,8 +151,17 @@ def fill_distance_grid(X: PointSet, probe) -> float:
         return float(np.minimum(left, right).max())
     from scipy.spatial import cKDTree
 
-    d, _ = cKDTree(X.points).query(probe_pts)
+    # each probe point is queried on its own, so the split across workers
+    # cannot change the distances
+    d, _ = cKDTree(X.points).query(probe_pts, workers=_usable_cpus())
     return float(np.max(d))
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def mesh_ratio(X: PointSet, h: float) -> float:

@@ -13,6 +13,8 @@ from kinterp.diagnostics import (
     l2_error,
     lebesgue_constant,
     lebesgue_function,
+    lebesgue_max_from_coefficients,
+    measure_levels,
     norm_growth_sequence,
     read_report_csv,
     sup_error,
@@ -21,9 +23,11 @@ from kinterp.geometry import (
     Box,
     PointSet,
     equispaced_interval,
+    generate_candidates,
+    geometric_greedy,
     nested_equispaced_design,
 )
-from kinterp.interpolation import evaluate, fit
+from kinterp.interpolation import evaluate, fit, lagrange_coefficients
 from kinterp.kernels import assemble_gram, kernel_matrix, matern
 from kinterp.targets import make_target
 
@@ -324,6 +328,42 @@ def test_convergence_rough_target_l2_decreases():
                                   with_lebesgue=False)
     l2s = [row["l2_error"] for row in report.rows]
     assert l2s[-1] < l2s[1]
+
+
+def _square_levels():
+    box = Box(lower=(0.0, 0.0), upper=(1.0, 1.0))
+    design = geometric_greedy(generate_candidates(box, 800, "low_discrepancy"),
+                              60, 0, (15, 30, 60))
+    return (matern(1.5, gamma=5.0, dim=2), box, 129,
+            [design.level_points(i) for i in range(len(design))])
+
+
+def _interval_levels():
+    design = nested_equispaced_design(0, 1, 8, 4)
+    return M32, UNIT, 9000, [design.level_points(i) for i in range(len(design))]
+
+
+def _unnested_interval_levels():
+    return M32, UNIT, 9000, [equispaced_interval(0, 1, n) for n in (5, 11, 23)]
+
+
+@pytest.mark.parametrize("levels", [_square_levels, _interval_levels,
+                                    _unnested_interval_levels])
+def test_shared_scan_equals_per_level_functions(levels):
+    # grids of more than one scan chunk; the unnested levels get their own
+    # columns of the shared block
+    kernel, box, m, level_sets = levels()
+    grid = EvalGrid.tensor(box, m)
+    target = make_target("abs_power", {"power": 1.0 / 3.0}, kernel, box)
+    rows = list(measure_levels(kernel, level_sets, grid, target,
+                               lebesgue=True, errors=True))
+    assert [row["n"] for row in rows] == [len(X) for X in level_sets]
+    for row, X in zip(rows, level_sets):
+        C, _ = lagrange_coefficients(kernel, X)
+        s = fit(kernel, X, target(X.points))
+        assert row["lebesgue_constant"] == lebesgue_max_from_coefficients(kernel, X, C, grid)
+        assert row["sup_error"] == sup_error(target, s, grid)
+        assert row["l2_error"] == l2_error(target, s, grid)
 
 
 def test_report_csv_roundtrip(tmp_path):

@@ -122,6 +122,41 @@ def test_batch_matrix_bit_equal_to_scalar_eval():
             assert M[i, j] == kernels.eval(k, X[i], Y[j])
 
 
+def _tensor_kernel_matrix(k, X, Y):
+    """Reference: the (len(X), len(Y), dim) difference tensor summed over
+    its last axis, then the profile applied out of place."""
+    diff = X[:, None, :] - Y[None, :, :]
+    r = k.gamma * np.sqrt(np.sum(diff * diff, axis=2))
+    if k.family == "gaussian":
+        return np.exp(-(r * r))
+    if k.nu == 0.5:
+        return np.exp(-r)
+    if k.nu == 1.5:
+        return (1.0 + r) * np.exp(-r)
+    return (3.0 + 3.0 * r + r * r) * np.exp(-r)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7])
+@pytest.mark.parametrize("make", [lambda g, d: matern(0.5, gamma=g, dim=d),
+                                  lambda g, d: matern(1.5, gamma=g, dim=d),
+                                  lambda g, d: matern(2.5, gamma=g, dim=d),
+                                  lambda g, d: gaussian(gamma=g, dim=d)],
+                         ids=["matern12", "matern32", "matern52", "gaussian"])
+def test_kernel_matrix_bit_equal_to_tensor_formula(make, dim):
+    # per-axis accumulation adds the squared differences in axis order, as
+    # numpy's sum does over fewer than 8 terms
+    rng = np.random.default_rng(dim)
+    X = rng.uniform(-1.0, 2.0, size=(37, dim))
+    Y = rng.uniform(-1.0, 2.0, size=(23, dim))
+    for gamma in (1.0, 0.37, 10.0):
+        k = make(gamma, dim)
+        M = kernel_matrix(k, X, Y)
+        assert M.shape == (37, 23)
+        assert np.array_equal(M, _tensor_kernel_matrix(k, X, Y))
+        # a column slice of a wider block equals the block of the sliced nodes
+        assert np.array_equal(M[:, 5:17], kernel_matrix(k, X, Y[5:17]))
+
+
 @given(x=finite, y=finite)
 @settings(max_examples=50, deadline=None)
 def test_symmetry_matern(x, y):
