@@ -22,7 +22,6 @@ from .geometry import (
     PointSet,
     fill_distance_grid,
     fill_distance_interval,
-    mesh_ratio,
     sampling_condition,
     separation_distance,
 )
@@ -375,7 +374,8 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool):
         row = dict.fromkeys(REPORT_COLUMNS, float("nan"))
         row.update(n=n, h=h, jitter_flag="failed", sampling_condition="n/a")
         if n >= 2:
-            row.update(q=separation_distance(X), rho=mesh_ratio(X, h))
+            q = separation_distance(X)
+            row.update(q=q, rho=h / q)  # mesh_ratio(X, h) without a second distance search
         if dom.dim == 1 and np.isfinite(tau):
             row["sampling_condition"] = sampling_condition(h, tau, dom.lower[0], dom.upper[0])
         gram = assemble_gram(kernel, X)

@@ -54,19 +54,26 @@ class Factorization:
 def factorize(K) -> Factorization:
     """Cholesky factorization with the jitter escalation ladder.
 
-    Accepts a GramMatrix or a plain symmetric ndarray. Raises
-    FactorizationError naming the failing leading minor once the ladder is
-    exhausted.
+    Accepts a GramMatrix or a plain symmetric ndarray, which is never
+    modified. Every rung copies it into one Fortran-order work array, adds
+    the jitter to the diagonal in place and factors the copy in place, so a
+    call holds one n x n array besides its input; on success that array is
+    the returned factor. Raises FactorizationError naming the failing
+    leading minor once the ladder is exhausted.
     """
     A = K.entries if isinstance(K, GramMatrix) else np.asarray(K, float)
     n = A.shape[0]
     (potrf,) = get_lapack_funcs(("potrf",), (A,))
     scale = float(np.max(np.diag(A)))
+    work = np.empty_like(A, order="F")
+    diagonal = np.diag_indices(n)
     last_info = 0
     for step in (0.0,) + JITTER_LADDER:
         jitter = step * scale
-        c, info = potrf(A + jitter * np.eye(n) if jitter else A,
-                        lower=True, clean=True, overwrite_a=False)
+        np.copyto(work, A)
+        if jitter:
+            work[diagonal] += jitter
+        c, info = potrf(work, lower=True, clean=True, overwrite_a=True)
         if info == 0:
             return Factorization(lower=c, jitter=jitter, jitter_step=step)
         last_info = int(info)

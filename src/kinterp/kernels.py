@@ -37,6 +37,10 @@ _MATERN_NUS = (0.5, 1.5, 2.5)
 # duplicate node: beyond double-precision resolution of the Gram entries.
 DISTINCTNESS_REL_TOL = 1e-12
 
+# Gram assembly evaluates the upper triangle this many rows at a time, so its
+# temporaries stay a thin strip next to the one n x n result.
+GRAM_ROW_BLOCK = 256
+
 
 class KernelError(ValueError):
     pass
@@ -208,12 +212,15 @@ def eval(kernel: Kernel, x, y) -> float:  # noqa: A001 - spec-level operation na
 
 
 def min_pairwise_distance(points: np.ndarray) -> float:
-    """Exact minimum pairwise Euclidean distance (nearest-neighbor query)."""
-    from scipy.spatial import cKDTree
-
+    """Exact minimum pairwise Euclidean distance: the smallest gap of the
+    sorted coordinates in 1-d, a nearest-neighbor query in higher dimension."""
     pts = np.atleast_2d(points)
     if pts.shape[0] < 2:
         raise ValueError("need at least two points")
+    if pts.shape[1] == 1:
+        return float(np.diff(np.sort(pts[:, 0])).min())
+    from scipy.spatial import cKDTree
+
     d, _ = cKDTree(pts).query(pts, k=2)
     return float(d[:, 1].min())
 
@@ -221,20 +228,29 @@ def min_pairwise_distance(points: np.ndarray) -> float:
 def assemble_gram(kernel: Kernel, nodes) -> GramMatrix:
     """Gram matrix on a node set; rejects near-duplicate nodes.
 
-    Only the upper triangle is evaluated; the lower triangle is mirrored, so
-    the result is symmetric to the last bit.
+    Only the upper triangle is evaluated, as strips of GRAM_ROW_BLOCK rows
+    from the diagonal onwards, each written into one preallocated n x n
+    array and mirrored into the lower triangle, so the result is symmetric
+    to the last bit and the temporaries never exceed a few strips. A PointSet has already passed the same
+    duplicate-node rule on construction, so only plain arrays are checked.
     """
+    from .geometry import PointSet
+
     pts = getattr(nodes, "points", nodes)
     pts = _as_points(pts, kernel.dim)
     n = pts.shape[0]
-    if n > 1:
+    if n > 1 and not isinstance(nodes, PointSet):
         diam = _domain_diameter(nodes, pts)
         if min_pairwise_distance(pts) < DISTINCTNESS_REL_TOL * diam:
             raise DuplicateNodesError(
                 "node set contains points closer than the distinctness tolerance"
             )
-    K = kernel_matrix(kernel, pts, pts)
-    K = np.triu(K) + np.triu(K, 1).T
+    K = np.empty((n, n))
+    for i0 in range(0, n, GRAM_ROW_BLOCK):
+        rows = slice(i0, i0 + GRAM_ROW_BLOCK)
+        block = kernel_matrix(kernel, pts[rows], pts[i0:])
+        K[rows, i0:] = block
+        K[i0:, rows] = block.T
     return GramMatrix(entries=K, source_nodes=nodes)
 
 

@@ -75,8 +75,92 @@ def test_factorize_reports_jitter_or_fails_loudly():
 
 def test_factorize_failure_names_pivot():
     K = np.array([[1.0, 0.0], [0.0, -1.0]])  # indefinite, ladder cannot save it
-    with pytest.raises(FactorizationError, match="leading minor"):
+    with pytest.raises(FactorizationError, match="leading minor") as exc:
         factorize(K)
+    assert str(exc.value) == (
+        "matrix of order 2 is not positive definite after the jitter ladder "
+        "(1e-14, 1e-12, 1e-10, 1e-08): leading minor 2 failed last")
+    assert np.array_equal(K, [[1.0, 0.0], [0.0, -1.0]])
+
+
+def _ladder_reference(A):
+    """Reference: each rung factors a fresh A + jitter * I with potrf."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    from kinterp.interpolation import JITTER_LADDER
+
+    (potrf,) = get_lapack_funcs(("potrf",), (A,))
+    scale = float(np.max(np.diag(A)))
+    for step in (0.0,) + JITTER_LADDER:
+        jitter = step * scale
+        c, info = potrf(A + jitter * np.eye(A.shape[0]) if jitter else A,
+                        lower=True, clean=True, overwrite_a=False)
+        if info == 0:
+            return c, step
+    return None, None
+
+
+def _shifted_spectrum(n, shift, seed):
+    # symmetric with eigenvalues in [1, 2] and one at -shift: the ladder
+    # needs a jitter above shift / max(diag) to factor it
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.linspace(1.0, 2.0, n)
+    lam[0] = -shift
+    return (Q * lam) @ Q.T
+
+
+@pytest.mark.parametrize("shift, step", [(-0.5, 0.0), (5e-13, 1e-12),
+                                         (3e-11, 1e-10), (3e-9, 1e-8),
+                                         (1e-6, None)])
+def test_factorize_equals_fresh_jittered_potrf_at_every_rung(shift, step):
+    A = _shifted_spectrum(40, shift, seed=3)
+    before = A.copy()
+    ref, ref_step = _ladder_reference(A)
+    assert ref_step == step
+    if step is None:
+        with pytest.raises(FactorizationError):
+            factorize(A)
+    else:
+        f = factorize(A)
+        assert f.jitter_step == step
+        assert np.array_equal(f.lower, ref)
+    assert np.array_equal(A, before)
+
+
+def test_factorize_nested_matern52_escalation_bit_equal():
+    # n = 1087 nested equispaced Matern 5/2 fails at 0 and 1e-14 and
+    # factors at 1e-12
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    gram = assemble_gram(matern(2.5), X)
+    before = gram.entries.copy()
+    f = factorize(gram)
+    ref, ref_step = _ladder_reference(gram.entries)
+    assert f.jitter_step == ref_step == 1e-12
+    assert f.jitter == 1e-12 * 3.0
+    assert np.array_equal(f.lower, ref)
+    assert np.array_equal(gram.entries, before)
+
+
+def test_gram_and_factor_hold_at_most_two_dense_arrays():
+    # traced peaks at n = 1087: the Gram plus a few row strips while it is
+    # assembled, the Gram plus one work array while it is factored
+    import tracemalloc
+
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    dense = 8 * len(X) ** 2
+    tracemalloc.start()
+    try:
+        gram = assemble_gram(matern(2.5), X)
+        _, gram_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        f = factorize(gram)
+        _, factor_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.jitter_step == 1e-12
+    assert gram_peak <= 2.0 * dense
+    assert factor_peak <= 2.1 * dense
 
 
 def test_fit_single_node_constant():

@@ -271,3 +271,69 @@ def test_sobolev_order():
     assert matern(2.5, dim=2).sobolev_order_tau == 3.5
     assert interval_sobolev(0, 1).sobolev_order_tau == 1.0
     assert math.isinf(gaussian(1.0).sobolev_order_tau)
+
+
+def _full_triangle_gram(k, pts):
+    """Reference: the full n x n kernel matrix, its upper triangle mirrored."""
+    K = kernel_matrix(k, pts, pts)
+    return np.triu(K) + np.triu(K, 1).T
+
+
+_GRAM_CASES = [(name, make, dim)
+               for name, make in [("matern12", lambda d: matern(0.5, gamma=2.0, dim=d)),
+                                  ("matern32", lambda d: matern(1.5, gamma=2.0, dim=d)),
+                                  ("matern52", lambda d: matern(2.5, gamma=2.0, dim=d)),
+                                  ("gaussian", lambda d: gaussian(3.0, dim=d))]
+               for dim in (1, 2, 3)]
+_GRAM_CASES.append(("w21", lambda d: interval_sobolev(0.0, 1.0), 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+@pytest.mark.parametrize("name, make, dim", _GRAM_CASES,
+                         ids=[f"{name}-d{dim}" for name, _, dim in _GRAM_CASES])
+def test_blocked_gram_bit_equal_to_full_triangle_formula(name, make, dim, n):
+    # the row blocks of the upper triangle cross GRAM_ROW_BLOCK edges at 256
+    k = make(dim)
+    rng = np.random.default_rng(100 * dim + n)
+    X = _random_pointset(rng, n, dim)
+    K = assemble_gram(k, X).entries
+    assert np.array_equal(K, _full_triangle_gram(k, X.points))
+    assert np.array_equal(K, K.T)
+    # a plain array takes the same path after its duplicate-node check
+    assert np.array_equal(assemble_gram(k, X.points).entries, K)
+
+
+def test_point_set_gram_skips_second_duplicate_check(monkeypatch):
+    # PointSet construction already applied the duplicate-node rule
+    X = _random_pointset(np.random.default_rng(8), 30, 2)
+
+    def fail(points):
+        raise AssertionError("duplicate check repeated")
+
+    monkeypatch.setattr(kernels, "min_pairwise_distance", fail)
+    assemble_gram(matern(1.5, dim=2), X)
+    with pytest.raises(AssertionError, match="repeated"):
+        assemble_gram(matern(1.5, dim=2), X.points)
+
+
+def _kd_tree_min_distance(x):
+    from scipy.spatial import cKDTree
+
+    pts = x[:, None]
+    d, _ = cKDTree(pts).query(pts, k=2)
+    return float(d[:, 1].min())
+
+
+def test_min_pairwise_distance_1d_equals_kd_tree():
+    from kinterp.geometry import nested_equispaced_design
+
+    rng = np.random.default_rng(17)
+    master = nested_equispaced_design(0.0, 1.0, 16, 9).master.points[:, 0]
+    sets = [master[:n] for n in (2, 3, 16, 33, 100, 1087, 4351)]
+    sets += [rng.uniform(-1.0, 1.0, size=n) for n in (2, 3, 10, 500)]
+    for spacing in 10.0 ** np.arange(-6, 7):
+        sets.append(0.3 + spacing * rng.permutation(np.arange(50.0)))
+        sets.append(-7.0 + spacing * np.cumsum(rng.uniform(0.5, 1.5, size=50)))
+    sets.append(np.array([0.2, 0.9, 0.2]))  # exact duplicate: distance 0
+    for x in sets:
+        assert kernels.min_pairwise_distance(x[:, None]) == _kd_tree_min_distance(x)
