@@ -359,8 +359,9 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
 def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool):
     """Yield (row, X, alpha, C) for each level: the row with every quantity
     but the grid ones, the fit coefficients (None without a target) and the
-    cardinal coefficient matrix (None unless `lebesgue`). The Gram matrix and
-    its factor are dropped once the level is fitted."""
+    cardinal coefficient matrix (None unless `lebesgue`). The Gram matrix is
+    dropped before the cardinal matrix is formed, and the factor after it, so
+    a level holds at most two n x n arrays."""
     tau = kernel.sobolev_order_tau
     fill_probe = None
     for X in level_sets:
@@ -392,9 +393,10 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool):
             s = fit(kernel, X, target(X.points), factorization=fact, gram=gram)
             row["native_norm"] = native_norm(s)
             alpha = s.coefficients
+        del gram
         if lebesgue:
-            C = fact.solve(np.eye(n))
-        del gram, fact
+            C = fact.inverse()
+        del fact
         yield row, X, alpha, C
 
 

@@ -103,7 +103,16 @@ class PointSet:
     def prefix(self, n: int) -> "PointSet":
         if not 1 <= n <= len(self):
             raise GeometryError(f"prefix length {n} outside 1..{len(self)}")
-        return PointSet(points=self.points[:n], domain=self.domain)
+        return self._subset(self.points[:n])
+
+    def _subset(self, points: np.ndarray) -> "PointSet":
+        """A PointSet of some of this set's rows, each at most once. They are
+        still distinct and inside the box, so the constructor's checks,
+        including the duplicate-node search, are not run again."""
+        X = object.__new__(PointSet)
+        object.__setattr__(X, "points", points)
+        object.__setattr__(X, "domain", self.domain)
+        return X
 
 
 def separation_distance(X: PointSet) -> float:
@@ -266,7 +275,7 @@ def geometric_greedy(candidates: PointSet, m: int, seed_index: int = 0,
         np.minimum(dmin, np.sqrt(np.sum(diff * diff, axis=1)), out=dmin)
     pool_h[m - 1] = dmin.max()
 
-    master = PointSet(points=pts[order], domain=candidates.domain)
+    master = candidates._subset(pts[order])
     levels = tuple(level_counts) if level_counts is not None else (m,)
     hs, rhos = [], []
     for n in levels:

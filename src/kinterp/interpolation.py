@@ -50,18 +50,40 @@ class Factorization:
         y = sla.solve_triangular(self.lower, rhs, lower=True)
         return sla.solve_triangular(self.lower.T, y, lower=False)
 
+    def inverse(self) -> np.ndarray:
+        """(K + jitter * I)^-1, bit-identical to `solve(np.eye(n))`.
+
+        Makes the same two `trtrs` calls as that solve, but both overwrite
+        one fresh Fortran-order identity, so the call allocates one n x n
+        array and copies none.
+        """
+        (trtrs,) = get_lapack_funcs(("trtrs",), (self.lower,))
+        X = np.eye(self.order, order="F")
+        for trans in (0, 1):
+            X, info = trtrs(self.lower, X, lower=True, trans=trans, overwrite_b=True)
+            if info:
+                raise np.linalg.LinAlgError(f"singular factor: zero pivot {info}")
+        return X
+
 
 def factorize(K) -> Factorization:
     """Cholesky factorization with the jitter escalation ladder.
 
     Accepts a GramMatrix or a plain symmetric ndarray, which is never
-    modified. Every rung copies it into one Fortran-order work array, adds
-    the jitter to the diagonal in place and factors the copy in place, so a
-    call holds one n x n array besides its input; on success that array is
-    the returned factor. Raises FactorizationError naming the failing
-    leading minor once the ladder is exhausted.
+    modified; only the lower triangle of a plain ndarray is read. Every rung
+    copies the input into one Fortran-order work array, adds the jitter to
+    the diagonal in place and factors the copy in place, so a call holds one
+    n x n array besides its input; on success that array is the returned
+    factor. A GramMatrix equals its transpose to the last bit, and the
+    transpose of its C-order entries is already in Fortran order, so its
+    rungs copy the transpose contiguously. Raises FactorizationError naming
+    the failing leading minor once the ladder is exhausted.
     """
-    A = K.entries if isinstance(K, GramMatrix) else np.asarray(K, float)
+    if isinstance(K, GramMatrix):
+        A = K.entries
+        source = A.T  # the same bits as A, already in Fortran order
+    else:
+        A = source = np.asarray(K, float)
     n = A.shape[0]
     (potrf,) = get_lapack_funcs(("potrf",), (A,))
     scale = float(np.max(np.diag(A)))
@@ -70,7 +92,7 @@ def factorize(K) -> Factorization:
     last_info = 0
     for step in (0.0,) + JITTER_LADDER:
         jitter = step * scale
-        np.copyto(work, A)
+        np.copyto(work, source)
         if jitter:
             work[diagonal] += jitter
         c, info = potrf(work, lower=True, clean=True, overwrite_a=True)
@@ -171,7 +193,7 @@ def lagrange_coefficients(kernel: Kernel, X: PointSet) -> tuple[np.ndarray, Fact
     gram = assemble_gram(kernel, X)
     fact = factorize(gram)
     n = len(X)
-    C = fact.solve(np.eye(n))
+    C = fact.inverse()
     R = gram.entries @ C
     R[np.diag_indices(n)] -= 1.0
     resid = float(np.max(np.abs(R)))

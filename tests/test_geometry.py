@@ -215,6 +215,30 @@ def test_greedy_permutation_stable():
     assert np.allclose(d1.master.points, d2.master.points)
 
 
+def test_subsets_of_a_checked_set_skip_the_duplicate_search(monkeypatch):
+    # a prefix and the greedy master are rows of an already checked pool, so
+    # only the greedy's per-level mesh ratios search for distances
+    from kinterp import kernels
+
+    cands = generate_candidates(Box.unit_cube(2), 500, "low_discrepancy")
+    calls = []
+    search = kernels.min_pairwise_distance
+
+    def counted(points):
+        calls.append(len(points))
+        return search(points)
+
+    monkeypatch.setattr(kernels, "min_pairwise_distance", counted)
+    X = cands.prefix(40)
+    assert calls == []
+    assert np.array_equal(X.points, cands.points[:40]) and X.domain == cands.domain
+    geometric_greedy(cands, 32, seed_index=0, level_counts=[8, 16, 32])
+    assert calls == [8, 16, 32]
+    for n in (0, 501):
+        with pytest.raises(GeometryError, match="prefix length"):
+            cands.prefix(n)
+
+
 def test_greedy_m_out_of_range():
     cands = generate_candidates(UNIT, 10, "low_discrepancy")
     with pytest.raises(GeometryError):

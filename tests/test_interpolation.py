@@ -163,6 +163,63 @@ def test_gram_and_factor_hold_at_most_two_dense_arrays():
     assert factor_peak <= 2.1 * dense
 
 
+def test_factorize_plain_array_reads_only_lower_triangle():
+    # NaN above the diagonal of a plain array must not reach the factor, so
+    # only GramMatrix input, symmetric to the last bit, may be read through
+    # its transpose
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    gram = assemble_gram(matern(2.5), X)
+    A = gram.entries.copy()
+    A[np.triu_indices(len(X), 1)] = np.nan
+    f, ref = factorize(A), factorize(gram)
+    assert f.jitter_step == ref.jitter_step == 1e-12
+    assert np.array_equal(f.lower, ref.lower)
+    for shift in (-0.5, 5e-13, 3e-11, 3e-9):
+        S = _shifted_spectrum(40, shift, seed=3)
+        A = S.copy()
+        A[np.triu_indices(40, 1)] = np.nan
+        f, ref = factorize(A), factorize(S)
+        assert f.jitter_step == ref.jitter_step
+        assert np.array_equal(f.lower, ref.lower)
+
+
+def test_inverse_bit_equal_to_identity_solve():
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    n = len(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the residual warning is not tested here
+        C, fact = lagrange_coefficients(matern(1.5), X)
+    assert np.array_equal(C, fact.solve(np.eye(n)))
+    # a jittered factor: nested Matern 5/2 factors at the 1e-12 rung
+    fact = factorize(assemble_gram(matern(2.5), X))
+    assert fact.jitter_step == 1e-12
+    assert np.array_equal(fact.inverse(), fact.solve(np.eye(n)))
+
+
+def test_lebesgue_level_holds_at_most_the_factor_and_one_dense_array():
+    # one Lebesgue level with a target at n = 1087: the Gram plus one work
+    # array while it is factored, then the factor plus the cardinal matrix;
+    # the Gram is freed before the cardinal matrix is formed
+    import tracemalloc
+
+    from kinterp.diagnostics import _fit_levels
+
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    dense = 8 * len(X) ** 2
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the jittered fit's residual warning
+            (row, _, _, C), = _fit_levels(matern(2.5), [X],
+                                          lambda p: np.abs(p[:, 0] - 0.5), True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row["jitter_flag"] == "1e-12"
+    assert C.shape == (len(X), len(X))
+    assert peak <= 2.2 * dense
+
+
 def test_fit_single_node_constant():
     X = PointSet(points=[[0.0]], domain=UNIT)
     s = fit(matern(0.5), X, [2.0])
