@@ -29,6 +29,7 @@ from . import interpolation
 from .interpolation import (
     FactorizationError,
     Interpolant,
+    _weighted_row_sums,
     evaluate,
     fit,
     kernel_blocks,
@@ -36,7 +37,7 @@ from .interpolation import (
     lagrange_coefficients,
     native_norm,
 )
-from .kernels import Kernel, assemble_gram, kernel_matrix  # noqa: F401 (re-exported)
+from .kernels import Kernel, _run_tiles, assemble_gram, kernel_matrix  # noqa: F401 (re-exported)
 
 BOUNDED_LIKE = "bounded-like"
 DIVERGING_LIKE = "diverging-like"
@@ -103,8 +104,25 @@ def lebesgue_max_from_coefficients(kernel: Kernel, X: PointSet, C: np.ndarray,
 
 def _lebesgue_block_max(cross: np.ndarray, C: np.ndarray) -> float:
     """Max over the rows of one cross-kernel block of sum_i |l_i(x)|."""
+    return float(_cardinal_abs_sums(cross, C, np.empty(cross.shape[0])).max())
+
+
+def _cardinal_abs_sums(cross: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row sums of |cross @ C| into `out`: the Lebesgue function on one
+    block's points.
+
+    The product is one GEMM over the whole block; the absolute values and
+    the row sums then run in place on its row tiles. Each row is summed on
+    its own, so the tiles leave every sum's bits unchanged.
+    """
     p = cross @ C
-    return float(np.abs(p, out=p).sum(axis=1).max())
+
+    def tile(rows):
+        q = p[rows]
+        np.sum(np.abs(q, out=q), axis=1, out=out[rows])
+
+    _run_tiles(tile, p.shape[0], p[:1].nbytes)
+    return out
 
 
 def lebesgue_function(kernel: Kernel, X: PointSet, grid: EvalGrid) -> np.ndarray:
@@ -120,7 +138,7 @@ def lebesgue_function(kernel: Kernel, X: PointSet, grid: EvalGrid) -> np.ndarray
         raise FactorizationError(f"Lebesgue function at n={len(X)}: {exc}") from exc
     out = np.empty(len(grid))
     for rows, cross in kernel_blocks(kernel, grid.points, X.points):
-        out[rows] = np.abs(cross @ C).sum(axis=1)
+        _cardinal_abs_sums(cross, C, out[rows])
     return out
 
 
@@ -430,7 +448,7 @@ def _scan_levels(kernel: Kernel, fitted, grid: EvalGrid, target, lebesgue: bool)
             if lebesgue:
                 lmax[k] = max(lmax[k], _lebesgue_block_max(block, C))
             if values is not None:
-                values[k][rows] = np.sum(block * alpha[None, :], axis=1)
+                _weighted_row_sums(block, alpha, values[k][rows])
     exact = target(grid.points) if target is not None else None
     for k, (row, _, _, _) in enumerate(fitted):
         if lebesgue:

@@ -14,12 +14,11 @@ probe spacing times sqrt(N).
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DISTINCTNESS_REL_TOL, DuplicateNodesError
+from .kernels import DISTINCTNESS_REL_TOL, DuplicateNodesError, _usable_cpus
 
 SAMPLING_NONE = "none"
 SAMPLING_WEAK_100 = "weak-100"
@@ -164,13 +163,6 @@ def fill_distance_grid(X: PointSet, probe) -> float:
     # cannot change the distances
     d, _ = cKDTree(X.points).query(probe_pts, workers=_usable_cpus())
     return float(np.max(d))
-
-
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def mesh_ratio(X: PointSet, h: float) -> float:

@@ -17,11 +17,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .geometry import PointSet
-from .kernels import GramMatrix, Kernel, assemble_gram, kernel_matrix
+from .kernels import GramMatrix, Kernel, _run_tiles, assemble_gram, kernel_matrix
 
 JITTER_LADDER = (1e-14, 1e-12, 1e-10, 1e-8)
 
@@ -47,8 +46,9 @@ class Factorization:
         return self.lower.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = sla.solve_triangular(self.lower, rhs, lower=True)
-        return sla.solve_triangular(self.lower.T, y, lower=False)
+        """(K + jitter * I)^-1 rhs by a forward and a transposed back
+        substitution (two `trtrs` calls); rhs is left unchanged."""
+        return self._substitute(rhs, overwrite=False)
 
     def inverse(self) -> np.ndarray:
         """(K + jitter * I)^-1, bit-identical to `solve(np.eye(n))`.
@@ -57,13 +57,18 @@ class Factorization:
         one fresh Fortran-order identity, so the call allocates one n x n
         array and copies none.
         """
+        return self._substitute(np.eye(self.order, order="F"), overwrite=True)
+
+    def _substitute(self, b: np.ndarray, overwrite: bool) -> np.ndarray:
+        # trtrs directly: scipy.linalg.solve_triangular would first scan the
+        # whole factor for non-finite entries, into an n x n bool array
         (trtrs,) = get_lapack_funcs(("trtrs",), (self.lower,))
-        X = np.eye(self.order, order="F")
         for trans in (0, 1):
-            X, info = trtrs(self.lower, X, lower=True, trans=trans, overwrite_b=True)
+            b, info = trtrs(self.lower, b, lower=True, trans=trans, overwrite_b=overwrite)
             if info:
                 raise np.linalg.LinAlgError(f"singular factor: zero pivot {info}")
-        return X
+            overwrite = True
+        return b
 
 
 def factorize(K) -> Factorization:
@@ -167,8 +172,18 @@ def evaluate(s: Interpolant, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(pts.shape[0])
     for rows, cross in kernel_blocks(s.kernel, pts, s.nodes.points):
-        out[rows] = np.sum(cross * s.coefficients[None, :], axis=1)
+        _weighted_row_sums(cross, s.coefficients, out[rows])
     return out
+
+
+def _weighted_row_sums(block: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = sum_j block[i, j] * weights[j], in row tiles: each tile's
+    products form one contiguous temporary and every row is summed on its
+    own, so the sums equal those of the whole block's product."""
+    def tile(rows):
+        np.sum(block[rows] * weights, axis=1, out=out[rows])
+
+    _run_tiles(tile, block.shape[0], block[:1].nbytes)
 
 
 def lagrange(kernel: Kernel, X: PointSet, i: int,
@@ -196,7 +211,7 @@ def lagrange_coefficients(kernel: Kernel, X: PointSet) -> tuple[np.ndarray, Fact
     C = fact.inverse()
     R = gram.entries @ C
     R[np.diag_indices(n)] -= 1.0
-    resid = float(np.max(np.abs(R)))
+    resid = float(np.max(np.abs(R, out=R)))
     if resid > 1e-8:
         warnings.warn(
             f"cardinal residual {resid:.3e} exceeds 1e-8 * ||I||_inf "

@@ -17,13 +17,18 @@ Three families are supported:
   (gamma is ignored for this family).
 
 All evaluation goes through one vectorized routine, so scalar and batch
-calls produce bit-identical values. Everything here is pure and safe to
-call from multiple threads.
+calls produce bit-identical values. Blocks larger than one row tile are
+filled on a process-wide thread pool, and every entry keeps the bits of a
+one-pass evaluation. Everything here is pure and safe to call from multiple
+threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +45,10 @@ DISTINCTNESS_REL_TOL = 1e-12
 # Gram assembly evaluates the upper triangle this many rows at a time, so its
 # temporaries stay a thin strip next to the one n x n result.
 GRAM_ROW_BLOCK = 256
+
+# Kernel blocks are filled, and the grid scan's cardinal sums taken, in row
+# tiles of about this many bytes, so each tile's temporaries stay in cache.
+TILE_BYTES = 512 * 1024
 
 
 class KernelError(ValueError):
@@ -162,9 +171,11 @@ def kernel_matrix(kernel: Kernel, X, Y) -> np.ndarray:
     it on 1x1 inputs, which keeps scalar and batch results bit-identical.
 
     Each entry depends only on its own pair of points, so a column slice of
-    a wider block is bit-identical to the block of the sliced nodes. Squared
-    distances are summed one axis at a time, in axis order, and the profile
-    is applied in place, so no (len(X), len(Y), dim) tensor is formed.
+    a wider block is bit-identical to the block of the sliced nodes, and the
+    row tiles the output is filled in (see `_run_tiles`) cannot change any
+    bit. Squared distances are summed one axis at a time, in axis order, and
+    the profile is applied in place, so no (len(X), len(Y), dim) tensor is
+    formed.
     """
     X = _as_points(X, kernel.dim)
     Y = _as_points(Y, kernel.dim)
@@ -173,37 +184,126 @@ def kernel_matrix(kernel: Kernel, X, Y) -> np.ndarray:
         xv, yv = X[:, 0], Y[:, 0]
         if np.any(xv < a) or np.any(xv > b) or np.any(yv < a) or np.any(yv > b):
             raise DomainError(f"w21 kernel arguments must lie in [{a}, {b}]")
-        lo = np.minimum(xv[:, None], yv[None, :])
-        hi = np.maximum(xv[:, None], yv[None, :])
-        return np.cosh(b - hi) * np.cosh(lo - a) / np.sinh(b - a)
+    out = np.empty((X.shape[0], Y.shape[0]))
+    _run_tiles(partial(_fill_rows, kernel, X, Y, out), out.shape[0], out[:1].nbytes)
+    return out
 
-    r = np.subtract.outer(X[:, 0], Y[:, 0])
+
+def _fill_rows(kernel: Kernel, X: np.ndarray, Y: np.ndarray, out: np.ndarray,
+               rows: slice) -> None:
+    """Write k(X[rows], Y) into out[rows], with the out-of-place formula's
+    ufuncs applied in the same order to every entry."""
+    r = out[rows]
+    x = X[rows]
+    if kernel.family == INTERVAL_W21:
+        a, b = kernel.interval
+        # cosh(b - max(x, y)) * cosh(min(x, y) - a) / sinh(b - a)
+        np.maximum.outer(x[:, 0], Y[:, 0], out=r)
+        np.subtract(b, r, out=r)
+        np.cosh(r, out=r)
+        lo = np.minimum.outer(x[:, 0], Y[:, 0])
+        lo -= a
+        np.cosh(lo, out=lo)
+        r *= lo
+        r /= np.sinh(b - a)
+        return
+    np.subtract.outer(x[:, 0], Y[:, 0], out=r)
     r *= r
     for k in range(1, kernel.dim):
-        d = np.subtract.outer(X[:, k], Y[:, k])
+        d = np.subtract.outer(x[:, k], Y[:, k])
         d *= d
         r += d
     np.sqrt(r, out=r)
     r *= kernel.gamma
     if kernel.family == GAUSSIAN:
         r *= r
-        np.negative(r, out=r)
-        return np.exp(r, out=r)
-    e = np.negative(r)
-    np.exp(e, out=e)
-    if kernel.nu == 0.5:
-        return e
-    if kernel.nu == 1.5:
-        r += 1.0
+    elif kernel.nu != 0.5:
+        e = np.negative(r)
+        np.exp(e, out=e)
+        if kernel.nu == 1.5:
+            r += 1.0
+        else:
+            # (3 + 3 r + r^2) exp(-r), summed left to right
+            r2 = r * r
+            r *= 3.0
+            r += 3.0
+            r += r2
         r *= e
-        return r
-    # (3 + 3 r + r^2) exp(-r), summed left to right
-    r2 = r * r
-    r *= 3.0
-    r += 3.0
-    r += r2
-    r *= e
-    return r
+        return
+    np.negative(r, out=r)
+    np.exp(r, out=r)
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# One process-wide pool runs the tiles, created on first use with one worker
+# per usable CPU. A forked child starts without it and creates its own.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _tile_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="kinterp-tile")
+        return _pool
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_tiles(work, n_rows: int, row_bytes: int) -> None:
+    """Call `work(rows)` on row slices of about TILE_BYTES that cover
+    range(n_rows).
+
+    The caller takes tiles itself while up to one helper per other usable
+    CPU takes tiles from the same queue on the tile pool, so a short call
+    does not wait for pool threads to wake. Each tile must write only its
+    own rows and touch no shared state, so the result does not depend on the
+    split or on the worker count. An input of one tile, or a process with
+    one usable CPU, runs inline in the caller.
+    """
+    step = max(1, TILE_BYTES // max(row_bytes, 1))
+    n_tiles = -(-n_rows // step)
+    helpers = min(_usable_cpus(), n_tiles) - 1 if n_tiles > 1 else 0
+    starts = iter(range(0, n_rows, step))
+    if helpers <= 0:
+        for i in starts:
+            work(slice(i, i + step))
+        return
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(starts, None)
+            if i is None:
+                return
+            work(slice(i, i + step))
+
+    pool = _tile_pool()
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # a helper that has not started finds no tiles left: drop it
+        for f in futures:
+            if not f.cancel():
+                f.result()
 
 
 def eval(kernel: Kernel, x, y) -> float:  # noqa: A001 - spec-level operation name

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kinterp import geometry, kernels
 from kinterp.diagnostics import (
     BOUNDED_LIKE,
     DIVERGING_LIKE,
@@ -380,3 +381,49 @@ def test_report_csv_roundtrip(tmp_path):
     assert rows[0]["jitter_flag"] == "none"
     for col in ("h", "q", "rho", "lebesgue_constant"):
         assert rows[1][col] == pytest.approx(report.rows[1][col], rel=1e-15)
+
+
+# ---------------------------------------------------------------- tile pool
+
+
+@pytest.fixture
+def tile_workers(monkeypatch):
+    """Set the usable-CPU rule to a given count, with a fresh tile pool."""
+
+    def use(count):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(kernels, "_pool", None)
+
+    yield use
+    if kernels._pool is not None:
+        kernels._pool.shutdown()
+
+
+def _rows_key(rows):
+    return [[repr(row[c]) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("levels", [_square_levels, _interval_levels])
+def test_measure_levels_independent_of_worker_count(levels, tile_workers):
+    kernel, box, m, level_sets = levels()
+    grid = EvalGrid.tensor(box, m)
+    target = make_target("abs_power", {"power": 1.0 / 3.0}, kernel, box)
+    runs = []
+    for count in (1, 3):
+        tile_workers(count)
+        runs.append(list(measure_levels(kernel, level_sets, grid, target,
+                                        lebesgue=True, errors=True)))
+    assert kernels._pool is not None  # the 3-worker run used the pool
+    assert _rows_key(runs[0]) == _rows_key(runs[1])
+
+
+def test_lebesgue_function_bit_equal_to_one_pass_scan():
+    # more than one scan chunk, and many row tiles per chunk
+    X = nested_equispaced_design(0, 1, 8, 4).master
+    grid = grid1d(9000)
+    C, _ = lagrange_coefficients(M32, X)
+    ref = np.concatenate([np.abs(kernel_matrix(M32, grid.points[s:s + 8192], X.points) @ C)
+                          .sum(axis=1) for s in range(0, len(grid), 8192)])
+    assert np.array_equal(lebesgue_function(M32, X, grid), ref)
+    assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref.max()

@@ -196,6 +196,49 @@ def test_inverse_bit_equal_to_identity_solve():
     assert np.array_equal(fact.inverse(), fact.solve(np.eye(n)))
 
 
+def test_solve_bit_equal_to_triangular_pair_without_dense_temporaries():
+    import tracemalloc
+
+    import scipy.linalg as sla
+
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    n = len(X)
+    fact = factorize(assemble_gram(matern(2.5), X))
+    rng = np.random.default_rng(2)
+    for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+        before = rhs.copy()
+        y = sla.solve_triangular(fact.lower, rhs, lower=True)
+        ref = sla.solve_triangular(fact.lower.T, y, lower=False)
+        tracemalloc.start()
+        try:
+            x = fact.solve(rhs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x, ref) and x.shape == rhs.shape
+        assert np.array_equal(rhs, before)
+        # a few right-hand-side copies; no n x n array, not even a bool one
+        assert peak <= 4 * rhs.nbytes + 4096
+
+
+def test_lagrange_coefficients_peak_at_four_dense_arrays():
+    # the Gram, the factor, C and the residual K C - I, whose absolute value
+    # is taken in place
+    import tracemalloc
+
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    dense = 8 * len(X) ** 2
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the residual warning of this cell
+            lagrange_coefficients(matern(1.5), X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2 * dense
+
+
 def test_lebesgue_level_holds_at_most_the_factor_and_one_dense_array():
     # one Lebesgue level with a target at n = 1087: the Gram plus one work
     # array while it is factored, then the factor plus the cardinal matrix;

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -337,3 +338,147 @@ def test_min_pairwise_distance_1d_equals_kd_tree():
     sets.append(np.array([0.2, 0.9, 0.2]))  # exact duplicate: distance 0
     for x in sets:
         assert kernels.min_pairwise_distance(x[:, None]) == _kd_tree_min_distance(x)
+
+
+# ---------------------------------------------------------------- row tiles
+
+
+def _one_pass_kernel_matrix(k, X, Y):
+    """Reference: the whole block in one pass, each ufunc applied to the
+    full (len(X), len(Y)) array in the order kernel_matrix uses per tile."""
+    X = np.atleast_2d(np.asarray(X, float))
+    Y = np.atleast_2d(np.asarray(Y, float))
+    if k.family == "w21":
+        a, b = k.interval
+        lo = np.minimum(X[:, :1], Y[:, 0])
+        hi = np.maximum(X[:, :1], Y[:, 0])
+        return np.cosh(b - hi) * np.cosh(lo - a) / np.sinh(b - a)
+    r = np.subtract.outer(X[:, 0], Y[:, 0])
+    r *= r
+    for j in range(1, k.dim):
+        d = np.subtract.outer(X[:, j], Y[:, j])
+        r += d * d
+    np.sqrt(r, out=r)
+    r *= k.gamma
+    if k.family == "gaussian":
+        return np.exp(-(r * r))
+    e = np.exp(-r)
+    if k.nu == 0.5:
+        return e
+    if k.nu == 1.5:
+        return (r + 1.0) * e
+    return (r * 3.0 + 3.0 + r * r) * e
+
+
+_TILE_KERNELS = [(name, make, dim)
+                 for name, make in [("matern12", lambda d: matern(0.5, gamma=3.0, dim=d)),
+                                    ("matern32", lambda d: matern(1.5, gamma=3.0, dim=d)),
+                                    ("matern52", lambda d: matern(2.5, gamma=3.0, dim=d)),
+                                    ("gaussian", lambda d: gaussian(3.0, dim=d))]
+                 for dim in (1, 2, 3)]
+_TILE_KERNELS.append(("w21", lambda d: interval_sobolev(0.0, 1.0), 1))
+
+
+def _tile_rows(cols):
+    return kernels.TILE_BYTES // (8 * cols)
+
+
+@pytest.mark.parametrize("name, make, dim", _TILE_KERNELS,
+                         ids=[f"{name}-d{dim}" for name, _, dim in _TILE_KERNELS])
+def test_tiled_kernel_matrix_bit_equal_to_one_pass(name, make, dim):
+    k = make(dim)
+    rng = np.random.default_rng(dim)
+    Y = rng.uniform(0.0, 1.0, size=(300, dim))
+    shapes = [(0, 300), (1, 300), (_tile_rows(300), 300),  # exactly one tile
+              (3 * _tile_rows(300) + 17, 300),  # a ragged last tile
+              (_tile_rows(1) + 5, 1)]  # a single column over two tiles
+    for m, n in shapes:
+        X = rng.uniform(0.0, 1.0, size=(m, dim))
+        X[: min(m, 4)] = Y[:min(m, 4)]  # exact node hits: distance 0
+        M = kernel_matrix(k, X, Y[:n])
+        assert M.shape == (m, n)
+        assert np.array_equal(M, _one_pass_kernel_matrix(k, X, Y[:n]))
+        if m:
+            assert M[0, 0] == kernels.eval(k, X[0], Y[0])
+
+
+def test_concurrent_callers_get_their_own_blocks(monkeypatch):
+    # more callers and pool workers than cores, with frequent thread
+    # switches: a tile lost or taken twice leaves a wrong or unset row
+    import sys
+    import threading
+
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(kernels, "_pool", None)
+    k = matern(2.5, gamma=3.0, dim=2)
+    rng = np.random.default_rng(4)
+    Y = rng.uniform(size=(400, 2))
+    inputs = [rng.uniform(size=(5000, 2)) for _ in range(4)]
+    expected = [_one_pass_kernel_matrix(k, X, Y) for X in inputs]
+    results = [[] for _ in inputs]
+
+    def call(i):
+        for _ in range(3):
+            results[i].append(kernel_matrix(k, inputs[i], Y))
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        if kernels._pool is not None:
+            kernels._pool.shutdown(wait=False)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(len(inputs)):
+        assert len(results[i]) == 3
+        assert all(np.array_equal(M, expected[i]) for M in results[i])
+
+
+def test_one_tile_calls_run_inline(monkeypatch):
+    def no_pool():
+        raise AssertionError("tile pool used")
+
+    monkeypatch.setattr(kernels, "_tile_pool", no_pool)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    k = matern(1.5, gamma=2.0, dim=2)
+    rng = np.random.default_rng(9)
+    assert kernels.eval(k, [0.1, 0.2], [0.3, 0.4]) > 0
+    assemble_gram(k, _random_pointset(rng, 200, 2))  # one 200 x 200 strip
+    kernel_matrix(k, rng.uniform(size=(_tile_rows(50), 2)), rng.uniform(size=(50, 2)))
+    with pytest.raises(AssertionError, match="tile pool used"):
+        kernel_matrix(k, rng.uniform(size=(_tile_rows(50) + 1, 2)), rng.uniform(size=(50, 2)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_evaluates_blocks_on_its_own_pool():
+    import time
+
+    k = matern(1.5, gamma=3.0, dim=2)
+    rng = np.random.default_rng(12)
+    X, Y = rng.uniform(size=(4 * _tile_rows(100), 2)), rng.uniform(size=(100, 2))
+    expected = kernel_matrix(k, X, Y)  # on more than one CPU this starts the pool
+    pid = os.fork()
+    if pid == 0:  # the child: report through the exit status only
+        code = 1
+        try:
+            fresh = kernels._pool is None
+            code = 0 if fresh and np.array_equal(kernel_matrix(k, X, Y), expected) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child hung evaluating a block")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 0
