@@ -409,7 +409,7 @@ def run(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     if cfg.experiment == "decay":
         rows, columns = _decay_rows(kernel, domain, level_sets, grid), dg.DECAY_COLUMNS
     else:
-        rows = list(dg.measure_levels(kernel, level_sets, grid, target, **kind.quantities))
+        rows = dg.measure_levels(kernel, level_sets, grid, target, **kind.quantities)
         columns = dg.REPORT_COLUMNS
     extra = kind.metadata(rows) if kind.metadata is not None else {}
     dg.DiagnosticsReport(rows=tuple(rows), metadata={**meta, **extra},

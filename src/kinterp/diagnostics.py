@@ -213,15 +213,10 @@ def classify_norm_growth(levels, norms) -> tuple[str, float]:
 def norm_growth_sequence(target, kernel: Kernel, design: NestedDesign) -> NormGrowthResult:
     """Native norms of the fits along the nested levels, plus the advisory
     boundedness label. A failed level truncates the sequence and is noted."""
-    levels, norms = [], []
-    truncated, note = None, ""
-    level_sets = map(design.level_points, range(len(design)))
-    for row in measure_levels(kernel, level_sets, None, target):
-        if row["jitter_flag"] == "failed":
-            truncated, note = row["n"], row["error"]
-            break
-        levels.append(row["n"])
-        norms.append(row["native_norm"])
+    rows = measure_levels(kernel, map(design.level_points, range(len(design))), None, target)
+    cut = next((i for i, r in enumerate(rows) if r["jitter_flag"] == "failed"), len(rows))
+    truncated, note = (rows[cut]["n"], rows[cut]["error"]) if cut < len(rows) else (None, "")
+    levels, norms = [r["n"] for r in rows[:cut]], [r["native_norm"] for r in rows[:cut]]
     label, slope = classify_norm_growth(levels, norms)
     return NormGrowthResult(levels=tuple(levels), norms=tuple(norms),
                             classification=label, slope=slope,
@@ -343,45 +338,37 @@ def read_report_csv(path) -> tuple[list[dict], dict]:
 
 
 def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=None,
-                   lebesgue: bool = False, errors: bool = False):
-    """Measure each level, yielding one REPORT_COLUMNS row per level in level
-    order.
+                   lebesgue: bool = False, errors: bool = False) -> list[dict]:
+    """Measure each level: one REPORT_COLUMNS row per level, in level order.
 
-    A row always holds the level's geometry (h exact on intervals, probe-grid
-    otherwise), its sampling condition and the jitter rung of its Gram
-    factorization. A target adds the native norm of the fit, `errors` the sup
-    and L2 errors over `grid`, and `lebesgue` the Lebesgue constant over
-    `grid`; quantities not asked for stay nan. A level whose factorization
-    fails yields a "failed" row carrying the error text under "error", and
-    the next level is still measured.
-
-    Without grid quantities each row is yielded as soon as its level is
-    measured. With `errors` or `lebesgue`, every level is fitted first and
-    then all of them are measured in one shared scan of the grid (see
-    `_scan_levels`), so the rows are yielded after the last level.
+    This is the one place where a level's geometry is measured. A row always
+    holds the level's fill distance h (exact on intervals, a lower bound on
+    the DEFAULT_FILL_PROBE probe grid otherwise), its separation distance q,
+    its mesh ratio rho = h / q, its sampling condition and the jitter rung of
+    its Gram factorization. A target adds the native norm of the fit,
+    `errors` the sup and L2 errors over `grid`, and `lebesgue` the Lebesgue
+    constant over `grid`; quantities not asked for stay nan. A level whose
+    factorization fails gives a "failed" row carrying the error text under
+    "error", and the next level is still measured. The grid quantities of
+    all levels come from one shared scan of the grid (see `_scan_levels`).
     """
     errors = errors and target is not None
     fitted = _fit_levels(kernel, level_sets, target, lebesgue)
-    if not (lebesgue or errors):
-        for row, *_ in fitted:
-            yield row
-        return
-    fitted = list(fitted)
     ok = [f for f in fitted if f[0]["jitter_flag"] != "failed"]
-    if ok:
+    if ok and (lebesgue or errors):
         _scan_levels(kernel, ok, grid, target if errors else None, lebesgue)
-    for row, *_ in fitted:
-        yield row
+    return [row for row, *_ in fitted]
 
 
-def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool):
-    """Yield (row, X, alpha, C) for each level: the row with every quantity
-    but the grid ones, the fit coefficients (None without a target) and the
+def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tuple]:
+    """(row, X, alpha, C) for each level: the row with every quantity but
+    the grid ones, the fit coefficients (None without a target) and the
     cardinal coefficient matrix (None unless `lebesgue`). The Gram matrix is
     dropped before the cardinal matrix is formed, and the factor after it, so
     a level holds at most two n x n arrays."""
     tau = kernel.sobolev_order_tau
     fill_probe = None
+    fitted = []
     for X in level_sets:
         n, dom = len(X), X.domain
         if dom.dim == 1:
@@ -402,7 +389,7 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool):
             fact = interpolation.factorize(gram)
         except FactorizationError as exc:
             row["error"] = str(exc)
-            yield row, X, None, None
+            fitted.append((row, X, None, None))
             continue
         step = fact.jitter_step
         row["jitter_flag"] = "none" if step == 0.0 else f"{step:.0e}"
@@ -415,7 +402,8 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool):
         if lebesgue:
             C = fact.inverse()
         del fact
-        yield row, X, alpha, C
+        fitted.append((row, X, alpha, C))
+    return fitted
 
 
 def _scan_levels(kernel: Kernel, fitted, grid: EvalGrid, target, lebesgue: bool) -> None:
@@ -480,6 +468,5 @@ def convergence_table(target, kernel: Kernel, design: NestedDesign, grid: EvalGr
     the slopes.
     """
     level_sets = map(design.level_points, range(len(design)))
-    rows = tuple(measure_levels(kernel, level_sets, grid, target,
-                                lebesgue=with_lebesgue, errors=True))
-    return DiagnosticsReport(rows=rows, metadata={}), error_slopes(rows)
+    rows = measure_levels(kernel, level_sets, grid, target, lebesgue=with_lebesgue, errors=True)
+    return DiagnosticsReport(rows=tuple(rows), metadata={}), error_slopes(rows)

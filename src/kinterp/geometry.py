@@ -190,19 +190,15 @@ def sampling_condition(h: float, tau: float, a: float, b: float) -> str:
 class NestedDesign:
     """Prefix-nested refinement levels into one master ordered point list.
 
-    levels       strictly increasing prefix lengths
-    master       the full ordered point set
-    fill_dists   per-level fill distance, as recorded at construction
-    mesh_ratios  per-level h/q
-    fill_source  how the recorded fill distances were measured
-                 ("interval-exact" or "candidate-pool")
+    levels  strictly increasing prefix lengths
+    master  the full ordered point set
+
+    A design records no geometry: `diagnostics.measure_levels` measures each
+    level's fill distance, separation distance and mesh ratio.
     """
 
     master: PointSet
     levels: tuple[int, ...]
-    fill_dists: tuple[float, ...] = ()
-    mesh_ratios: tuple[float, ...] = ()
-    fill_source: str = "interval-exact"
 
     def __post_init__(self):
         lv = tuple(int(n) for n in self.levels)
@@ -212,26 +208,11 @@ class NestedDesign:
         if lv and lv[-1] > len(self.master):
             raise GeometryError("largest level exceeds the master point count")
 
-    @property
-    def mesh_ratio_bound(self) -> float:
-        return max(self.mesh_ratios) if self.mesh_ratios else float("nan")
-
     def level_points(self, i: int) -> PointSet:
         return self.master.prefix(self.levels[i])
 
     def __len__(self) -> int:
         return len(self.levels)
-
-
-def _record_interval_ratios(master: PointSet, levels) -> tuple[tuple, tuple]:
-    a, b = master.domain.lower[0], master.domain.upper[0]
-    hs, rhos = [], []
-    for n in levels:
-        X = master.prefix(n)
-        h = fill_distance_interval(X, a, b)
-        hs.append(h)
-        rhos.append(mesh_ratio(X, h) if n >= 2 else float("nan"))
-    return tuple(hs), tuple(rhos)
 
 
 def geometric_greedy(candidates: PointSet, m: int, seed_index: int = 0,
@@ -243,10 +224,6 @@ def geometric_greedy(candidates: PointSet, m: int, seed_index: int = 0,
     lowest candidate index, so the output is deterministic. Every prefix of
     the selection is a valid level; `level_counts` picks which prefixes are
     recorded as levels (default: just m).
-
-    The recorded per-level fill distance is measured against the candidate
-    pool (the selection distance of the next chosen point), a lower bound of
-    the true fill distance that is tight for dense pools.
     """
     pts = candidates.points
     if not 1 <= m <= len(pts):
@@ -258,24 +235,14 @@ def geometric_greedy(candidates: PointSet, m: int, seed_index: int = 0,
     order[0] = seed_index
     diff = pts - pts[seed_index]
     dmin = np.sqrt(np.sum(diff * diff, axis=1))
-    pool_h = np.empty(m)  # pool_h[k] = fill distance of the (k+1)-prefix w.r.t. the pool
     for k in range(1, m):
-        pool_h[k - 1] = dmin.max()
         nxt = int(np.argmax(dmin))  # argmax takes the lowest index on ties
         order[k] = nxt
         diff = pts - pts[nxt]
         np.minimum(dmin, np.sqrt(np.sum(diff * diff, axis=1)), out=dmin)
-    pool_h[m - 1] = dmin.max()
 
-    master = candidates._subset(pts[order])
     levels = tuple(level_counts) if level_counts is not None else (m,)
-    hs, rhos = [], []
-    for n in levels:
-        h = float(pool_h[n - 1])
-        hs.append(h)
-        rhos.append(mesh_ratio(master.prefix(n), h) if n >= 2 else float("nan"))
-    return NestedDesign(master=master, levels=levels, fill_dists=tuple(hs),
-                        mesh_ratios=tuple(rhos), fill_source="candidate-pool")
+    return NestedDesign(master=candidates._subset(pts[order]), levels=levels)
 
 
 def _kronecker_sequence(count: int, dim: int) -> np.ndarray:
@@ -353,10 +320,8 @@ def nested_equispaced_design(a: float, b: float, n0: int, num_levels: int) -> Ne
                 seen[i] = True
                 order.append(i / denom)
     pts = a + (b - a) * np.asarray(order)[:, None]
-    master = PointSet(points=pts, domain=Box.interval(a, b))
-    hs, rhos = _record_interval_ratios(master, sizes)
-    return NestedDesign(master=master, levels=tuple(sizes), fill_dists=hs,
-                        mesh_ratios=rhos, fill_source="interval-exact")
+    return NestedDesign(master=PointSet(points=pts, domain=Box.interval(a, b)),
+                        levels=tuple(sizes))
 
 
 def equispaced_interval(a: float, b: float, n: int) -> PointSet:
@@ -388,9 +353,4 @@ def design_from_csv(path, domain: Box) -> NestedDesign:
     pts = np.array([[float(v) for v in r[1:1 + dim]] for r in body])
     markers = np.array([int(r[-1]) for r in body])
     levels = tuple(int(np.sum(markers <= lev)) for lev in range(markers.max() + 1))
-    master = PointSet(points=pts, domain=domain)
-    if domain.dim == 1:
-        hs, rhos = _record_interval_ratios(master, levels)
-        return NestedDesign(master=master, levels=levels, fill_dists=hs,
-                            mesh_ratios=rhos, fill_source="interval-exact")
-    return NestedDesign(master=master, levels=levels, fill_source="candidate-pool")
+    return NestedDesign(master=PointSet(points=pts, domain=domain), levels=levels)

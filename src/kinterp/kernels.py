@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -148,7 +148,6 @@ class GramMatrix:
     upper triangle so K equals its transpose to the last bit."""
 
     entries: np.ndarray
-    source_nodes: object = field(repr=False, default=None, compare=False)
 
     @property
     def order(self) -> int:
@@ -351,7 +350,7 @@ def assemble_gram(kernel: Kernel, nodes) -> GramMatrix:
         block = kernel_matrix(kernel, pts[rows], pts[i0:])
         K[rows, i0:] = block
         K[i0:, rows] = block.T
-    return GramMatrix(entries=K, source_nodes=nodes)
+    return GramMatrix(entries=K)
 
 
 def _domain_diameter(nodes, pts: np.ndarray) -> float:

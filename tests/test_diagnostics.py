@@ -212,6 +212,8 @@ def test_norm_growth_oracle_direct_solve():
     design = nested_equispaced_design(0, 1, 16, 3)
     target = make_target("abs_power", {"center": 0.5, "power": 1.0}, M32, UNIT)
     res = norm_growth_sequence(target, M32, design)
+    assert res.levels == design.levels
+    assert res.truncated_at is None and res.note == ""
     for i, n in enumerate(design.levels):
         X = design.level_points(i)
         r = target(X.points)
@@ -234,6 +236,30 @@ def test_norm_growth_combo_converges_to_exact_norm():
     res = norm_growth_sequence(target, M32, design)
     assert res.norms[-1] == pytest.approx(exact, rel=1e-2)
     assert all(v <= exact * (1 + 1e-8) for v in res.norms)
+
+
+def test_norm_growth_truncates_at_first_failed_level(monkeypatch):
+    from kinterp import interpolation
+    from kinterp.interpolation import FactorizationError
+
+    factorize = interpolation.factorize
+
+    def fail_at_39(K):
+        if K.order == 39:
+            raise FactorizationError("forced by test")
+        return factorize(K)
+
+    monkeypatch.setattr(interpolation, "factorize", fail_at_39)
+    design = nested_equispaced_design(0, 1, 4, 5)  # levels 4, 9, 19, 39, 79
+    target = make_target("abs_power", {"center": 0.5, "power": 1.0}, M32, UNIT)
+    res = norm_growth_sequence(target, M32, design)
+    assert design.levels == (4, 9, 19, 39, 79)
+    assert res.truncated_at == 39
+    assert res.note == "forced by test"
+    assert res.levels == (4, 9, 19)
+    assert len(res.norms) == 3 and all(np.isfinite(res.norms))
+    assert np.isfinite(res.slope)
+    assert (res.classification, res.slope) == classify_norm_growth(res.levels, res.norms)
 
 
 def test_classify_empty_and_zero():

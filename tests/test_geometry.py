@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -194,15 +196,6 @@ def test_greedy_quasi_uniformity_on_interval():
         assert mesh_ratio(X, h) <= 2.5, f"level {n} not quasi-uniform"
 
 
-def test_greedy_recorded_ratios_consistent():
-    cands = generate_candidates(UNIT, 5000, "low_discrepancy")
-    design = geometric_greedy(cands, 32, seed_index=0, level_counts=[8, 16, 32])
-    for i in range(len(design)):
-        X = design.level_points(i)
-        recomputed = mesh_ratio(X, design.fill_dists[i])
-        assert recomputed == pytest.approx(design.mesh_ratios[i], rel=1e-2)
-
-
 def test_greedy_permutation_stable():
     rng = np.random.default_rng(17)
     pts = rng.uniform(size=(500, 2))
@@ -216,8 +209,8 @@ def test_greedy_permutation_stable():
 
 
 def test_subsets_of_a_checked_set_skip_the_duplicate_search(monkeypatch):
-    # a prefix and the greedy master are rows of an already checked pool, so
-    # only the greedy's per-level mesh ratios search for distances
+    # a prefix and the greedy master are rows of an already checked pool, and
+    # a design records no geometry, so nothing searches for distances
     from kinterp import kernels
 
     cands = generate_candidates(Box.unit_cube(2), 500, "low_discrepancy")
@@ -233,7 +226,7 @@ def test_subsets_of_a_checked_set_skip_the_duplicate_search(monkeypatch):
     assert calls == []
     assert np.array_equal(X.points, cands.points[:40]) and X.domain == cands.domain
     geometric_greedy(cands, 32, seed_index=0, level_counts=[8, 16, 32])
-    assert calls == [8, 16, 32]
+    assert calls == []
     for n in (0, 501):
         with pytest.raises(GeometryError, match="prefix length"):
             cands.prefix(n)
@@ -296,15 +289,21 @@ def test_nested_equispaced_prefix_nesting():
 def test_nested_equispaced_recorded_geometry():
     design = nested_equispaced_design(0.0, 1.0, 8, 4)
     for i, n in enumerate(design.levels):
-        assert design.fill_dists[i] == pytest.approx(1.0 / (n + 1))
-        assert design.mesh_ratios[i] == pytest.approx(2.0)
-    assert design.mesh_ratio_bound == pytest.approx(2.0)
+        X = design.level_points(i)
+        h = fill_distance_interval(X, 0.0, 1.0)
+        assert h == pytest.approx(1.0 / (n + 1))
+        assert mesh_ratio(X, h) == pytest.approx(2.0)
 
 
 def test_levels_must_increase():
     X = pset(np.arange(1, 10) / 10.0)
     with pytest.raises(GeometryError):
         NestedDesign(master=X, levels=(4, 4))
+
+
+def test_design_holds_only_points_and_levels():
+    # a level's geometry is measured by diagnostics.measure_levels, not recorded
+    assert [f.name for f in dataclasses.fields(NestedDesign)] == ["master", "levels"]
 
 
 def test_design_csv_roundtrip(tmp_path):
