@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    DEFAULT_FILL_PROBE,
     Box,
     NestedDesign,
     PointSet,
+    TensorProbe,
+    _tensor_points,
     fill_distance_grid,
     fill_distance_interval,
     sampling_condition,
@@ -42,9 +45,6 @@ from .kernels import Kernel, _run_tiles, assemble_gram, kernel_matrix  # noqa: F
 BOUNDED_LIKE = "bounded-like"
 DIVERGING_LIKE = "diverging-like"
 INCONCLUSIVE = "inconclusive"
-
-# Default probe density per axis for fill distances in dimension >= 2.
-DEFAULT_FILL_PROBE = 1001
 
 
 class DiagnosticsError(RuntimeError):
@@ -80,8 +80,7 @@ class EvalGrid:
             axes.append(ax)
             weights.append(w)
             spacing.append(h)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        pts = _tensor_points(axes)
         wmesh = np.meshgrid(*weights, indexing="ij")
         qw = np.ones(pts.shape[0])
         for wm in wmesh:
@@ -342,15 +341,17 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
     """Measure each level: one REPORT_COLUMNS row per level, in level order.
 
     This is the one place where a level's geometry is measured. A row always
-    holds the level's fill distance h (exact on intervals, a lower bound on
-    the DEFAULT_FILL_PROBE probe grid otherwise), its separation distance q,
-    its mesh ratio rho = h / q, its sampling condition and the jitter rung of
-    its Gram factorization. A target adds the native norm of the fit,
-    `errors` the sup and L2 errors over `grid`, and `lebesgue` the Lebesgue
-    constant over `grid`; quantities not asked for stay nan. A level whose
-    factorization fails gives a "failed" row carrying the error text under
-    "error", and the next level is still measured. The grid quantities of
-    all levels come from one shared scan of the grid (see `_scan_levels`).
+    holds the level's fill distance h (exact on intervals, otherwise a lower
+    bound: the maximum over the DEFAULT_FILL_PROBE tensor probe, found by a
+    bounded search and equal to the full probe query), its separation
+    distance q, its mesh ratio rho = h / q, its sampling condition and the
+    jitter rung of its Gram factorization. A target adds the native norm of
+    the fit, `errors` the sup and L2 errors over `grid`, and `lebesgue` the
+    Lebesgue constant over `grid`; quantities not asked for stay nan. A
+    level whose factorization fails gives a "failed" row carrying the error
+    text under "error", and the next level is still measured. The grid
+    quantities of all levels come from one shared scan of the grid (see
+    `_scan_levels`).
     """
     errors = errors and target is not None
     fitted = _fit_levels(kernel, level_sets, target, lebesgue)
@@ -375,7 +376,7 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tupl
             h = fill_distance_interval(X, dom.lower[0], dom.upper[0])
         else:
             if fill_probe is None:
-                fill_probe = EvalGrid.tensor(dom, DEFAULT_FILL_PROBE)
+                fill_probe = TensorProbe.on_box(dom, DEFAULT_FILL_PROBE)
             h = fill_distance_grid(X, fill_probe)
         row = dict.fromkeys(REPORT_COLUMNS, float("nan"))
         row.update(n=n, h=h, jitter_flag="failed", sampling_condition="n/a")

@@ -8,12 +8,15 @@ such designs from a candidate pool.
 
 Fill distances are exact on intervals (closed form over the sorted gaps) and
 probe-grid lower bounds in higher dimension, with error at most half the
-probe spacing times sqrt(N).
+probe spacing times sqrt(N). On a tensor probe (`TensorProbe`) the maximum is
+found by a bounded search over cells of the probe that queries only the
+points that can still reach it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,13 @@ from .kernels import DISTINCTNESS_REL_TOL, DuplicateNodesError, _usable_cpus
 SAMPLING_NONE = "none"
 SAMPLING_WEAK_100 = "weak-100"
 SAMPLING_STRONG_1200 = "strong-1200"
+
+# Default probe density per axis for fill distances in dimension >= 2.
+DEFAULT_FILL_PROBE = 1001
+# Probe index steps per axis of one cell of the bounded fill-distance search.
+FILL_CELL = 8
+# Most probe points handed to one kd-tree query of that search.
+_FILL_BATCH = 1 << 18
 
 
 class GeometryError(ValueError):
@@ -114,6 +124,38 @@ class PointSet:
         return X
 
 
+@dataclass(frozen=True)
+class TensorProbe:
+    """The lexicographic tensor grid of the per-axis coordinates `axes`.
+
+    It is never materialized; `len()` is its point count. Its points are
+    those of `EvalGrid.tensor` on the same box and count per axis.
+    """
+
+    axes: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        axes = tuple(np.asarray(ax, dtype=float) for ax in self.axes)
+        if not axes or any(ax.ndim != 1 for ax in axes):
+            raise GeometryError("a tensor probe needs one coordinate vector per axis")
+        object.__setattr__(self, "axes", axes)
+
+    @classmethod
+    def on_box(cls, domain: Box, per_axis: int) -> "TensorProbe":
+        return cls(tuple(np.linspace(a, b, per_axis)
+                         for a, b in zip(domain.lower, domain.upper)))
+
+    def __len__(self) -> int:
+        return math.prod(len(ax) for ax in self.axes)
+
+
+def _tensor_points(axes) -> np.ndarray:
+    """The lexicographic tensor grid of the per-axis coordinates, one row
+    per point."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
 def separation_distance(X: PointSet) -> float:
     """Half the minimum pairwise distance."""
     from .kernels import min_pairwise_distance
@@ -144,8 +186,22 @@ def fill_distance_grid(X: PointSet, probe) -> float:
 
     A lower bound of the true fill distance, converging as the probe is
     refined; the error is at most half the probe spacing times sqrt(N).
-    `probe` is an array of points or anything with a `.points` attribute.
+    `probe` is an array of points, anything with a `.points` attribute, or a
+    `TensorProbe`. An array is queried point by point; in dimension >= 2 a
+    tensor probe is searched by `_bounded_fill_distance`, which returns the
+    same float.
     """
+    if isinstance(probe, TensorProbe):
+        if len(probe.axes) != X.domain.dim:
+            raise GeometryError(
+                f"a {len(probe.axes)}-d probe for {X.domain.dim}-d points")
+        if len(X) == 0 or len(probe) == 0:
+            raise GeometryError("fill distance needs nonempty nodes and probe")
+        if X.domain.dim > 1:
+            from scipy.spatial import cKDTree
+
+            return _bounded_fill_distance(cKDTree(X.points), probe.axes)
+        probe = probe.axes[0][:, None]
     probe_pts = np.atleast_2d(np.asarray(getattr(probe, "points", probe), float))
     if len(X) == 0 or probe_pts.shape[0] == 0:
         raise GeometryError("fill distance needs nonempty nodes and probe")
@@ -163,6 +219,76 @@ def fill_distance_grid(X: PointSet, probe) -> float:
     # cannot change the distances
     d, _ = cKDTree(X.points).query(probe_pts, workers=_usable_cpus())
     return float(np.max(d))
+
+
+def _bounded_fill_distance(tree, axes) -> float:
+    """Max over the tensor probe `axes` of the nearest-node distance in
+    `tree`, by branch and bound over cells of the probe.
+
+    The cells are blocks of FILL_CELL index steps per axis, the last one
+    ending at the last index. The cell corners are queried first; their
+    maximum is a lower bound of the result, since corners are probe points.
+    Every point of a cell lies within the cell's diagonal of each of its
+    corners, so (nearest corner distance + diagonal) * (1 + 1e-12) bounds
+    every distance in the cell, the factor covering float rounding. Only the
+    points of cells whose bound reaches the best distance found so far are
+    queried. A cell that holds the maximizing probe point has a bound at or
+    above every distance found, so it is never dropped, and its points are
+    queried in the same tree: the result is the float the full query gives.
+    """
+    d = len(axes)
+    cuts = [np.append(np.arange(0, max(len(ax) - 1, 1), FILL_CELL), len(ax) - 1)
+            for ax in axes]
+    low = _nearest_on_tensor(tree, [ax[c] for ax, c in zip(axes, cuts)])
+    best = float(low.max())
+    diag2 = 0.0
+    for j, (ax, c) in enumerate(zip(axes, cuts)):
+        # nearest of the cell's 2^d corners, taken one axis at a time
+        a = np.moveaxis(low, j, 0)
+        low = np.moveaxis(np.minimum(a[:-1], a[1:]), 0, j)
+        span = ax[c[1:]] - ax[c[:-1]]
+        diag2 = diag2 + (span * span).reshape((-1,) + (1,) * (d - 1 - j))
+    bound = (low + np.sqrt(diag2)) * (1.0 + 1e-12)
+    live = np.argwhere(bound >= best)
+    # a cell holds its lower faces; the last cell on an axis also its upper
+    starts = [c[:-1] for c in cuts]
+    stops = [np.append(c[1:-1], c[-1] + 1) for c in cuts]
+    # highest bounds first, so that a cell the best distance has overtaken
+    # by the time its batch comes is dropped
+    live = live[np.argsort(-bound[tuple(live.T)], kind="stable")]
+    width = FILL_CELL + 1
+    offsets = np.arange(width)
+    step = max(1, _FILL_BATCH // width ** d)
+    for first in range(0, len(live), step):
+        cells = live[first:first + step]
+        cells = cells[bound[tuple(cells.T)] >= best]
+        if len(cells) == 0:
+            break
+        shape = (len(cells),) + (width,) * d
+        keep = np.ones(shape, dtype=bool)
+        coords = []
+        for j, ax in enumerate(axes):
+            view = (len(cells),) + tuple(width if i == j else 1 for i in range(d))
+            idx = starts[j][cells[:, j], None] + offsets
+            keep &= (idx < stops[j][cells[:, j], None]).reshape(view)
+            coords.append(ax[np.minimum(idx, len(ax) - 1)].reshape(view))
+        pts = np.stack([np.broadcast_to(c, shape)[keep] for c in coords], axis=-1)
+        dist, _ = tree.query(pts, workers=_usable_cpus())
+        best = max(best, float(dist.max()))
+    return best
+
+
+def _nearest_on_tensor(tree, axes) -> np.ndarray:
+    """Nearest-node distance in `tree` of every point of the tensor grid of
+    `axes`, shaped like the grid; queried in slabs along the first axis."""
+    shape = tuple(len(ax) for ax in axes)
+    rows = max(1, _FILL_BATCH // math.prod(shape[1:]))
+    out = np.empty(shape)
+    for first in range(0, shape[0], rows):
+        slab = (axes[0][first:first + rows],) + tuple(axes[1:])
+        dist, _ = tree.query(_tensor_points(slab), workers=_usable_cpus())
+        out[first:first + rows] = dist.reshape((-1,) + shape[1:])
+    return out
 
 
 def mesh_ratio(X: PointSet, h: float) -> float:

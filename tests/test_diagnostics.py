@@ -393,6 +393,38 @@ def test_shared_scan_equals_per_level_functions(levels):
         assert row["l2_error"] == l2_error(target, s, grid)
 
 
+def test_fill_probe_is_the_tensor_grid_of_the_box():
+    # the levels' h are measured on the points EvalGrid.tensor would give
+    box = Box(lower=(0.0, -1.0), upper=(2.0, 3.0))
+    probe = geometry.TensorProbe.on_box(box, 33)
+    # no point array to read: len() counts the points without forming them
+    assert not hasattr(probe, "points")
+    assert len(probe) == 33 * 33
+    assert np.array_equal(geometry._tensor_points(probe.axes),
+                          EvalGrid.tensor(box, 33).points)
+
+
+def test_measure_levels_in_3d_never_forms_the_fill_probe():
+    import tracemalloc
+
+    box = Box.unit_cube(3)
+    cands = generate_candidates(box, 2000, "low_discrepancy")
+    design = geometric_greedy(cands, 64, seed_index=0, level_counts=[8, 27, 64])
+    tracemalloc.start()
+    try:
+        rows = measure_levels(matern(1.5, gamma=3.0, dim=3),
+                              [design.level_points(i) for i in range(len(design))],
+                              EvalGrid.tensor(box, 9), lebesgue=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for row in rows:
+        assert all(np.isfinite(row[key]) for key in ("h", "q", "rho", "lebesgue_constant"))
+    # the DEFAULT_FILL_PROBE^3 probe alone would take 8 * 1001^3 B = 8 GB
+    assert peak < 2 ** 28
+    assert rows[0]["h"] > rows[1]["h"] > rows[2]["h"]
+
+
 def test_report_csv_roundtrip(tmp_path):
     design = nested_equispaced_design(0, 1, 4, 2)
     target = make_target("constant", {"value": 1.0}, M32, UNIT)

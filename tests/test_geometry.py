@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from kinterp.geometry import (
     GeometryError,
     NestedDesign,
     PointSet,
+    TensorProbe,
     design_from_csv,
     design_to_csv,
     fill_distance_grid,
@@ -104,6 +106,89 @@ def test_fill_grid_empty_rejected():
     X = pset([0.5])
     with pytest.raises(GeometryError):
         fill_distance_grid(X, np.empty((0, 1)))
+
+
+def fill_search_cases(box, probe_points, rng):
+    """Node sets for the bounded search, each against its full-query oracle."""
+    lo, up = np.asarray(box.lower), np.asarray(box.upper)
+    dim = box.dim
+    on_probe = rng.choice(len(probe_points), size=min(5, len(probe_points)), replace=False)
+    return {
+        "random": lo + (up - lo) * rng.uniform(size=(17, dim)),
+        "single node": lo + (up - lo) * rng.uniform(size=(1, dim)),
+        "on probe points": probe_points[on_probe],
+        # the corner distances are all close to the maximum, so nearly
+        # every cell passes the first bound
+        "corner cluster": lo + (up - lo) * 0.05 * rng.uniform(size=(6, dim)),
+        # the maximum is tied at the center and the 2^dim box corners
+        "symmetric": lo + (up - lo) * np.array(
+            list(itertools.product((0.25, 0.75), repeat=dim))),
+    }
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("per_axis", [2, 3, 8, 9, 19, 101])
+def test_bounded_fill_search_equals_full_query(dim, per_axis):
+    rng = np.random.default_rng(100 * dim + per_axis)
+    boxes = [Box.unit_cube(dim),
+             Box(lower=(-1.0,) + (0.0,) * (dim - 1), upper=(3.0,) + (0.25,) * (dim - 1))]
+    for box in boxes:
+        probe = TensorProbe.on_box(box, per_axis)
+        assert len(probe) == per_axis ** dim
+        probe_points = geo._tensor_points(probe.axes)
+        for name, nodes in fill_search_cases(box, probe_points, rng).items():
+            X = PointSet(points=nodes, domain=box)
+            assert fill_distance_grid(X, probe) == fill_distance_grid(X, probe_points), name
+
+
+def test_tensor_probe_rejects_mismatched_or_empty_input():
+    X = PointSet(points=[[0.5, 0.5]], domain=Box.unit_cube(2))
+    with pytest.raises(GeometryError):
+        fill_distance_grid(X, TensorProbe.on_box(Box.unit_cube(3), 5))
+    with pytest.raises(GeometryError):
+        fill_distance_grid(X, TensorProbe((np.linspace(0, 1, 5), np.empty(0))))
+    with pytest.raises(GeometryError):
+        TensorProbe((np.zeros((2, 2)),))
+    # a 1-d tensor probe is the sorted scan of its one axis
+    Y = pset([0.2, 0.5, 0.9])
+    ax = np.linspace(0, 1, 1001)
+    assert fill_distance_grid(Y, TensorProbe((ax,))) == fill_distance_grid(Y, ax[:, None])
+
+
+def square_greedy_design(pool):
+    """The design of `configs/lebesgue_*_square.cfg` from a pool of `pool`
+    low-discrepancy candidates."""
+    domain = Box.unit_cube(2)
+    cands = generate_candidates(domain, pool, "low_discrepancy")
+    seed = int(np.argmin(np.sum((cands.points - 0.5) ** 2, axis=1)))
+    return geometric_greedy(cands, 400, seed_index=seed, level_counts=[25, 50, 100, 200, 400])
+
+
+@pytest.mark.parametrize("pool", [10000, 9300])
+def test_bounded_fill_search_on_square_design(pool, monkeypatch):
+    from scipy import spatial
+
+    queried = [0]
+
+    class CountingTree(spatial.cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried[0] += len(x)
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(spatial, "cKDTree", CountingTree)
+    design = square_greedy_design(pool)
+    probe = TensorProbe.on_box(Box.unit_cube(2), geo.DEFAULT_FILL_PROBE)
+    probe_points = geo._tensor_points(probe.axes)
+    for i in range(len(design)):
+        X = design.level_points(i)
+        queried[0] = 0
+        h = fill_distance_grid(X, probe)
+        searched = queried[0]
+        assert h == fill_distance_grid(X, probe_points)
+        assert queried[0] - searched == len(probe)  # the counter sees every query
+    # at n = 400 the bounded search queries a small part of the probe, so a
+    # silent fallback to the full query fails here
+    assert searched < 0.05 * len(probe)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=2, max_size=12,
