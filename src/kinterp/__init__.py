@@ -47,14 +47,12 @@ from .diagnostics import (
     DecayFit,
     DiagnosticsReport,
     EvalGrid,
-    convergence_table,
     decay_profile,
     error_slopes,
     l2_error,
     lebesgue_constant,
     lebesgue_function,
     measure_levels,
-    norm_growth_sequence,
     sup_error,
 )
 from .targets import Target, make_target

@@ -1,6 +1,6 @@
 """Measurable quantities: Lebesgue functions and constants, error norms,
-native-norm growth along nested designs, Lagrange decay fits, and per-level
-convergence tables.
+the native-norm growth label, Lagrange decay fits, and the per-level
+measurements of nested designs (`measure_levels`).
 
 Supremum norms are discretized as maxima over a fixed tensor evaluation
 grid (a lower bound of the true sup, converging under grid refinement);
@@ -19,7 +19,6 @@ import numpy as np
 from .geometry import (
     DEFAULT_FILL_PROBE,
     Box,
-    NestedDesign,
     PointSet,
     TensorProbe,
     _tensor_points,
@@ -174,16 +173,6 @@ def _loglog_slope(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(coef[0])
 
 
-@dataclass(frozen=True)
-class NormGrowthResult:
-    levels: tuple[int, ...]
-    norms: tuple[float, ...]
-    classification: str
-    slope: float
-    truncated_at: int | None = None  # level count at the first failed solve
-    note: str = ""
-
-
 def classify_norm_growth(levels, norms) -> tuple[str, float]:
     """Advisory boundedness heuristic for a norm sequence.
 
@@ -207,19 +196,6 @@ def classify_norm_growth(levels, norms) -> tuple[str, float]:
     if slope > 0.15:
         return DIVERGING_LIKE, slope
     return INCONCLUSIVE, slope
-
-
-def norm_growth_sequence(target, kernel: Kernel, design: NestedDesign) -> NormGrowthResult:
-    """Native norms of the fits along the nested levels, plus the advisory
-    boundedness label. A failed level truncates the sequence and is noted."""
-    rows = measure_levels(kernel, map(design.level_points, range(len(design))), None, target)
-    cut = next((i for i, r in enumerate(rows) if r["jitter_flag"] == "failed"), len(rows))
-    truncated, note = (rows[cut]["n"], rows[cut]["error"]) if cut < len(rows) else (None, "")
-    levels, norms = [r["n"] for r in rows[:cut]], [r["native_norm"] for r in rows[:cut]]
-    label, slope = classify_norm_growth(levels, norms)
-    return NormGrowthResult(levels=tuple(levels), norms=tuple(norms),
-                            classification=label, slope=slope,
-                            truncated_at=truncated, note=note)
 
 
 @dataclass(frozen=True)
@@ -459,15 +435,3 @@ def error_slopes(rows) -> dict:
         "sup_slope": _loglog_slope(hs, np.array([r["sup_error"] for r in half])),
         "l2_slope": _loglog_slope(hs, np.array([r["l2_error"] for r in half])),
     }
-
-
-def convergence_table(target, kernel: Kernel, design: NestedDesign, grid: EvalGrid,
-                      with_lebesgue: bool = True) -> tuple[DiagnosticsReport, dict]:
-    """Full per-level report (measure_levels with errors, and the Lebesgue
-    constant unless `with_lebesgue` is off) plus the fitted log-log error
-    slopes vs h (error_slopes). Failed levels are annotated and left out of
-    the slopes.
-    """
-    level_sets = map(design.level_points, range(len(design)))
-    rows = measure_levels(kernel, level_sets, grid, target, lebesgue=with_lebesgue, errors=True)
-    return DiagnosticsReport(rows=tuple(rows), metadata={}), error_slopes(rows)

@@ -186,10 +186,9 @@ def fill_distance_grid(X: PointSet, probe) -> float:
 
     A lower bound of the true fill distance, converging as the probe is
     refined; the error is at most half the probe spacing times sqrt(N).
-    `probe` is an array of points, anything with a `.points` attribute, or a
-    `TensorProbe`. An array is queried point by point; in dimension >= 2 a
-    tensor probe is searched by `_bounded_fill_distance`, which returns the
-    same float.
+    `probe` is an array of points or a `TensorProbe`. An array is queried
+    point by point; in dimension >= 2 a tensor probe is searched by
+    `_bounded_fill_distance`, which returns the same float.
     """
     if isinstance(probe, TensorProbe):
         if len(probe.axes) != X.domain.dim:
@@ -202,7 +201,7 @@ def fill_distance_grid(X: PointSet, probe) -> float:
 
             return _bounded_fill_distance(cKDTree(X.points), probe.axes)
         probe = probe.axes[0][:, None]
-    probe_pts = np.atleast_2d(np.asarray(getattr(probe, "points", probe), float))
+    probe_pts = np.atleast_2d(np.asarray(probe, float))
     if len(X) == 0 or probe_pts.shape[0] == 0:
         raise GeometryError("fill distance needs nonempty nodes and probe")
     if X.domain.dim == 1:
@@ -415,9 +414,7 @@ def generate_candidates(domain: Box, count: int, scheme: str, seed: int = 0) -> 
             raise GeometryError(
                 f"tensor_grid count {count} is not a {domain.dim}-th power"
             )
-        axes = [(np.arange(1, per_axis + 1)) / (per_axis + 1)] * domain.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        u = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        u = _tensor_points([np.arange(1, per_axis + 1) / (per_axis + 1)] * domain.dim)
     else:
         raise GeometryError(f"unknown candidate scheme {scheme!r}")
     return PointSet(points=lo + (up - lo) * u, domain=domain)

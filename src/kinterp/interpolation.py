@@ -186,14 +186,13 @@ def _weighted_row_sums(block: np.ndarray, weights: np.ndarray, out: np.ndarray) 
     _run_tiles(tile, block.shape[0], block[:1].nbytes)
 
 
-def lagrange(kernel: Kernel, X: PointSet, i: int,
-             factorization: Factorization | None = None) -> Interpolant:
+def lagrange(kernel: Kernel, X: PointSet, i: int) -> Interpolant:
     """The i-th cardinal function: the interpolant of the i-th unit vector."""
     if not 0 <= i < len(X):
         raise IndexError(f"node index {i} out of range for {len(X)} nodes")
     e = np.zeros(len(X))
     e[i] = 1.0
-    return fit(kernel, X, e, factorization=factorization)
+    return fit(kernel, X, e)
 
 
 def lagrange_coefficients(kernel: Kernel, X: PointSet) -> tuple[np.ndarray, Factorization]:

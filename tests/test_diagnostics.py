@@ -9,14 +9,13 @@ from kinterp.diagnostics import (
     DiagnosticsReport,
     EvalGrid,
     classify_norm_growth,
-    convergence_table,
     decay_profile,
+    error_slopes,
     l2_error,
     lebesgue_constant,
     lebesgue_function,
     lebesgue_max_from_coefficients,
     measure_levels,
-    norm_growth_sequence,
     read_report_csv,
     sup_error,
 )
@@ -38,6 +37,20 @@ M32 = matern(1.5)
 
 def grid1d(m=1001):
     return EvalGrid.tensor(UNIT, m)
+
+
+def design_levels(design):
+    return [design.level_points(i) for i in range(len(design))]
+
+
+def norm_growth(target, kernel, design):
+    """(levels, native norms, (label, slope)) of the norm-growth kind:
+    measure_levels with a target, then classify_norm_growth; every level
+    must succeed."""
+    rows = measure_levels(kernel, design_levels(design), None, target)
+    assert all(row["jitter_flag"] != "failed" for row in rows)
+    levels, norms = [row["n"] for row in rows], [row["native_norm"] for row in rows]
+    return levels, norms, classify_norm_growth(levels, norms)
 
 
 # ---------------------------------------------------------------- EvalGrid
@@ -191,35 +204,34 @@ def test_norm_growth_translate_is_bounded_like():
     design = nested_equispaced_design(0, 1, 16, 5)
     x_star = design.master.points[0, 0]  # lives in every level
     target = make_target("kernel_translate", {"center": x_star}, M32, UNIT)
-    res = norm_growth_sequence(target, M32, design)
-    assert res.classification == BOUNDED_LIKE
+    _, norms, (label, _) = norm_growth(target, M32, design)
+    assert label == BOUNDED_LIKE
     bound = np.sqrt(kernel_matrix(M32, [[x_star]], [[x_star]])[0, 0])
-    assert all(v <= bound + 1e-6 for v in res.norms)
-    assert all(b >= a * (1 - 1e-8) for a, b in zip(res.norms, res.norms[1:]))
+    assert all(v <= bound + 1e-6 for v in norms)
+    assert all(b >= a * (1 - 1e-8) for a, b in zip(norms, norms[1:]))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # residual warning expected
 def test_norm_growth_kink_diverges():
     design = nested_equispaced_design(0, 1, 16, 5)
     target = make_target("abs_power", {"center": 0.5, "power": 1.0}, matern(2.5), UNIT)
-    res = norm_growth_sequence(target, matern(2.5), design)
-    assert res.classification == DIVERGING_LIKE
-    assert res.norms[-1] / res.norms[0] > 5.0
+    _, norms, (label, _) = norm_growth(target, matern(2.5), design)
+    assert label == DIVERGING_LIKE
+    assert norms[-1] / norms[0] > 5.0
 
 
 def test_norm_growth_oracle_direct_solve():
     # production norms match a direct r^T K^{-1} r per level
     design = nested_equispaced_design(0, 1, 16, 3)
     target = make_target("abs_power", {"center": 0.5, "power": 1.0}, M32, UNIT)
-    res = norm_growth_sequence(target, M32, design)
-    assert res.levels == design.levels
-    assert res.truncated_at is None and res.note == ""
+    levels, norms, _ = norm_growth(target, M32, design)
+    assert tuple(levels) == design.levels
     for i, n in enumerate(design.levels):
         X = design.level_points(i)
         r = target(X.points)
         K = assemble_gram(M32, X).entries
         oracle = float(np.sqrt(r @ np.linalg.solve(K, r)))
-        assert res.norms[i] == pytest.approx(oracle, rel=1e-9)
+        assert norms[i] == pytest.approx(oracle, rel=1e-9)
 
 
 def test_norm_growth_combo_converges_to_exact_norm():
@@ -233,12 +245,12 @@ def test_norm_growth_combo_converges_to_exact_norm():
                          M32, UNIT)
     Kc = kernel_matrix(M32, centers, centers)
     exact = float(np.sqrt(w @ Kc @ w))
-    res = norm_growth_sequence(target, M32, design)
-    assert res.norms[-1] == pytest.approx(exact, rel=1e-2)
-    assert all(v <= exact * (1 + 1e-8) for v in res.norms)
+    _, norms, _ = norm_growth(target, M32, design)
+    assert norms[-1] == pytest.approx(exact, rel=1e-2)
+    assert all(v <= exact * (1 + 1e-8) for v in norms)
 
 
-def test_norm_growth_truncates_at_first_failed_level(monkeypatch):
+def test_measure_levels_fits_the_level_after_a_failed_one(monkeypatch):
     from kinterp import interpolation
     from kinterp.interpolation import FactorizationError
 
@@ -252,14 +264,19 @@ def test_norm_growth_truncates_at_first_failed_level(monkeypatch):
     monkeypatch.setattr(interpolation, "factorize", fail_at_39)
     design = nested_equispaced_design(0, 1, 4, 5)  # levels 4, 9, 19, 39, 79
     target = make_target("abs_power", {"center": 0.5, "power": 1.0}, M32, UNIT)
-    res = norm_growth_sequence(target, M32, design)
-    assert design.levels == (4, 9, 19, 39, 79)
-    assert res.truncated_at == 39
-    assert res.note == "forced by test"
-    assert res.levels == (4, 9, 19)
-    assert len(res.norms) == 3 and all(np.isfinite(res.norms))
-    assert np.isfinite(res.slope)
-    assert (res.classification, res.slope) == classify_norm_growth(res.levels, res.norms)
+    rows = measure_levels(M32, design_levels(design), None, target)
+    assert [row["n"] for row in rows] == [4, 9, 19, 39, 79]
+    failed = rows[3]
+    assert failed["jitter_flag"] == "failed"
+    assert failed["error"] == "forced by test"
+    assert np.isnan(failed["native_norm"])
+    ok = [row for row in rows if row is not failed]
+    assert all("error" not in row and row["jitter_flag"] != "failed" for row in ok)
+    assert all(np.isfinite(row["native_norm"]) for row in ok)
+    # the norm-growth label skips the failed level and keeps n = 79
+    _, slope = classify_norm_growth([row["n"] for row in ok],
+                                    [row["native_norm"] for row in ok])
+    assert slope == pytest.approx(0.4715, abs=1e-4)
 
 
 def test_classify_empty_and_zero():
@@ -316,18 +333,20 @@ def test_decay_needs_1d_matern():
         decay_profile(gaussian(1.0), X, 4, grid1d(101), 0.1)
 
 
-# ------------------------------------------------------- convergence table
+# ------------------------------------------------------- convergence rows
 
-def test_convergence_table_columns_and_slope():
+def test_convergence_rows_columns_and_slope():
     design = nested_equispaced_design(0, 1, 8, 4)
     target = make_target("translate_combo",
                          {"centers": [(0.21,), (0.48,), (0.83,)],
                           "weights": [1.0, -1.0, 0.5]}, M32, UNIT)
-    report, slopes = convergence_table(target, M32, design, grid1d(1025))
-    assert len(report.rows) == 4
-    ns = [row["n"] for row in report.rows]
+    rows = measure_levels(M32, design_levels(design), grid1d(1025), target,
+                          lebesgue=True, errors=True)
+    slopes = error_slopes(rows)
+    assert len(rows) == 4
+    ns = [row["n"] for row in rows]
     assert ns == sorted(ns) and len(set(ns)) == 4
-    for row in report.rows:
+    for row in rows:
         assert row["jitter_flag"] == "none"
         assert row["rho"] >= 1.0 - 1e-6
         assert row["q"] <= row["h"] + 1e-15
@@ -335,25 +354,26 @@ def test_convergence_table_columns_and_slope():
     # kernel translates superconverge: the fitted sup slope sits near twice
     # the generic native-space rate, and well above it
     assert slopes["sup_slope"] > 1.5
-    errs = [row["sup_error"] for row in report.rows]
+    errs = [row["sup_error"] for row in rows]
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def test_convergence_table_zero_target():
+def test_convergence_zero_target():
     design = nested_equispaced_design(0, 1, 8, 2)
     target = make_target("constant", {"value": 0.0}, M32, UNIT)
-    report, slopes = convergence_table(target, M32, design, grid1d(257))
-    for row in report.rows:
+    rows = measure_levels(M32, design_levels(design), grid1d(257), target,
+                          lebesgue=True, errors=True)
+    for row in rows:
         assert row["sup_error"] == 0.0 and row["l2_error"] == 0.0
+    slopes = error_slopes(rows)
     assert np.isnan(slopes["sup_slope"]) and np.isnan(slopes["l2_slope"])
 
 
 def test_convergence_rough_target_l2_decreases():
     design = nested_equispaced_design(0, 1, 16, 4)
     target = make_target("abs_power", {"center": 0.5, "power": 1.0 / 3.0}, M32, UNIT)
-    report, _ = convergence_table(target, M32, design, grid1d(2049),
-                                  with_lebesgue=False)
-    l2s = [row["l2_error"] for row in report.rows]
+    rows = measure_levels(M32, design_levels(design), grid1d(2049), target, errors=True)
+    l2s = [row["l2_error"] for row in rows]
     assert l2s[-1] < l2s[1]
 
 
@@ -361,13 +381,11 @@ def _square_levels():
     box = Box(lower=(0.0, 0.0), upper=(1.0, 1.0))
     design = geometric_greedy(generate_candidates(box, 800, "low_discrepancy"),
                               60, 0, (15, 30, 60))
-    return (matern(1.5, gamma=5.0, dim=2), box, 129,
-            [design.level_points(i) for i in range(len(design))])
+    return matern(1.5, gamma=5.0, dim=2), box, 129, design_levels(design)
 
 
 def _interval_levels():
-    design = nested_equispaced_design(0, 1, 8, 4)
-    return M32, UNIT, 9000, [design.level_points(i) for i in range(len(design))]
+    return M32, UNIT, 9000, design_levels(nested_equispaced_design(0, 1, 8, 4))
 
 
 def _unnested_interval_levels():
@@ -412,8 +430,7 @@ def test_measure_levels_in_3d_never_forms_the_fill_probe():
     design = geometric_greedy(cands, 64, seed_index=0, level_counts=[8, 27, 64])
     tracemalloc.start()
     try:
-        rows = measure_levels(matern(1.5, gamma=3.0, dim=3),
-                              [design.level_points(i) for i in range(len(design))],
+        rows = measure_levels(matern(1.5, gamma=3.0, dim=3), design_levels(design),
                               EvalGrid.tensor(box, 9), lebesgue=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -428,8 +445,9 @@ def test_measure_levels_in_3d_never_forms_the_fill_probe():
 def test_report_csv_roundtrip(tmp_path):
     design = nested_equispaced_design(0, 1, 4, 2)
     target = make_target("constant", {"value": 1.0}, M32, UNIT)
-    report, _ = convergence_table(target, M32, design, grid1d(65))
-    report = DiagnosticsReport(rows=report.rows, metadata={"experiment.kind": "convergence"})
+    rows = measure_levels(M32, design_levels(design), grid1d(65), target,
+                          lebesgue=True, errors=True)
+    report = DiagnosticsReport(rows=tuple(rows), metadata={"experiment.kind": "convergence"})
     path = tmp_path / "report.csv"
     report.to_csv(path)
     rows, meta = read_report_csv(path)

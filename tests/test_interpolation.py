@@ -159,8 +159,9 @@ def test_gram_and_factor_hold_at_most_two_dense_arrays():
     finally:
         tracemalloc.stop()
     assert f.jitter_step == 1e-12
-    assert gram_peak <= 2.0 * dense
-    assert factor_peak <= 2.1 * dense
+    # the messages give each peak in dense n x n arrays
+    assert gram_peak <= 2.0 * dense, f"assembly peak {gram_peak / dense:.3f} > 2.0"
+    assert factor_peak <= 2.1 * dense, f"factorization peak {factor_peak / dense:.3f} > 2.1"
 
 
 def test_factorize_plain_array_reads_only_lower_triangle():
