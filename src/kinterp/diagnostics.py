@@ -39,7 +39,7 @@ from .interpolation import (
     lagrange_coefficients,
     native_norm,
 )
-from .kernels import Kernel, _run_tiles, assemble_gram, kernel_matrix  # noqa: F401 (re-exported)
+from .kernels import Kernel, ScratchGram, _run_tiles, assemble_gram, kernel_matrix  # noqa: F401 (re-exported)
 
 BOUNDED_LIKE = "bounded-like"
 DIVERGING_LIKE = "diverging-like"
@@ -340,9 +340,11 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
 def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tuple]:
     """(row, X, alpha, C) for each level: the row with every quantity but
     the grid ones, the fit coefficients (None without a target) and the
-    cardinal coefficient matrix (None unless `lebesgue`). The Gram matrix is
-    dropped before the cardinal matrix is formed, and the factor after it, so
-    a level holds at most two n x n arrays."""
+    cardinal coefficient matrix (None unless `lebesgue`). The Gram is handed
+    over to `factorize` (a ScratchGram), so its one buffer becomes the
+    factor, and the fit turns it back into K for its residual; the cardinal
+    matrix is formed before the fit. A level holds one n x n array, two with
+    `lebesgue`."""
     tau = kernel.sobolev_order_tau
     fill_probe = None
     fitted = []
@@ -361,9 +363,8 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tupl
             row.update(q=q, rho=h / q)  # mesh_ratio(X, h) without a second distance search
         if dom.dim == 1 and np.isfinite(tau):
             row["sampling_condition"] = sampling_condition(h, tau, dom.lower[0], dom.upper[0])
-        gram = assemble_gram(kernel, X)
         try:
-            fact = interpolation.factorize(gram)
+            fact = interpolation.factorize(ScratchGram(assemble_gram(kernel, X).entries))
         except FactorizationError as exc:
             row["error"] = str(exc)
             fitted.append((row, X, None, None))
@@ -371,13 +372,12 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tupl
         step = fact.jitter_step
         row["jitter_flag"] = "none" if step == 0.0 else f"{step:.0e}"
         alpha = C = None
-        if target is not None:
-            s = fit(kernel, X, target(X.points), factorization=fact, gram=gram)
-            row["native_norm"] = native_norm(s)
-            alpha = s.coefficients
-        del gram
         if lebesgue:
             C = fact.inverse()
+        if target is not None:
+            s = fit(kernel, X, target(X.points), factorization=fact)
+            row["native_norm"] = native_norm(s)
+            alpha = s.coefficients
         del fact
         fitted.append((row, X, alpha, C))
     return fitted

@@ -15,7 +15,6 @@ points that can still reach it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -451,29 +450,3 @@ def equispaced_interval(a: float, b: float, n: int) -> PointSet:
     """n interior equispaced points i*(b-a)/(n+1)."""
     x = a + (b - a) * np.arange(1, n + 1) / (n + 1)
     return PointSet(points=x[:, None], domain=Box.interval(a, b))
-
-
-def design_to_csv(design: NestedDesign, path) -> None:
-    """Design file: one row per master point with the level at which the
-    point enters (index into the levels list)."""
-    dim = design.master.domain.dim
-    marker = np.zeros(len(design.master), dtype=int)
-    bounds = (0,) + design.levels
-    for lev, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        marker[lo:hi] = lev
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index"] + [f"x{j + 1}" for j in range(dim)] + ["level_marker"])
-        for i, p in enumerate(design.master.points):
-            w.writerow([i] + [repr(float(v)) for v in p] + [int(marker[i])])
-
-
-def design_from_csv(path, domain: Box) -> NestedDesign:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    dim = len(header) - 2
-    pts = np.array([[float(v) for v in r[1:1 + dim]] for r in body])
-    markers = np.array([int(r[-1]) for r in body])
-    levels = tuple(int(np.sum(markers <= lev)) for lev in range(markers.max() + 1))
-    return NestedDesign(master=PointSet(points=pts, domain=domain), levels=levels)

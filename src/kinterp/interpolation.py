@@ -20,7 +20,15 @@ import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .geometry import PointSet
-from .kernels import GramMatrix, Kernel, _run_tiles, assemble_gram, kernel_matrix
+from .kernels import (
+    GRAM_ROW_BLOCK,
+    GramMatrix,
+    Kernel,
+    ScratchGram,
+    _run_tiles,
+    assemble_gram,
+    kernel_matrix,
+)
 
 JITTER_LADDER = (1e-14, 1e-12, 1e-10, 1e-8)
 
@@ -35,11 +43,19 @@ class FactorizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Factorization:
-    """Lower-triangular Cholesky factor of K + jitter * I."""
+    """Lower-triangular Cholesky factor of K + jitter * I.
+
+    Only the lower triangle of `lower` is the factor. It is zero above the
+    diagonal, except for a factorization of a handed-over Gram (see
+    `factorize`): there the strict upper triangle still holds K's, and
+    `gram_diagonal` holds K's diagonal. A `fit` with such a factorization
+    turns its buffer back into K, and the factorization is spent.
+    """
 
     lower: np.ndarray
     jitter: float  # absolute diagonal shift that was applied, 0 if none
     jitter_step: float  # relative ladder step that succeeded, 0 if none
+    gram_diagonal: np.ndarray | None = None  # set only for a handed-over Gram
 
     @property
     def order(self) -> int:
@@ -81,33 +97,60 @@ def factorize(K) -> Factorization:
     n x n array besides its input; on success that array is the returned
     factor. A GramMatrix equals its transpose to the last bit, and the
     transpose of its C-order entries is already in Fortran order, so its
-    rungs copy the transpose contiguously. Raises FactorizationError naming
-    the failing leading minor once the ladder is exhausted.
+    rungs copy the transpose contiguously.
+
+    A ScratchGram is handed over instead: that transpose of its own buffer
+    is the work array, so the call allocates no n x n array and the factor
+    has the same bits. `potrf` writes only the lower triangle, so the strict
+    upper triangle keeps K's, and K's diagonal is saved on the result as
+    `gram_diagonal`; a failed rung is reset from the two (`_restore_gram`).
+    Raises FactorizationError naming the failing leading minor once the
+    ladder is exhausted.
     """
+    handed_over = isinstance(K, ScratchGram)
     if isinstance(K, GramMatrix):
-        A = K.entries
-        source = A.T  # the same bits as A, already in Fortran order
+        A = K.entries.T  # the same bits, already in Fortran order
     else:
-        A = source = np.asarray(K, float)
+        A = np.asarray(K, float)
     n = A.shape[0]
     (potrf,) = get_lapack_funcs(("potrf",), (A,))
-    scale = float(np.max(np.diag(A)))
-    work = np.empty_like(A, order="F")
-    diagonal = np.diag_indices(n)
+    diagonal = A.diagonal().copy()
+    scale = float(np.max(diagonal))
+    work = A if handed_over else np.empty_like(A, order="F")
     last_info = 0
-    for step in (0.0,) + JITTER_LADDER:
+    for rung, step in enumerate((0.0,) + JITTER_LADDER):
         jitter = step * scale
-        np.copyto(work, source)
+        if not handed_over:
+            np.copyto(work, A)
+        elif rung:
+            _restore_gram(work, diagonal)
         if jitter:
-            work[diagonal] += jitter
-        c, info = potrf(work, lower=True, clean=True, overwrite_a=True)
+            work[np.diag_indices(n)] += jitter
+        c, info = potrf(work, lower=True, clean=not handed_over, overwrite_a=True)
         if info == 0:
-            return Factorization(lower=c, jitter=jitter, jitter_step=step)
+            return Factorization(lower=c, jitter=jitter, jitter_step=step,
+                                 gram_diagonal=diagonal if handed_over else None)
         last_info = int(info)
     raise FactorizationError(
         f"matrix of order {n} is not positive definite after the jitter "
         f"ladder {JITTER_LADDER}: leading minor {last_info} failed last"
     )
+
+
+def _restore_gram(A: np.ndarray, diagonal: np.ndarray) -> None:
+    """Make a handed-over buffer hold K again: mirror its strict upper
+    triangle, which potrf leaves as K's, into the lower triangle in strips
+    of GRAM_ROW_BLOCK columns and write K's diagonal, so A equals the
+    assembled Gram to the last bit."""
+    n = A.shape[0]
+    strict_lower = np.tri(min(n, GRAM_ROW_BLOCK), k=-1, dtype=bool)
+    for j0 in range(0, n, GRAM_ROW_BLOCK):
+        j1 = j0 + GRAM_ROW_BLOCK
+        block = A[j0:j1, j0:j1]
+        m = block.shape[0]
+        np.copyto(block, block.T, where=strict_lower[:m, :m])
+        A[j1:, j0:j1] = A[j0:j1, j1:].T
+    A[np.diag_indices(n)] = diagonal
 
 
 @dataclass(frozen=True)
@@ -129,20 +172,29 @@ def fit(kernel: Kernel, X: PointSet, values, factorization: Factorization | None
         gram: GramMatrix | None = None) -> Interpolant:
     """Solve the Gram system for the minimal-norm interpolant of the data.
 
-    A precomputed factorization (and the Gram it came from) can be shared
-    across fits on the same node set. The post-solve residual against the
-    unjittered Gram matrix is recorded, and a warning is emitted when it
-    exceeds 1e-8 relative to the data; it is never silently discarded.
+    Without a factorization or a Gram, the Gram is assembled and handed
+    over to `factorize`, so the fit holds one n x n array. A precomputed
+    factorization (and the Gram it came from) can be shared across fits on
+    the same node set, except one of a handed-over Gram: its buffer is
+    turned back into K for the residual, so the fit spends it. The
+    post-solve residual against the unjittered Gram matrix is recorded, and
+    a warning is emitted when it exceeds 1e-8 relative to the data; it is
+    never silently discarded.
     """
     r = np.asarray(values, dtype=float)
     if r.shape != (len(X),):
         raise ValueError(f"got {r.shape[0] if r.ndim else 0} values for {len(X)} nodes")
-    if gram is None:
-        gram = assemble_gram(kernel, X)
     if factorization is None:
+        if gram is None:
+            gram = ScratchGram(assemble_gram(kernel, X).entries)
         factorization = factorize(gram)
     alpha = factorization.solve(r)
-    resid = float(np.max(np.abs(gram.entries @ alpha - r))) if len(r) else 0.0
+    if factorization.gram_diagonal is not None:
+        _restore_gram(factorization.lower, factorization.gram_diagonal)
+        K = factorization.lower.T
+    else:
+        K = (gram if gram is not None else assemble_gram(kernel, X)).entries
+    resid = float(np.max(np.abs(K @ alpha - r))) if len(r) else 0.0
     tol = 1e-8 * max(float(np.max(np.abs(r))), 1e-300)
     if resid > tol:
         warnings.warn(
@@ -242,15 +294,3 @@ def interpolant_to_csv(s: Interpolant, path) -> None:
         w.writerow([f"x{j + 1}" for j in range(dim)] + ["data", "coefficient"])
         for p, d, a in zip(s.nodes.points, s.data, s.coefficients):
             w.writerow([repr(float(v)) for v in p] + [repr(float(d)), repr(float(a))])
-
-
-def interpolant_from_csv(path, kernel: Kernel, domain) -> Interpolant:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
-    dim = len(rows[0]) - 2
-    pts = np.array([[float(v) for v in r[:dim]] for r in body])
-    data = np.array([float(r[dim]) for r in body])
-    coef = np.array([float(r[dim + 1]) for r in body])
-    X = PointSet(points=pts, domain=domain)
-    return Interpolant(kernel=kernel, nodes=X, coefficients=coef, data=data)

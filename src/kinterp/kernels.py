@@ -154,6 +154,12 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
+class ScratchGram(GramMatrix):
+    """A GramMatrix whose holder hands its buffer over to `factorize`,
+    which factors it in place instead of in a copy (see
+    `interpolation.factorize`); the holder must not read `entries` again."""
+
+
 def _as_points(x, dim: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[1] != dim:

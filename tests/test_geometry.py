@@ -13,8 +13,6 @@ from kinterp.geometry import (
     NestedDesign,
     PointSet,
     TensorProbe,
-    design_from_csv,
-    design_to_csv,
     fill_distance_grid,
     fill_distance_interval,
     generate_candidates,
@@ -389,15 +387,6 @@ def test_levels_must_increase():
 def test_design_holds_only_points_and_levels():
     # a level's geometry is measured by diagnostics.measure_levels, not recorded
     assert [f.name for f in dataclasses.fields(NestedDesign)] == ["master", "levels"]
-
-
-def test_design_csv_roundtrip(tmp_path):
-    design = nested_equispaced_design(0.0, 1.0, 4, 3)
-    path = tmp_path / "design.csv"
-    design_to_csv(design, path)
-    loaded = design_from_csv(path, UNIT)
-    assert loaded.levels == design.levels
-    assert np.allclose(loaded.master.points, design.master.points)
 
 
 def test_point_outside_box_rejected():

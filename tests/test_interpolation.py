@@ -1,3 +1,4 @@
+import csv
 import math
 import warnings
 
@@ -6,19 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinterp.geometry import Box, PointSet, equispaced_interval, nested_equispaced_design
+from kinterp.geometry import (
+    Box,
+    PointSet,
+    equispaced_interval,
+    generate_candidates,
+    nested_equispaced_design,
+)
 from kinterp.interpolation import (
     FactorizationError,
+    Interpolant,
     evaluate,
     factorize,
     fit,
-    interpolant_from_csv,
     interpolant_to_csv,
     lagrange,
     lagrange_coefficients,
     native_norm,
 )
-from kinterp.kernels import assemble_gram, matern
+from kinterp.kernels import GramMatrix, ScratchGram, assemble_gram, interval_sobolev, matern
 
 UNIT = Box.interval(0.0, 1.0)
 
@@ -241,9 +248,9 @@ def test_lagrange_coefficients_peak_at_four_dense_arrays():
 
 
 def test_lebesgue_level_holds_at_most_the_factor_and_one_dense_array():
-    # one Lebesgue level with a target at n = 1087: the Gram plus one work
-    # array while it is factored, then the factor plus the cardinal matrix;
-    # the Gram is freed before the cardinal matrix is formed
+    # one Lebesgue level with a target at n = 1087: the handed-over Gram is
+    # factored in place, then the factor and the cardinal matrix, then the
+    # cardinal matrix and the buffer turned back into K for the residual
     import tracemalloc
 
     from kinterp.diagnostics import _fit_levels
@@ -262,6 +269,142 @@ def test_lebesgue_level_holds_at_most_the_factor_and_one_dense_array():
     assert row["jitter_flag"] == "1e-12"
     assert C.shape == (len(X), len(X))
     assert peak <= 2.2 * dense
+
+
+def _symmetric_gram(A):
+    # the lower triangle mirrored up: symmetric to the last bit, as every
+    # GramMatrix is
+    return GramMatrix(entries=np.tril(A) + np.tril(A, -1).T)
+
+
+def _handed_over_cases():
+    # (gram, rung) for nested Matern 5/2 (0 -> 1e-14 -> 1e-12), nested
+    # Matern 3/2 (rung 0, five strips) and Gram-like matrices for the
+    # 1e-12, 1e-10 and 1e-8 rungs
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    yield assemble_gram(matern(2.5), X), 1e-12
+    yield assemble_gram(matern(1.5), X), 0.0
+    for shift, step in ((5e-13, 1e-12), (3e-11, 1e-10), (3e-9, 1e-8)):
+        yield _symmetric_gram(_shifted_spectrum(40, shift, seed=3)), step
+
+
+def test_handed_over_factor_equals_the_copied_factor():
+    for gram, step in _handed_over_cases():
+        n = gram.order
+        ref = factorize(gram)
+        buffer = gram.entries.copy()
+        f = factorize(ScratchGram(entries=buffer))
+        assert f.jitter_step == ref.jitter_step == step
+        assert f.jitter == ref.jitter
+        assert np.array_equal(np.tril(f.lower), ref.lower)
+        # factored in the buffer itself; K's strict upper triangle and its
+        # diagonal are still there
+        assert np.shares_memory(f.lower, buffer)
+        upper = np.triu_indices(n, 1)
+        assert np.array_equal(f.lower[upper], gram.entries[upper])
+        assert np.array_equal(f.gram_diagonal, np.diag(gram.entries))
+        assert ref.gram_diagonal is None
+
+
+def test_handed_over_exhausted_ladder_gives_the_same_message():
+    gram = _symmetric_gram(_shifted_spectrum(40, 1e-6, seed=3))
+    with pytest.raises(FactorizationError) as ref:
+        factorize(gram)
+    with pytest.raises(FactorizationError) as exc:
+        factorize(ScratchGram(entries=gram.entries.copy()))
+    assert str(exc.value) == str(ref.value)
+    assert "leading minor" in str(exc.value)
+
+
+def test_handed_over_solve_and_inverse_bit_equal():
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    gram = assemble_gram(matern(2.5), X)
+    ref = factorize(gram)
+    f = factorize(ScratchGram(entries=gram.entries.copy()))
+    assert f.jitter_step == 1e-12
+    rng = np.random.default_rng(5)
+    for rhs in (rng.normal(size=len(X)), rng.normal(size=(len(X), 3))):
+        assert np.array_equal(f.solve(rhs), ref.solve(rhs))
+    assert np.array_equal(f.inverse(), ref.inverse())
+
+
+def _gram_cases():
+    # Matern in 1-d (jittered: two rung resets first) and 2-d, and w21,
+    # whose diagonal is not constant
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    yield matern(2.5), X
+    yield matern(1.5, dim=2), generate_candidates(Box.unit_cube(2), 700, "low_discrepancy")
+    yield interval_sobolev(0.0, 1.0), X
+
+
+def test_fit_turns_a_handed_over_buffer_back_into_the_gram():
+    # the residual multiplies the same array by the same @ as the
+    # copied path, so the fits are bit-equal
+    rng = np.random.default_rng(8)
+    for kernel, X in _gram_cases():
+        gram = assemble_gram(kernel, X)
+        r = rng.normal(size=len(X))
+        f = factorize(ScratchGram(entries=gram.entries.copy()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the jittered fit's residual warning
+            s = fit(kernel, X, r, factorization=f)
+            ref = fit(kernel, X, r, factorization=factorize(gram), gram=gram)
+        assert np.array_equal(f.lower.T, gram.entries)
+        assert f.lower.T.flags.c_contiguous
+        assert np.array_equal(s.coefficients, ref.coefficients)
+        assert s.residual_inf == ref.residual_inf
+
+
+def test_fit_hands_its_own_gram_over(monkeypatch):
+    import kinterp.interpolation as interpolation
+
+    seen = []
+    factorize_ = interpolation.factorize
+
+    def spy(K):
+        seen.append(type(K))
+        return factorize_(K)
+
+    monkeypatch.setattr(interpolation, "factorize", spy)
+    rng = np.random.default_rng(9)
+    for kernel, X in _gram_cases():
+        gram = assemble_gram(kernel, X)
+        r = rng.normal(size=len(X))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            s = fit(kernel, X, r)
+            ref = fit(kernel, X, r, factorization=factorize_(gram), gram=gram)
+        assert np.array_equal(s.coefficients, ref.coefficients)
+        assert s.residual_inf == ref.residual_inf and s.jitter == ref.jitter
+    assert seen == [ScratchGram] * 3
+    # a Gram passed in is the caller's: copied, not handed over
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit(kernel, X, r, gram=gram)
+    assert seen[-1] is GramMatrix
+
+
+def test_norm_growth_level_holds_one_dense_array():
+    # one norm-growth level at n = 1087 (no Lebesgue matrix): the Gram is
+    # assembled in strips, factored in its own buffer and turned back into
+    # K for the residual, with no second n x n array at any time
+    import tracemalloc
+
+    from kinterp.diagnostics import _fit_levels
+
+    X = nested_equispaced_design(0.0, 1.0, 16, 7).master
+    dense = 8 * len(X) ** 2
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the jittered fit's residual warning
+            (row, _, alpha, C), = _fit_levels(matern(2.5), [X],
+                                              lambda p: np.abs(p[:, 0] - 0.5), False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row["jitter_flag"] == "1e-12" and C is None and alpha.shape == (len(X),)
+    assert peak <= 1.8 * dense, f"norm-growth level peak {peak / dense:.3f} > 1.8"
 
 
 def test_fit_single_node_constant():
@@ -502,12 +645,25 @@ def test_native_norm_nonnegative(n):
         assert native_norm(s) >= 0.0
 
 
+def _interpolant_from_csv(path, kernel, domain) -> Interpolant:
+    # oracle of the round trip: reads what interpolant_to_csv writes
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    body = rows[1:]
+    dim = len(rows[0]) - 2
+    pts = np.array([[float(v) for v in r[:dim]] for r in body])
+    data = np.array([float(r[dim]) for r in body])
+    coef = np.array([float(r[dim + 1]) for r in body])
+    X = PointSet(points=pts, domain=domain)
+    return Interpolant(kernel=kernel, nodes=X, coefficients=coef, data=data)
+
+
 def test_interpolant_csv_roundtrip(tmp_path):
     X = equispaced_interval(0, 1, 5)
     s = fit(matern(1.5), X, [1.0, -2.0, 0.5, 0.0, 3.25])
     path = tmp_path / "interp.csv"
     interpolant_to_csv(s, path)
-    loaded = interpolant_from_csv(path, matern(1.5), UNIT)
+    loaded = _interpolant_from_csv(path, matern(1.5), UNIT)
     assert np.array_equal(loaded.coefficients, s.coefficients)
     assert np.array_equal(loaded.data, s.data)
     assert np.array_equal(loaded.nodes.points, s.nodes.points)
