@@ -9,8 +9,9 @@ Subcommands:
 Configs are flat key = value files with sections (see README). Outputs are
 deterministic for a fixed config: rerunning emits byte-identical CSVs. The
 environment variable KINTERP_THREADS pins the BLAS thread count before any
-numerical module loads (exported as OMP/OpenBLAS/MKL thread settings), which
-is why the numerical imports in this module live inside functions.
+numerical module loads (assigned to the OMP/OpenBLAS/MKL/numexpr thread
+settings, overriding values inherited from the caller), which is why the
+numerical imports in this module live inside functions.
 
 Exit codes: 0 success, 1 config error, 2 every level failed numerically.
 """
@@ -318,8 +319,7 @@ def _build_levels(cfg: ExperimentConfig, domain) -> list:
 def _norm_growth_metadata(rows) -> dict:
     from .diagnostics import classify_norm_growth
 
-    ok = [r for r in rows if r["jitter_flag"] != "failed"]
-    label, slope = classify_norm_growth([r["n"] for r in ok], [r["native_norm"] for r in ok])
+    label, slope = classify_norm_growth(rows)
     return {"norm_growth.classification": label, "norm_growth.slope": repr(slope)}
 
 
@@ -433,8 +433,9 @@ def plot(csv_path: str, spec: str) -> tuple[int, list[str]]:
     """Chart columns of an emitted CSV.
 
     `spec` is a comma-separated key=value string with keys x, y (one or more
-    column names separated by '+'), xscale, yscale, out. Rows whose plotted
-    values are nan are dropped.
+    column names separated by '+'), xscale, yscale, out and title (the chart
+    title, empty by default). Rows whose plotted values are nan are
+    dropped.
     """
     from .diagnostics import read_report_csv
     from .svg import AxesSpec, Series, SvgError, emit_svg
@@ -517,12 +518,12 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     """Console entry point: applies KINTERP_THREADS before the numerical
-    stack loads, then dispatches."""
+    stack loads, replacing any inherited thread setting, then dispatches."""
     threads = os.environ.get("KINTERP_THREADS")
     if threads:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+            os.environ[var] = threads
     sys.exit(main())
 
 

@@ -95,31 +95,43 @@ def lebesgue_max_from_coefficients(kernel: Kernel, X: PointSet, C: np.ndarray,
     """Chunked grid scan of max_x sum_i |l_i(x)| given the cardinal
     coefficient matrix."""
     lmax = 0.0
+    product = _product_buffer(grid, C.shape[1])
     for _, cross in kernel_blocks(kernel, grid.points, X.points):
-        lmax = max(lmax, _lebesgue_block_max(cross, C))
+        lmax = max(lmax, _lebesgue_block_max(cross, C, product))
     return lmax
 
 
-def _lebesgue_block_max(cross: np.ndarray, C: np.ndarray) -> float:
+def _product_buffer(grid: EvalGrid, n_max: int) -> np.ndarray:
+    """The flat buffer that takes every `cross @ C` product of one scan of
+    `grid`: a block's rows by up to `n_max` columns, allocated once."""
+    return np.empty(min(interpolation.EVAL_CHUNK, len(grid)) * n_max)
+
+
+def _lebesgue_block_max(cross: np.ndarray, C: np.ndarray, product: np.ndarray) -> float:
     """Max over the rows of one cross-kernel block of sum_i |l_i(x)|."""
-    return float(_cardinal_abs_sums(cross, C, np.empty(cross.shape[0])).max())
+    return float(_cardinal_abs_sums(cross, C, np.empty(cross.shape[0]), product).max())
 
 
-def _cardinal_abs_sums(cross: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _cardinal_abs_sums(cross: np.ndarray, C: np.ndarray, out: np.ndarray,
+                       product: np.ndarray) -> np.ndarray:
     """Row sums of |cross @ C| into `out`: the Lebesgue function on one
     block's points.
 
-    The product is one GEMM over the whole block; the absolute values and
-    the row sums then run in place on its row tiles. Each row is summed on
-    its own, so the tiles leave every sum's bits unchanged.
+    The product is one GEMM over the whole block, written into the leading
+    entries of the scan's flat buffer `product` (see `_product_buffer`)
+    viewed as a C-contiguous (len(cross), C.shape[1]) array; the GEMM keeps
+    the shape, and so the bits, of `cross @ C`. The absolute values and the
+    row sums then run in place on its row tiles. Each row is summed on its
+    own, so the tiles leave every sum's bits unchanged.
     """
-    p = cross @ C
+    m, n = cross.shape[0], C.shape[1]
+    p = np.matmul(cross, C, out=product[:m * n].reshape(m, n))
 
     def tile(rows):
         q = p[rows]
         np.sum(np.abs(q, out=q), axis=1, out=out[rows])
 
-    _run_tiles(tile, p.shape[0], p[:1].nbytes)
+    _run_tiles(tile, m, p[:1].nbytes)
     return out
 
 
@@ -135,8 +147,9 @@ def lebesgue_function(kernel: Kernel, X: PointSet, grid: EvalGrid) -> np.ndarray
     except FactorizationError as exc:
         raise FactorizationError(f"Lebesgue function at n={len(X)}: {exc}") from exc
     out = np.empty(len(grid))
+    product = _product_buffer(grid, C.shape[1])
     for rows, cross in kernel_blocks(kernel, grid.points, X.points):
-        _cardinal_abs_sums(cross, C, out[rows])
+        _cardinal_abs_sums(cross, C, out[rows], product)
     return out
 
 
@@ -173,15 +186,17 @@ def _loglog_slope(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(coef[0])
 
 
-def classify_norm_growth(levels, norms) -> tuple[str, float]:
-    """Advisory boundedness heuristic for a norm sequence.
+def classify_norm_growth(rows) -> tuple[str, float]:
+    """Advisory boundedness heuristic for the native norms of the successful
+    rows (failed rows are dropped, as in `error_slopes`).
 
     "bounded-like" when the last-quartile norms vary by < 10% and the
     log-log slope of norm vs n is < 0.05; "diverging-like" when that slope
     exceeds 0.15; otherwise "inconclusive".
     """
-    ns = np.asarray(levels, float)
-    vs = np.asarray(norms, float)
+    ok = _successful(rows)
+    ns = np.array([r["n"] for r in ok], float)
+    vs = np.array([r["native_norm"] for r in ok], float)
     if len(vs) == 0:
         return INCONCLUSIVE, float("nan")
     if np.max(vs) <= 1e-14:
@@ -393,6 +408,9 @@ def _scan_levels(kernel: Kernel, fitted, grid: EvalGrid, target, lebesgue: bool)
     `lebesgue_max_from_coefficients` and the fitted values the row-wise sum
     of `interpolation.evaluate`. The errors are reduced once over the whole
     grid, as `sup_error` and `l2_error` do, so the results equal theirs.
+    The scan allocates its workspace once: the block buffer of
+    `kernel_blocks` and one product buffer as wide as the largest level,
+    which every level's `cross @ C` of every block is written into.
     """
     base = max((X for _, X, _, _ in fitted), key=len).points
     parts, width, columns = [base], len(base), []
@@ -406,12 +424,13 @@ def _scan_levels(kernel: Kernel, fitted, grid: EvalGrid, target, lebesgue: bool)
             width += n
     nodes = np.concatenate(parts) if len(parts) > 1 else base
     lmax = [0.0] * len(fitted)
+    product = _product_buffer(grid, len(base)) if lebesgue else None
     values = [np.empty(len(grid)) for _ in fitted] if target is not None else None
     for rows, cross in kernel_blocks(kernel, grid.points, nodes):
         for k, (cols, (_, _, alpha, C)) in enumerate(zip(columns, fitted)):
             block = cross[:, cols]
             if lebesgue:
-                lmax[k] = max(lmax[k], _lebesgue_block_max(block, C))
+                lmax[k] = max(lmax[k], _lebesgue_block_max(block, C, product))
             if values is not None:
                 _weighted_row_sums(block, alpha, values[k][rows])
     exact = target(grid.points) if target is not None else None
@@ -428,10 +447,16 @@ def error_slopes(rows) -> dict:
     """Log-log slopes of the sup and L2 errors against h, fitted over the
     last half of the successful rows; nan when undefined (for example for an
     exactly reproduced target)."""
-    ok = [r for r in rows if r["jitter_flag"] != "failed"]
+    ok = _successful(rows)
     half = ok[len(ok) // 2:]
     hs = np.array([r["h"] for r in half])
     return {
         "sup_slope": _loglog_slope(hs, np.array([r["sup_error"] for r in half])),
         "l2_slope": _loglog_slope(hs, np.array([r["l2_error"] for r in half])),
     }
+
+
+def _successful(rows) -> list:
+    """The rows whose level was measured: the one row filter of the slope
+    rules, which skip a failed level but keep every level after it."""
+    return [r for r in rows if r["jitter_flag"] != "failed"]

@@ -208,11 +208,20 @@ def fit(kernel: Kernel, X: PointSet, values, factorization: Factorization | None
 
 def kernel_blocks(kernel: Kernel, points: np.ndarray, nodes: np.ndarray):
     """Yield (row slice, kernel_matrix(kernel, points[rows], nodes)) pairs
-    that cover the points in EVAL_CHUNK steps, so a grid scan never holds
-    more than one cross-kernel block."""
+    that cover the points in EVAL_CHUNK steps.
+
+    Every block is filled (through `kernel_matrix`'s `out`) into the leading
+    rows of one buffer of min(EVAL_CHUNK, len(points)) x len(nodes) entries,
+    allocated on the first step, so a scan holds one block and allocates it
+    once. A yielded block is therefore valid only until the next step. The
+    block height stays EVAL_CHUNK because the bits of a GEMM's rows depend
+    on it.
+    """
+    buffer = np.empty((min(EVAL_CHUNK, points.shape[0]), nodes.shape[0]))
     for start in range(0, points.shape[0], EVAL_CHUNK):
         rows = slice(start, start + EVAL_CHUNK)
-        yield rows, kernel_matrix(kernel, points[rows], nodes)
+        chunk = points[rows]
+        yield rows, kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
 
 
 def evaluate(s: Interpolant, points) -> np.ndarray:

@@ -169,7 +169,7 @@ def _as_points(x, dim: int) -> np.ndarray:
     return pts
 
 
-def kernel_matrix(kernel: Kernel, X, Y) -> np.ndarray:
+def kernel_matrix(kernel: Kernel, X, Y, out: np.ndarray | None = None) -> np.ndarray:
     """Cross kernel matrix (k(x_i, y_j))_{ i,j }.
 
     This is the single evaluation path for the package; eval() delegates to
@@ -181,6 +181,10 @@ def kernel_matrix(kernel: Kernel, X, Y) -> np.ndarray:
     bit. Squared distances are summed one axis at a time, in axis order, and
     the profile is applied in place, so no (len(X), len(Y), dim) tensor is
     formed.
+
+    `out`, a float64 array of shape (len(X), len(Y)), receives the entries
+    and is returned, with the same bits as a fresh result; a grid scan
+    passes a view of the one buffer it reuses for every block.
     """
     X = _as_points(X, kernel.dim)
     Y = _as_points(Y, kernel.dim)
@@ -189,7 +193,12 @@ def kernel_matrix(kernel: Kernel, X, Y) -> np.ndarray:
         xv, yv = X[:, 0], Y[:, 0]
         if np.any(xv < a) or np.any(xv > b) or np.any(yv < a) or np.any(yv > b):
             raise DomainError(f"w21 kernel arguments must lie in [{a}, {b}]")
-    out = np.empty((X.shape[0], Y.shape[0]))
+    shape = (X.shape[0], Y.shape[0])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
+                         f"need {shape} float64")
     _run_tiles(partial(_fill_rows, kernel, X, Y, out), out.shape[0], out[:1].nbytes)
     return out
 

@@ -31,6 +31,7 @@ from kinterp.diagnostics import (
     EvalGrid,
     classify_norm_growth,
     decay_profile,
+    measure_levels,
 )
 from kinterp.geometry import (
     Box,
@@ -290,31 +291,27 @@ def test_criterion_05_membership_dichotomy():
     m32 = matern(1.5)
     x_star = float(design.master.points[0, 0])
     translate = make_target("kernel_translate", {"center": x_star}, m32, UNIT)
-    norms_a, levels_a = [], []
-    for i in range(len(design)):
-        X = design.level_points(i)
-        norms_a.append(native_norm(fit(m32, X, translate(X.points))))
-        levels_a.append(design.levels[i])
-    label_a, _ = classify_norm_growth(levels_a, norms_a)
+    level_sets = [design.level_points(i) for i in range(len(design))]
+    rows_a = measure_levels(m32, level_sets, None, translate)
+    norms_a = [row["native_norm"] for row in rows_a]
+    label_a, _ = classify_norm_growth(rows_a)
     bound = float(np.sqrt(kernel_matrix(m32, [[x_star]], [[x_star]])[0, 0]))
     part_a = label_a == BOUNDED_LIKE and all(v <= bound + 1e-6 for v in norms_a)
 
     m52 = matern(2.5)
     kink = make_target("abs_power", {"center": 0.5, "power": 1.0}, m52, UNIT)
-    norms_b, levels_b = [], []
-    for i in range(len(design)):
-        X = design.level_points(i)
-        r = kink(X.points)
-        norms_b.append(native_norm(fit(m52, X, r)))
-        levels_b.append(design.levels[i])
-        if design.levels[i] <= 67:
+    rows_b = measure_levels(m52, level_sets, None, kink)
+    norms_b = [row["native_norm"] for row in rows_b]
+    for X, norm in zip(level_sets, norms_b):
+        if len(X) <= 67:
             # independent LU oracle; agreement tolerance tracks the Gram
             # conditioning (about 1e9 at n=16, 1e12 at n=67 for this kernel)
+            r = kink(X.points)
             K = assemble_gram(m52, X).entries
             oracle = float(np.sqrt(r @ np.linalg.solve(K, r)))
-            rel = 1e-6 if design.levels[i] <= 16 else 1e-4
-            assert norms_b[-1] == pytest.approx(oracle, rel=rel)
-    label_b, _ = classify_norm_growth(levels_b, norms_b)
+            rel = 1e-6 if len(X) <= 16 else 1e-4
+            assert norm == pytest.approx(oracle, rel=rel)
+    label_b, _ = classify_norm_growth(rows_b)
     ratio = norms_b[-1] / norms_b[0]
     part_b = label_b == DIVERGING_LIKE and ratio > 5.0
     elapsed = time.time() - t0

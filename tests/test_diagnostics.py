@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinterp import geometry, kernels
+from kinterp import diagnostics, geometry, kernels
 from kinterp.diagnostics import (
     BOUNDED_LIKE,
     DIVERGING_LIKE,
@@ -27,7 +27,7 @@ from kinterp.geometry import (
     geometric_greedy,
     nested_equispaced_design,
 )
-from kinterp.interpolation import evaluate, fit, lagrange_coefficients
+from kinterp.interpolation import EVAL_CHUNK, evaluate, fit, kernel_blocks, lagrange_coefficients
 from kinterp.kernels import assemble_gram, kernel_matrix, matern
 from kinterp.targets import make_target
 
@@ -50,7 +50,7 @@ def norm_growth(target, kernel, design):
     rows = measure_levels(kernel, design_levels(design), None, target)
     assert all(row["jitter_flag"] != "failed" for row in rows)
     levels, norms = [row["n"] for row in rows], [row["native_norm"] for row in rows]
-    return levels, norms, classify_norm_growth(levels, norms)
+    return levels, norms, classify_norm_growth(rows)
 
 
 # ---------------------------------------------------------------- EvalGrid
@@ -274,14 +274,17 @@ def test_measure_levels_fits_the_level_after_a_failed_one(monkeypatch):
     assert all("error" not in row and row["jitter_flag"] != "failed" for row in ok)
     assert all(np.isfinite(row["native_norm"]) for row in ok)
     # the norm-growth label skips the failed level and keeps n = 79
-    _, slope = classify_norm_growth([row["n"] for row in ok],
-                                    [row["native_norm"] for row in ok])
+    _, slope = classify_norm_growth(rows)
     assert slope == pytest.approx(0.4715, abs=1e-4)
 
 
 def test_classify_empty_and_zero():
-    assert classify_norm_growth([], [])[0] == "inconclusive"
-    assert classify_norm_growth([2, 4, 8], [0.0, 0.0, 0.0])[0] == BOUNDED_LIKE
+    assert classify_norm_growth([])[0] == "inconclusive"
+    zero = [{"n": n, "native_norm": 0.0, "jitter_flag": "none"} for n in (2, 4, 8)]
+    assert classify_norm_growth(zero)[0] == BOUNDED_LIKE
+    # failed rows are dropped, so a sequence of only failed rows is empty
+    failed = [{"n": 2, "native_norm": float("nan"), "jitter_flag": "failed"}]
+    assert classify_norm_growth(failed)[0] == "inconclusive"
 
 
 # ------------------------------------------------------------- decay fits
@@ -503,3 +506,25 @@ def test_lebesgue_function_bit_equal_to_one_pass_scan():
                           .sum(axis=1) for s in range(0, len(grid), 8192)])
     assert np.array_equal(lebesgue_function(M32, X, grid), ref)
     assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref.max()
+
+
+def test_grid_scan_fills_one_workspace():
+    # 129^2 = 16641 points: two full scan blocks and a 257-row last block
+    box = Box.unit_cube(2)
+    kernel = matern(1.5, gamma=5.0, dim=2)
+    X = geometric_greedy(generate_candidates(box, 400, "low_discrepancy"), 30, 0, (30,)).master
+    grid = EvalGrid.tensor(box, 129)
+    C, _ = lagrange_coefficients(kernel, X)
+    product = diagnostics._product_buffer(grid, len(X))
+    assert product.shape == (EVAL_CHUNK * len(X),)
+    first, heights = None, []
+    for rows, cross in kernel_blocks(kernel, grid.points, X.points):
+        first = cross if first is None else first
+        assert np.shares_memory(cross, first)
+        heights.append(len(cross))
+        assert np.array_equal(cross, kernel_matrix(kernel, grid.points[rows], X.points))
+        sums = diagnostics._cardinal_abs_sums(cross, C, np.empty(len(cross)), product)
+        landed = product[:cross.size].reshape(cross.shape)  # C is n x n
+        assert np.array_equal(landed, np.abs(cross @ C))
+        assert np.array_equal(sums, landed.sum(axis=1))
+    assert heights == [EVAL_CHUNK, EVAL_CHUNK, 257]

@@ -400,6 +400,17 @@ def test_tiled_kernel_matrix_bit_equal_to_one_pass(name, make, dim):
         assert np.array_equal(M, _one_pass_kernel_matrix(k, X, Y[:n]))
         if m:
             assert M[0, 0] == kernels.eval(k, X[0], Y[0])
+        # filled into the leading rows of a reused buffer: the same bits
+        view = np.full((m + 3, n), np.nan)[:m]
+        assert kernel_matrix(k, X, Y[:n], out=view) is view
+        assert np.array_equal(view, M)
+
+
+def test_kernel_matrix_rejects_a_mismatched_out():
+    k, X, Y = matern(1.5), np.zeros((4, 1)), np.ones((3, 1))
+    for out in (np.empty((4, 4)), np.empty((3, 3)), np.empty((4, 3), np.float32)):
+        with pytest.raises(ValueError, match="need \\(4, 3\\) float64"):
+            kernel_matrix(k, X, Y, out=out)
 
 
 def test_concurrent_callers_get_their_own_blocks(monkeypatch):
