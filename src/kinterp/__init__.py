@@ -4,9 +4,29 @@ Scattered-data interpolation with Matern, Gaussian, and interval Sobolev
 kernels, nested quasi-uniform designs, and the diagnostics that measure how
 interpolation behaves on and beyond the native space: Lebesgue constants,
 native-norm growth, Lagrange-function decay, and error convergence.
+
+Importing the package first sets up the BLAS threads, ahead of the first
+numpy import, since OpenBLAS reads its settings once, when it loads:
+
+* KINTERP_THREADS, when set, replaces every inherited BLAS/OpenMP thread
+  count, so it pins the BLAS threads of every entry point (`import
+  kinterp`, `python -m kinterp.cli`, the `kinterp` script). In a process
+  that loaded numpy before kinterp it has no effect.
+* OPENBLAS_THREAD_TIMEOUT defaults to 4, so idle OpenBLAS workers sleep
+  right after each call instead of spinning on a core the tile pool needs;
+  a value the caller exported wins.
 """
 
-from .geometry import (
+import os
+
+_threads = os.environ.get("KINTERP_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        os.environ[_var] = _threads
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+from .geometry import (  # noqa: E402 - the BLAS settings must come first
     Box,
     NestedDesign,
     PointSet,

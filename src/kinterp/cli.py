@@ -8,10 +8,11 @@ Subcommands:
 
 Configs are flat key = value files with sections (see README). Outputs are
 deterministic for a fixed config: rerunning emits byte-identical CSVs. The
-environment variable KINTERP_THREADS pins the BLAS thread count before any
-numerical module loads (assigned to the OMP/OpenBLAS/MKL/numexpr thread
-settings, overriding values inherited from the caller), which is why the
-numerical imports in this module live inside functions.
+environment variable KINTERP_THREADS pins the BLAS thread count, overriding
+the OMP/OpenBLAS/MKL/numexpr thread settings inherited from the caller; the
+`kinterp` package applies it when it is first imported, before numpy loads,
+which every entry point (`python -m kinterp.cli`, the `kinterp` script)
+does before this module runs.
 
 Exit codes: 0 success, 1 config error, 2 every level failed numerically.
 """
@@ -21,11 +22,20 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
+
+from . import diagnostics as dg
+from . import geometry, kernels
+from .diagnostics import classify_norm_growth, error_slopes, read_report_csv
+from .geometry import Box
+from .interpolation import FactorizationError, fit, interpolant_to_csv
+from .svg import AxesSpec, Series, SvgError, emit_svg
+from .targets import make_target
 
 EXPERIMENTS = ("lebesgue_trace", "convergence", "norm_growth", "decay", "interp_once")
 KERNEL_NAMES = ("matern12", "matern32", "matern52", "gaussian", "w21")
@@ -279,8 +289,6 @@ def parse_metadata_config(meta: dict) -> ExperimentConfig:
 
 
 def _build_kernel(cfg: ExperimentConfig):
-    from . import kernels
-
     fam = cfg.kernel.family
     if fam == "gaussian":
         return kernels.gaussian(gamma=cfg.kernel.gamma, dim=cfg.kernel.dim)
@@ -293,10 +301,6 @@ def _build_kernel(cfg: ExperimentConfig):
 def _build_levels(cfg: ExperimentConfig, domain) -> list:
     """The point set of every level: nested prefixes of one design, or for
     `equispaced_levels` independent equispaced sets."""
-    import numpy as np
-
-    from . import geometry
-
     scheme = cfg.design.scheme
     levels = cfg.design.levels
     if scheme == "equispaced_levels":
@@ -317,15 +321,11 @@ def _build_levels(cfg: ExperimentConfig, domain) -> list:
 
 
 def _norm_growth_metadata(rows) -> dict:
-    from .diagnostics import classify_norm_growth
-
     label, slope = classify_norm_growth(rows)
     return {"norm_growth.classification": label, "norm_growth.slope": repr(slope)}
 
 
 def _convergence_metadata(rows) -> dict:
-    from .diagnostics import error_slopes
-
     return {f"convergence.{key}": repr(v) if math.isfinite(v) else "n/a"
             for key, v in error_slopes(rows).items()}
 
@@ -362,11 +362,6 @@ _KINDS = {
 def _decay_rows(kernel, domain, level_sets, grid) -> list[dict]:
     """Decay fit of the central cardinal function of each level; a level
     whose solve or fit fails gets nan values and no usable points."""
-    from dataclasses import asdict
-
-    from . import diagnostics as dg
-    from .interpolation import FactorizationError
-
     nan = float("nan")
     rows = []
     for X in level_sets:
@@ -383,12 +378,6 @@ def _decay_rows(kernel, domain, level_sets, grid) -> list[dict]:
 
 def run(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     """Execute one experiment; returns (exit_code, written file paths)."""
-    from . import diagnostics as dg
-    from .geometry import Box
-    from .interpolation import fit, interpolant_to_csv
-    from .svg import AxesSpec, Series, emit_svg
-    from .targets import make_target
-
     domain = Box(lower=cfg.lower, upper=cfg.upper)
     kernel = _build_kernel(cfg)
     target = (None if cfg.target_name is None
@@ -437,9 +426,6 @@ def plot(csv_path: str, spec: str) -> tuple[int, list[str]]:
     title, empty by default). Rows whose plotted values are nan are
     dropped.
     """
-    from .diagnostics import read_report_csv
-    from .svg import AxesSpec, Series, SvgError, emit_svg
-
     opts = {}
     for part in spec.split(","):
         part = part.strip()
@@ -517,13 +503,7 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    """Console entry point: applies KINTERP_THREADS before the numerical
-    stack loads, replacing any inherited thread setting, then dispatches."""
-    threads = os.environ.get("KINTERP_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = threads
+    """Console entry point: runs `main` and exits with its code."""
     sys.exit(main())
 
 

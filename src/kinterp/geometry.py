@@ -355,15 +355,28 @@ def geometric_greedy(candidates: PointSet, m: int, seed_index: int = 0,
     if not 0 <= seed_index < len(pts):
         raise GeometryError(f"seed index {seed_index} out of range")
 
+    # squared distances are summed one axis at a time, in axis order, into
+    # one buffer: the bits of the row sums of (pts - p)^2
+    axes = [np.ascontiguousarray(pts[:, k]) for k in range(pts.shape[1])]
+    dist = np.empty(len(pts))
+    term = np.empty(len(pts))
+
+    def distances_to(i: int) -> np.ndarray:
+        np.subtract(axes[0], axes[0][i], out=dist)
+        np.multiply(dist, dist, out=dist)
+        for a in axes[1:]:
+            np.subtract(a, a[i], out=term)
+            np.multiply(term, term, out=term)
+            np.add(dist, term, out=dist)
+        return np.sqrt(dist, out=dist)
+
     order = np.empty(m, dtype=int)
     order[0] = seed_index
-    diff = pts - pts[seed_index]
-    dmin = np.sqrt(np.sum(diff * diff, axis=1))
+    dmin = distances_to(seed_index).copy()
     for k in range(1, m):
         nxt = int(np.argmax(dmin))  # argmax takes the lowest index on ties
         order[k] = nxt
-        diff = pts - pts[nxt]
-        np.minimum(dmin, np.sqrt(np.sum(diff * diff, axis=1)), out=dmin)
+        np.minimum(dmin, distances_to(nxt), out=dmin)
 
     levels = tuple(level_counts) if level_counts is not None else (m,)
     return NestedDesign(master=candidates._subset(pts[order]), levels=levels)

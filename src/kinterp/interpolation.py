@@ -13,21 +13,23 @@ of the data with the solved coefficients (equivalently alpha^T K alpha).
 from __future__ import annotations
 
 import csv
+import importlib.machinery
+import importlib.util
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .geometry import PointSet
 from .kernels import (
-    GRAM_ROW_BLOCK,
     GramMatrix,
     Kernel,
     ScratchGram,
     _run_tiles,
     assemble_gram,
     kernel_matrix,
+    mirror_upper,
 )
 
 JITTER_LADDER = (1e-14, 1e-12, 1e-10, 1e-8)
@@ -39,6 +41,29 @@ EVAL_CHUNK = 8192
 
 class FactorizationError(RuntimeError):
     pass
+
+
+def _load_flapack():
+    """scipy's LAPACK wrapper module, scipy.linalg._flapack, loaded without
+    running scipy.linalg's package init, which imports numpy.f2py,
+    numpy.testing and scipy's array-API shims.
+
+    The module is registered in sys.modules under its own name, so a later
+    `import scipy.linalg` reuses it, and `get_lapack_funcs` then returns the
+    very routines called here.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        package = importlib.util.find_spec("scipy.linalg")
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, package.submodule_search_locations)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+_flapack = _load_flapack()
 
 
 @dataclass(frozen=True)
@@ -78,9 +103,9 @@ class Factorization:
     def _substitute(self, b: np.ndarray, overwrite: bool) -> np.ndarray:
         # trtrs directly: scipy.linalg.solve_triangular would first scan the
         # whole factor for non-finite entries, into an n x n bool array
-        (trtrs,) = get_lapack_funcs(("trtrs",), (self.lower,))
         for trans in (0, 1):
-            b, info = trtrs(self.lower, b, lower=True, trans=trans, overwrite_b=overwrite)
+            b, info = _flapack.dtrtrs(self.lower, b, lower=True, trans=trans,
+                                      overwrite_b=overwrite)
             if info:
                 raise np.linalg.LinAlgError(f"singular factor: zero pivot {info}")
             overwrite = True
@@ -113,7 +138,6 @@ def factorize(K) -> Factorization:
     else:
         A = np.asarray(K, float)
     n = A.shape[0]
-    (potrf,) = get_lapack_funcs(("potrf",), (A,))
     diagonal = A.diagonal().copy()
     scale = float(np.max(diagonal))
     work = A if handed_over else np.empty_like(A, order="F")
@@ -126,7 +150,7 @@ def factorize(K) -> Factorization:
             _restore_gram(work, diagonal)
         if jitter:
             work[np.diag_indices(n)] += jitter
-        c, info = potrf(work, lower=True, clean=not handed_over, overwrite_a=True)
+        c, info = _flapack.dpotrf(work, lower=True, clean=not handed_over, overwrite_a=True)
         if info == 0:
             return Factorization(lower=c, jitter=jitter, jitter_step=step,
                                  gram_diagonal=diagonal if handed_over else None)
@@ -139,18 +163,11 @@ def factorize(K) -> Factorization:
 
 def _restore_gram(A: np.ndarray, diagonal: np.ndarray) -> None:
     """Make a handed-over buffer hold K again: mirror its strict upper
-    triangle, which potrf leaves as K's, into the lower triangle in strips
-    of GRAM_ROW_BLOCK columns and write K's diagonal, so A equals the
-    assembled Gram to the last bit."""
-    n = A.shape[0]
-    strict_lower = np.tri(min(n, GRAM_ROW_BLOCK), k=-1, dtype=bool)
-    for j0 in range(0, n, GRAM_ROW_BLOCK):
-        j1 = j0 + GRAM_ROW_BLOCK
-        block = A[j0:j1, j0:j1]
-        m = block.shape[0]
-        np.copyto(block, block.T, where=strict_lower[:m, :m])
-        A[j1:, j0:j1] = A[j0:j1, j1:].T
-    A[np.diag_indices(n)] = diagonal
+    triangle, which potrf leaves as K's, into the lower triangle, as
+    `assemble_gram` does, and write K's diagonal, so A equals the assembled
+    Gram to the last bit."""
+    mirror_upper(A)
+    A[np.diag_indices(A.shape[0])] = diagonal
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,8 @@ _MATERN_NUS = (0.5, 1.5, 2.5)
 # duplicate node: beyond double-precision resolution of the Gram entries.
 DISTINCTNESS_REL_TOL = 1e-12
 
-# Gram assembly evaluates the upper triangle this many rows at a time, so its
-# temporaries stay a thin strip next to the one n x n result.
+# Gram assembly evaluates the upper triangle this many rows at a time, and
+# mirrors it in square tiles of this side.
 GRAM_ROW_BLOCK = 256
 
 # Kernel blocks are filled, and the grid scan's cardinal sums taken, in row
@@ -343,9 +343,10 @@ def assemble_gram(kernel: Kernel, nodes) -> GramMatrix:
     """Gram matrix on a node set; rejects near-duplicate nodes.
 
     Only the upper triangle is evaluated, as strips of GRAM_ROW_BLOCK rows
-    from the diagonal onwards, each written into one preallocated n x n
-    array and mirrored into the lower triangle, so the result is symmetric
-    to the last bit and the temporaries never exceed a few strips. A PointSet has already passed the same
+    from the diagonal onwards, each written straight into one preallocated
+    n x n array; the strict upper triangle is then mirrored into the lower
+    one (`mirror_upper`), so the result is symmetric to the last bit and the
+    only temporaries are row tiles. A PointSet has already passed the same
     duplicate-node rule on construction, so only plain arrays are checked.
     """
     from .geometry import PointSet
@@ -362,10 +363,32 @@ def assemble_gram(kernel: Kernel, nodes) -> GramMatrix:
     K = np.empty((n, n))
     for i0 in range(0, n, GRAM_ROW_BLOCK):
         rows = slice(i0, i0 + GRAM_ROW_BLOCK)
-        block = kernel_matrix(kernel, pts[rows], pts[i0:])
-        K[rows, i0:] = block
-        K[i0:, rows] = block.T
+        kernel_matrix(kernel, pts[rows], pts[i0:], out=K[rows, i0:])
+    mirror_upper(K)
     return GramMatrix(entries=K)
+
+
+def mirror_upper(A: np.ndarray) -> None:
+    """Copy the strict upper triangle of a square array into its strict
+    lower triangle, in square tiles of GRAM_ROW_BLOCK: a diagonal tile is
+    mirrored within itself, any other tile below the diagonal is the
+    transpose of its partner above it. The diagonal is left as it is.
+
+    The tiles, not whole strips, keep each transposed copy in cache, and
+    mirroring once after the strips are filled, not strip by strip, avoids
+    numpy's copy of a strip whose transpose overlaps it on the diagonal
+    tile.
+    """
+    n = A.shape[0]
+    strict_lower = np.tri(min(n, GRAM_ROW_BLOCK), k=-1, dtype=bool)
+    for j0 in range(0, n, GRAM_ROW_BLOCK):
+        cols = slice(j0, j0 + GRAM_ROW_BLOCK)
+        tile = A[cols, cols]
+        m = tile.shape[0]
+        np.copyto(tile, tile.T, where=strict_lower[:m, :m])
+        for i0 in range(j0 + GRAM_ROW_BLOCK, n, GRAM_ROW_BLOCK):
+            rows = slice(i0, i0 + GRAM_ROW_BLOCK)
+            A[rows, cols] = A[cols, rows].T
 
 
 def _domain_diameter(nodes, pts: np.ndarray) -> float:

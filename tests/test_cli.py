@@ -301,21 +301,44 @@ def test_subprocess_entry_point_with_thread_env(tmp_path):
     assert "experiment.kind = lebesgue_trace" in proc.stdout
 
 
-def test_kinterp_threads_overrides_inherited_thread_settings(tmp_path, monkeypatch, capsys):
-    # KINTERP_THREADS wins over a BLAS thread count the caller exported
-    cfg = base_cfg(tmp_path)
-    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    monkeypatch.setenv("KINTERP_THREADS", "1")
-    monkeypatch.setattr(sys, "argv", ["kinterp", "validate", cfg])
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main_entry()
-    assert exit_info.value.code == 0
-    assert "experiment.kind = lebesgue_trace" in capsys.readouterr().out
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        assert os.environ[var] == "1"
+# Run in a fresh interpreter: prints {library file: thread count} for every
+# OpenBLAS mapped into the process once kinterp is imported.
+_OPENBLAS_THREADS = """
+import ctypes, json, os
+import kinterp
+with open("/proc/self/maps") as fh:
+    paths = sorted({line.split()[-1] for line in fh
+                    if "openblas" in line.lower() and ".so" in line})
+threads = {}
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            threads[os.path.basename(path)] = getattr(lib, symbol)()
+            break
+print(json.dumps(threads))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the libraries mapped into the process")
+def test_kinterp_threads_pins_every_openblas_at_import():
+    # KINTERP_THREADS wins over a BLAS thread count the caller exported,
+    # because kinterp applies it before numpy loads OpenBLAS
+    import json
+
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["OPENBLAS_NUM_THREADS"] = "3"
+    env["KINTERP_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", _OPENBLAS_THREADS],
+                          capture_output=True, text=True, env=env, check=True)
+    threads = json.loads(proc.stdout)
+    if not threads:
+        pytest.skip("no OpenBLAS mapped into the process")
+    assert threads == dict.fromkeys(threads, 1)
 
 
 def test_target_free_experiments_do_not_require_target(tmp_path):

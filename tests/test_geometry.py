@@ -291,6 +291,23 @@ def test_greedy_permutation_stable():
     assert np.allclose(d1.master.points, d2.master.points)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_greedy_order_equals_row_sum_distance_selection(dim):
+    # the per-axis distance update keeps the bits of the row sums of
+    # (pts - p)^2, so it selects the same points in the same order
+    pts = generate_candidates(Box.unit_cube(dim), 3000, "uniform_random", seed=dim).points
+    m, seed_index = 200, 11
+    order = [seed_index]
+    diff = pts - pts[seed_index]
+    dmin = np.sqrt(np.sum(diff * diff, axis=1))
+    for _ in range(1, m):
+        order.append(int(np.argmax(dmin)))
+        diff = pts - pts[order[-1]]
+        np.minimum(dmin, np.sqrt(np.sum(diff * diff, axis=1)), out=dmin)
+    design = geometric_greedy(PointSet(points=pts, domain=Box.unit_cube(dim)), m, seed_index)
+    assert np.array_equal(design.master.points, pts[order])
+
+
 def test_subsets_of_a_checked_set_skip_the_duplicate_search(monkeypatch):
     # a prefix and the greedy master are rows of an already checked pool, and
     # a design records no geometry, so nothing searches for distances

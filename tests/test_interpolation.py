@@ -150,7 +150,7 @@ def test_factorize_nested_matern52_escalation_bit_equal():
 
 
 def test_gram_and_factor_hold_at_most_two_dense_arrays():
-    # traced peaks at n = 1087: the Gram plus a few row strips while it is
+    # traced peaks at n = 1087: the Gram plus a few row tiles while it is
     # assembled, the Gram plus one work array while it is factored
     import tracemalloc
 
@@ -189,6 +189,45 @@ def test_factorize_plain_array_reads_only_lower_triangle():
         f, ref = factorize(A), factorize(S)
         assert f.jitter_step == ref.jitter_step
         assert np.array_equal(f.lower, ref.lower)
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Run code in a new interpreter that imports kinterp from this
+    checkout, and return what it prints."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_lapack_loads_without_scipy_linalg():
+    # scipy.linalg's package init would import numpy.f2py, numpy.testing and
+    # the array-API shims: about 0.3 s and 24 MB of every run's start-up
+    out = _fresh_interpreter(
+        "import sys\n"
+        "import numpy as np\n"
+        "import kinterp\n"
+        "f = kinterp.factorize(np.array([[4.0, 2.0], [2.0, 5.0]]))\n"
+        "print(*f.solve(np.array([8.0, 12.0])), 'scipy.linalg' in sys.modules,\n"
+        "      'scipy.linalg._flapack' in sys.modules)\n")
+    assert out.split() == ["1.0", "2.0", "False", "True"]
+
+
+def test_lapack_routines_are_scipys_own():
+    # a later import of scipy.linalg reuses the loaded module, so kinterp
+    # calls the very objects get_lapack_funcs returns
+    out = _fresh_interpreter(
+        "import numpy as np\n"
+        "from kinterp import interpolation\n"
+        "from scipy.linalg import get_lapack_funcs\n"
+        "potrf, trtrs = get_lapack_funcs(('potrf', 'trtrs'), (np.zeros((2, 2)),))\n"
+        "print(potrf is interpolation._flapack.dpotrf, trtrs is interpolation._flapack.dtrtrs)\n")
+    assert out.split() == ["True", "True"]
 
 
 def test_inverse_bit_equal_to_identity_solve():

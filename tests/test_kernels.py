@@ -17,6 +17,7 @@ from kinterp.kernels import (
     interval_sobolev,
     kernel_matrix,
     matern,
+    mirror_upper,
 )
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -302,6 +303,17 @@ def test_blocked_gram_bit_equal_to_full_triangle_formula(name, make, dim, n):
     assert np.array_equal(K, K.T)
     # a plain array takes the same path after its duplicate-node check
     assert np.array_equal(assemble_gram(k, X.points).entries, K)
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_mirror_upper_copies_the_strict_upper_triangle(n):
+    # the square tiles cross GRAM_ROW_BLOCK edges at 256; a transposed view
+    # (a handed-over buffer) is mirrored the same way
+    A = np.random.default_rng(n).normal(size=(n, n))
+    want = np.triu(A) + np.triu(A, 1).T
+    for view in (A.copy(), A.T.copy().T):
+        mirror_upper(view)
+        assert np.array_equal(view, want)
 
 
 def test_point_set_gram_skips_second_duplicate_check(monkeypatch):
