@@ -378,3 +378,98 @@ prefix = {tmp_path}/w21
     assert all(r["lebesgue_constant"] >= 1.0 - 1e-9 for r in rows)
     # native order 1: the weak-100 threshold is (b-a)/100 = 0.03
     assert rows[1]["sampling_condition"] in ("none", "weak-100", "strong-1200")
+
+
+# Configs that set only the required fields (and, in 2-d, kernel.dim).
+MINIMAL_1D = {
+    "experiment": {"kind": "lebesgue_trace"},
+    "kernel": {"family": "matern32"},
+    "domain": {"lower": "0.0", "upper": "1.0"},
+    "design": {"scheme": "equispaced_nested", "levels": "4, 9, 19"},
+    "output": {"prefix": "out/run"},
+}
+MINIMAL_2D = {
+    "experiment": {"kind": "lebesgue_trace"},
+    "kernel": {"family": "matern32", "dim": "2"},
+    "domain": {"lower": "0.0, 0.0", "upper": "1.0, 1.0"},
+    "design": {"scheme": "greedy_low_discrepancy", "levels": "10, 20"},
+    "output": {"prefix": "out/run"},
+}
+
+
+def edited_cfg(tmp_path, base, changes):
+    """Write `base` with `changes` applied: {"section.key": value} sets a
+    field, a value of None removes it, and a bare "section" adds that
+    section empty."""
+    sections = {name: dict(fields) for name, fields in base.items()}
+    for name, value in changes.items():
+        section, _, key = name.partition(".")
+        fields = sections.setdefault(section, {})
+        if key and value is None:
+            del fields[key]
+        elif key:
+            fields[key] = value
+    return write_cfg(tmp_path, "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()) + "\n"
+        for section, fields in sections.items()))
+
+
+_REQUIRED = ("experiment.kind", "kernel.family", "domain.lower", "domain.upper",
+             "design.scheme", "design.levels", "output.prefix")
+_TARGET_ABS = {"target.name": "abs_power", "target.center": "0.5"}
+
+# (id, base config, changes, text the error must contain), one case per rule
+_BAD_CONFIGS = [
+    ("unknown-section", MINIMAL_1D, {"foo.bar": "1"}, "[foo]"),
+    ("unknown-empty-section", MINIMAL_1D, {"foo": None}, "[foo]"),
+    *[(f"missing-{name}", MINIMAL_1D, {name: None}, name) for name in _REQUIRED],
+    ("kind-not-allowed", MINIMAL_1D, {"experiment.kind": "nosuch"}, "experiment.kind"),
+    ("scheme-not-allowed", MINIMAL_1D, {"design.scheme": "nosuch"}, "design.scheme"),
+    ("xscale-not-allowed", MINIMAL_1D, {"output.xscale": "nosuch"}, "output.xscale"),
+    ("yscale-not-allowed", MINIMAL_1D, {"output.yscale": "nosuch"}, "output.yscale"),
+    ("gamma-not-a-number", MINIMAL_1D, {"kernel.gamma": "abc"}, "kernel.gamma"),
+    ("dim-not-an-int", MINIMAL_1D, {"kernel.dim": "two"}, "kernel.dim"),
+    ("levels-not-ints", MINIMAL_1D, {"design.levels": "4, nine"}, "design.levels"),
+    ("levels-empty", MINIMAL_1D, {"design.levels": ""}, "design.levels"),
+    ("seed-not-an-int", MINIMAL_1D, {"design.seed": "x"}, "design.seed"),
+    ("candidates-not-an-int", MINIMAL_1D, {"design.candidates": "x"}, "design.candidates"),
+    ("grid-not-an-int", MINIMAL_1D, {"grid.points_per_axis": "x"}, "grid.points_per_axis"),
+    ("target-parameter-not-a-number", MINIMAL_1D,
+     {**_TARGET_ABS, "target.power": "abc"}, "target.power"),
+    ("domain-lengths-differ", MINIMAL_1D, {"domain.lower": "0.0, 0.0"}, "domain.lower"),
+    ("domain-dimension-not-kernel-dim", MINIMAL_2D, {"kernel.dim": None}, "kernel.dim"),
+    ("domain-bounds-reversed", MINIMAL_1D,
+     {"domain.lower": "1.0", "domain.upper": "0.0"}, "domain.lower"),
+    ("w21-in-2d", MINIMAL_2D, {"kernel.family": "w21"}, "kernel.dim"),
+    ("greedy-pool-below-largest-level", MINIMAL_2D,
+     {"design.candidates": "15"}, "design.candidates"),
+    ("equispaced-nested-in-2d", MINIMAL_2D,
+     {"design.scheme": "equispaced_nested", "design.levels": "4, 9"}, "design.scheme"),
+    ("equispaced-levels-in-2d", MINIMAL_2D,
+     {"design.scheme": "equispaced_levels"}, "design.scheme"),
+    ("decay-in-2d", MINIMAL_2D, {"experiment.kind": "decay"}, "kernel.dim"),
+]
+
+
+@pytest.mark.parametrize("base,changes,names", [case[1:] for case in _BAD_CONFIGS],
+                         ids=[case[0] for case in _BAD_CONFIGS])
+def test_each_validation_rule_names_its_field(tmp_path, base, changes, names):
+    parse_config(edited_cfg(tmp_path, base, {}))  # the unedited config is valid
+    with pytest.raises(ConfigError) as info:
+        parse_config(edited_cfg(tmp_path, base, changes))
+    assert names in str(info.value)
+
+
+@pytest.mark.parametrize("base,dim,points", [(MINIMAL_1D, "1", "4097"),
+                                             (MINIMAL_2D, "2", "513")], ids=["1d", "2d"])
+def test_minimal_config_metadata_holds_the_defaults(tmp_path, base, dim, points):
+    md = cli.config_metadata(parse_config(edited_cfg(tmp_path, base, {})))
+    assert list(md) == [
+        "experiment.kind", "kernel.family", "kernel.gamma", "kernel.dim", "domain.lower",
+        "domain.upper", "design.scheme", "design.seed", "design.candidates",
+        "design.levels", "grid.points_per_axis", "output.prefix", "output.svg",
+        "output.xscale", "output.yscale"]
+    defaults = {"kernel.gamma": "1.0", "kernel.dim": dim, "design.seed": "0",
+                "design.candidates": "10000", "grid.points_per_axis": points,
+                "output.svg": "false", "output.xscale": "linear", "output.yscale": "linear"}
+    assert {key: str(md[key]) for key in defaults} == defaults
