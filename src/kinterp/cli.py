@@ -6,7 +6,11 @@ Subcommands:
     kinterp validate <config>   parse and check a config, print the result
     kinterp plot <csv> <spec>   chart columns of an emitted CSV
 
-Configs are flat key = value files with sections (see README). Outputs are
+Configs are flat key = value files with sections (see README). Each field
+outside [target] is one row of `_FIELDS`, which gives its parser, default
+and allowed values; the parsed config and the CSV metadata key it by the
+same "section.key" name. `validate` also builds the kernel and the target,
+so it accepts exactly the configs that `run` accepts. Outputs are
 deterministic for a fixed config: rerunning emits byte-identical CSVs. The
 environment variable KINTERP_THREADS pins the BLAS thread count, overriding
 the OMP/OpenBLAS/MKL/numexpr thread settings inherited from the caller; the
@@ -41,43 +45,13 @@ EXPERIMENTS = ("lebesgue_trace", "convergence", "norm_growth", "decay", "interp_
 KERNEL_NAMES = ("matern12", "matern32", "matern52", "gaussian", "w21")
 DESIGN_SCHEMES = ("greedy_low_discrepancy", "greedy_uniform_random",
                   "equispaced_nested", "equispaced_levels")
+SCALES = ("linear", "log")
 
 _TARGET_FREE = ("lebesgue_trace", "decay")
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    family: str
-    gamma: float = 1.0
-    dim: int = 1
-
-
-@dataclass(frozen=True)
-class DesignSpec:
-    scheme: str
-    levels: tuple[int, ...]
-    seed: int = 0
-    candidates: int = 10000
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    kernel: KernelSpec
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    design: DesignSpec
-    grid_points_per_axis: int
-    target_name: str | None
-    target_params: dict
-    output_prefix: str
-    svg: bool = False
-    xscale: str = "linear"
-    yscale: str = "linear"
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -94,16 +68,40 @@ def _parse_centers(text: str) -> list:
     return [(v,) for v in _floats(text)]
 
 
-_KNOWN_KEYS = {
-    "experiment": {"kind"},
-    "kernel": {"family", "gamma", "dim"},
-    "domain": {"lower", "upper"},
-    "design": {"scheme", "seed", "candidates", "levels"},
-    "grid": {"points_per_axis"},
-    "target": {"name", "value", "center", "power", "centers", "weights",
-               "width", "freq", "amplitude"},
-    "output": {"prefix", "svg", "xscale", "yscale"},
+def _flag(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "yes")
+
+
+# Every config field outside [target], in CSV metadata order:
+# "section.key": (parser of its text, default text or None if required,
+#                 allowed texts or None for any)
+_FIELDS = {
+    "experiment.kind": (str, None, EXPERIMENTS),
+    "kernel.family": (str, None, KERNEL_NAMES),
+    "kernel.gamma": (float, "1.0", None),
+    "kernel.dim": (int, "1", None),
+    "domain.lower": (_floats, None, None),
+    "domain.upper": (_floats, None, None),
+    "design.scheme": (str, None, DESIGN_SCHEMES),
+    "design.seed": (int, "0", None),
+    "design.candidates": (int, "10000", None),
+    "design.levels": (_ints, None, None),
+    "grid.points_per_axis": (lambda text: int(text or 0), "0", None),  # 0: by kernel.dim
+    "output.prefix": (str, None, None),
+    "output.svg": (_flag, "false", None),
+    "output.xscale": (str, "linear", SCALES),
+    "output.yscale": (str, "linear", SCALES),
 }
+# [target] holds the target's name and its parameters, floats except these
+_TARGET_PARSERS = {"centers": _parse_centers, "weights": _floats}
+_TARGET_FIELDS = {f"target.{key}" for key in ("name", "value", "center", "power", "centers",
+                                              "weights", "width", "freq", "amplitude")}
+_KNOWN = _FIELDS.keys() | _TARGET_FIELDS
+_SECTIONS = {name.partition(".")[0] for name in _KNOWN}
+
+# A parsed config: each _FIELDS name -> its value, plus "target.name" (None
+# without a target) and "target.params" (parameter name -> value).
+ExperimentConfig = dict
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -124,41 +122,30 @@ def parse_config(path) -> ExperimentConfig:
 
 def _validate(cp: configparser.ConfigParser) -> ExperimentConfig:
     """Check the sections and fields of a parsed config and build the
-    ExperimentConfig, raising ConfigError on the first problem."""
+    ExperimentConfig, raising ConfigError on the first problem. The kernel
+    and the target are built once, so a config that passes is one `run`
+    accepts."""
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if f"{section}.{key}" not in _KNOWN:
                 raise ConfigError(f"unknown field {section}.{key}")
 
-    def need(section, key):
-        if not cp.has_option(section, key):
-            raise ConfigError(f"missing required field {section}.{key}")
-        return cp.get(section, key)
+    cfg = {}
+    for name, (parse, default, allowed) in _FIELDS.items():
+        text = cp.get(*name.split("."), fallback=default)
+        if text is None:
+            raise ConfigError(f"missing required field {name}")
+        if allowed is not None and text not in allowed:
+            raise ConfigError(f"{name} must be one of {allowed}, got {text!r}")
+        try:
+            cfg[name] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
-    def opt(section, key, fallback=None):
-        return cp.get(section, key, fallback=fallback)
-
-    kind = need("experiment", "kind")
-    if kind not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment.kind must be one of {EXPERIMENTS}, got {kind!r}")
-
-    family = need("kernel", "family")
-    if family not in KERNEL_NAMES:
-        raise ConfigError(f"kernel.family must be one of {KERNEL_NAMES}, got {family!r}")
-    try:
-        gamma = float(opt("kernel", "gamma", "1.0"))
-        dim = int(opt("kernel", "dim", "1"))
-    except ValueError as exc:
-        raise ConfigError(f"kernel.gamma / kernel.dim: {exc}") from exc
-
-    try:
-        lower = _floats(need("domain", "lower"))
-        upper = _floats(need("domain", "upper"))
-    except ValueError as exc:
-        raise ConfigError(f"domain.lower / domain.upper: {exc}") from exc
+    kind, family, dim = cfg["experiment.kind"], cfg["kernel.family"], cfg["kernel.dim"]
+    lower, upper = cfg["domain.lower"], cfg["domain.upper"]
     if len(lower) != len(upper):
         raise ConfigError("domain.lower and domain.upper must have equal length")
     if len(lower) != dim:
@@ -167,21 +154,21 @@ def _validate(cp: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("domain.lower must be strictly below domain.upper")
     if family == "w21" and dim != 1:
         raise ConfigError("kernel.family w21 requires kernel.dim = 1")
-
-    scheme = need("design", "scheme")
-    if scheme not in DESIGN_SCHEMES:
-        raise ConfigError(f"design.scheme must be one of {DESIGN_SCHEMES}, got {scheme!r}")
     try:
-        levels = _ints(need("design", "levels"))
-        seed = int(opt("design", "seed", "0"))
-        candidates = int(opt("design", "candidates", "10000"))
-    except ValueError as exc:
-        raise ConfigError(f"design.levels / design.seed / design.candidates: {exc}") from exc
+        kernel = _build_kernel(cfg)
+    except kernels.KernelError as exc:
+        raise ConfigError(f"[kernel] {exc}") from exc
+
+    scheme, levels = cfg["design.scheme"], cfg["design.levels"]
     if not levels:
         raise ConfigError("design.levels must not be empty")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("design.levels must be strictly increasing")
-    if scheme.startswith("greedy") and candidates < max(levels):
+    if levels[0] < 1:
+        raise ConfigError("design.levels must be at least 1")
+    if cfg["design.seed"] < 0:
+        raise ConfigError("design.seed must be at least 0")
+    if scheme.startswith("greedy") and cfg["design.candidates"] < max(levels):
         raise ConfigError("design.candidates must cover the largest level")
     if scheme.startswith("equispaced") and dim != 1:
         raise ConfigError(f"design.scheme {scheme} is 1-d only")
@@ -195,83 +182,51 @@ def _validate(cp: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("norm_growth needs a nested design scheme")
     if kind == "decay" and dim != 1:
         raise ConfigError("decay experiments are 1-d (kernel.dim must be 1)")
+    if kind == "decay" and not family.startswith("matern"):
+        raise ConfigError("decay experiments need a Matern kernel.family")
 
-    try:
-        grid_ppa = int(opt("grid", "points_per_axis", "0") or 0)
-    except ValueError as exc:
-        raise ConfigError(f"grid.points_per_axis: {exc}") from exc
-    if grid_ppa == 0:
-        grid_ppa = 4097 if dim == 1 else 513
-    if grid_ppa < 33:
+    if cfg["grid.points_per_axis"] == 0:
+        cfg["grid.points_per_axis"] = 4097 if dim == 1 else 513
+    if cfg["grid.points_per_axis"] < 33:
         raise ConfigError("grid.points_per_axis must be at least 33")
 
-    target_name = opt("target", "name")
-    if kind not in _TARGET_FREE and target_name is None:
+    params = dict(cp["target"]) if cp.has_section("target") else {}
+    name = cfg["target.name"] = params.pop("name", None)
+    if kind not in _TARGET_FREE and name is None:
         raise ConfigError(f"experiment {kind} requires target.name")
-    target_params: dict = {}
-    if cp.has_section("target"):
-        for key in cp["target"]:
-            if key == "name":
-                continue
-            raw = cp.get("target", key)
-            if key == "centers":
-                target_params[key] = _parse_centers(raw)
-            elif key == "weights":
-                target_params[key] = list(_floats(raw))
-            else:
-                try:
-                    target_params[key] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"target.{key}: {exc}") from exc
+    for key, text in params.items():
+        try:
+            params[key] = _TARGET_PARSERS.get(key, float)(text)
+        except ValueError as exc:
+            raise ConfigError(f"target.{key}: {exc}") from exc
+    cfg["target.params"] = params
+    if name is not None:
+        try:
+            make_target(name, params, kernel, Box(lower=lower, upper=upper))
+        except ValueError as exc:  # TargetError, or a parameter of the wrong shape
+            raise ConfigError(f"[target] {exc}") from exc
+    return cfg
 
-    prefix = need("output", "prefix")
-    svg = opt("output", "svg", "false").strip().lower() in ("1", "true", "yes")
-    xscale = opt("output", "xscale", "linear")
-    yscale = opt("output", "yscale", "linear")
-    if xscale not in ("linear", "log") or yscale not in ("linear", "log"):
-        raise ConfigError("output.xscale / output.yscale must be 'linear' or 'log'")
 
-    return ExperimentConfig(
-        experiment=kind,
-        kernel=KernelSpec(family=family, gamma=gamma, dim=dim),
-        lower=lower, upper=upper,
-        design=DesignSpec(scheme=scheme, levels=levels, seed=seed, candidates=candidates),
-        grid_points_per_axis=grid_ppa,
-        target_name=target_name, target_params=target_params,
-        output_prefix=prefix, svg=svg, xscale=xscale, yscale=yscale,
-    )
+def _format(value) -> str:
+    """Metadata text of a parsed value: tuples joined with ", ", bools in
+    lower case, floats by repr, anything else by str."""
+    if isinstance(value, tuple):
+        return ", ".join(_format(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def config_metadata(cfg: ExperimentConfig) -> dict:
     """Flatten a config into the CSV metadata mapping; parse_metadata_config
     inverts this, so an emitted CSV fully determines a rerun."""
-    md = {
-        "experiment.kind": cfg.experiment,
-        "kernel.family": cfg.kernel.family,
-        "kernel.gamma": repr(cfg.kernel.gamma),
-        "kernel.dim": cfg.kernel.dim,
-        "domain.lower": ", ".join(repr(v) for v in cfg.lower),
-        "domain.upper": ", ".join(repr(v) for v in cfg.upper),
-        "design.scheme": cfg.design.scheme,
-        "design.seed": cfg.design.seed,
-        "design.candidates": cfg.design.candidates,
-        "design.levels": ", ".join(str(n) for n in cfg.design.levels),
-        "grid.points_per_axis": cfg.grid_points_per_axis,
-        "output.prefix": cfg.output_prefix,
-        "output.svg": str(cfg.svg).lower(),
-        "output.xscale": cfg.xscale,
-        "output.yscale": cfg.yscale,
-    }
-    if cfg.target_name is not None:
-        md["target.name"] = cfg.target_name
-        for key, val in sorted(cfg.target_params.items()):
-            if key == "centers":
-                md["target.centers"] = "; ".join(
-                    " ".join(repr(c) for c in pt) for pt in val)
-            elif key == "weights":
-                md["target.weights"] = ", ".join(repr(w) for w in val)
-            else:
-                md[f"target.{key}"] = repr(val)
+    md = {name: _format(cfg[name]) for name in _FIELDS}
+    if cfg["target.name"] is not None:
+        md["target.name"] = cfg["target.name"]
+        for key, val in sorted(cfg["target.params"].items()):
+            md[f"target.{key}"] = ("; ".join(" ".join(map(repr, pt)) for pt in val)
+                                   if key == "centers" else _format(val))
     return md
 
 
@@ -279,9 +234,9 @@ def parse_metadata_config(meta: dict) -> ExperimentConfig:
     """Rebuild an ExperimentConfig from CSV metadata (rerun round-trip)."""
     cp = configparser.ConfigParser()
     for key, value in meta.items():
-        section, _, name = key.partition(".")
-        if section not in _KNOWN_KEYS or name not in _KNOWN_KEYS[section]:
+        if key not in _KNOWN:
             continue
+        section, _, name = key.partition(".")
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section, name, str(value))
@@ -289,20 +244,19 @@ def parse_metadata_config(meta: dict) -> ExperimentConfig:
 
 
 def _build_kernel(cfg: ExperimentConfig):
-    fam = cfg.kernel.family
+    fam, gamma, dim = cfg["kernel.family"], cfg["kernel.gamma"], cfg["kernel.dim"]
     if fam == "gaussian":
-        return kernels.gaussian(gamma=cfg.kernel.gamma, dim=cfg.kernel.dim)
+        return kernels.gaussian(gamma=gamma, dim=dim)
     if fam == "w21":
-        return kernels.interval_sobolev(cfg.lower[0], cfg.upper[0])
+        return kernels.interval_sobolev(cfg["domain.lower"][0], cfg["domain.upper"][0])
     nu = {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}[fam]
-    return kernels.matern(nu=nu, gamma=cfg.kernel.gamma, dim=cfg.kernel.dim)
+    return kernels.matern(nu=nu, gamma=gamma, dim=dim)
 
 
 def _build_levels(cfg: ExperimentConfig, domain) -> list:
     """The point set of every level: nested prefixes of one design, or for
     `equispaced_levels` independent equispaced sets."""
-    scheme = cfg.design.scheme
-    levels = cfg.design.levels
+    scheme, levels = cfg["design.scheme"], cfg["design.levels"]
     if scheme == "equispaced_levels":
         return [geometry.equispaced_interval(domain.lower[0], domain.upper[0], n)
                 for n in levels]
@@ -312,8 +266,8 @@ def _build_levels(cfg: ExperimentConfig, domain) -> list:
     else:
         pool_scheme = ("low_discrepancy" if scheme == "greedy_low_discrepancy"
                        else "uniform_random")
-        cands = geometry.generate_candidates(domain, cfg.design.candidates, pool_scheme,
-                                             seed=cfg.design.seed)
+        cands = geometry.generate_candidates(domain, cfg["design.candidates"], pool_scheme,
+                                             seed=cfg["design.seed"])
         center = 0.5 * (np.asarray(domain.lower) + np.asarray(domain.upper))
         seed_index = int(np.argmin(np.sum((cands.points - center) ** 2, axis=1)))
         design = geometry.geometric_greedy(cands, max(levels), seed_index, levels)
@@ -378,24 +332,24 @@ def _decay_rows(kernel, domain, level_sets, grid) -> list[dict]:
 
 def run(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     """Execute one experiment; returns (exit_code, written file paths)."""
-    domain = Box(lower=cfg.lower, upper=cfg.upper)
+    domain = Box(lower=cfg["domain.lower"], upper=cfg["domain.upper"])
     kernel = _build_kernel(cfg)
-    target = (None if cfg.target_name is None
-              else make_target(cfg.target_name, cfg.target_params, kernel, domain))
+    target = (None if cfg["target.name"] is None
+              else make_target(cfg["target.name"], cfg["target.params"], kernel, domain))
     level_sets = _build_levels(cfg, domain)
-    grid = dg.EvalGrid.tensor(domain, cfg.grid_points_per_axis)
+    grid = dg.EvalGrid.tensor(domain, cfg["grid.points_per_axis"])
     meta = config_metadata(cfg)
-    out_prefix = Path(cfg.output_prefix)
+    out_prefix = Path(cfg["output.prefix"])
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = str(out_prefix) + ".csv"
 
-    if cfg.experiment == "interp_once":
+    if cfg["experiment.kind"] == "interp_once":
         X = level_sets[0]
         interpolant_to_csv(fit(kernel, X, target(X.points)), csv_path)
         return 0, [csv_path]
 
-    kind = _KINDS[cfg.experiment]
-    if cfg.experiment == "decay":
+    kind = _KINDS[cfg["experiment.kind"]]
+    if cfg["experiment.kind"] == "decay":
         rows, columns = _decay_rows(kernel, domain, level_sets, grid), dg.DECAY_COLUMNS
     else:
         rows = dg.measure_levels(kernel, level_sets, grid, target, **kind.quantities)
@@ -406,13 +360,13 @@ def run(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     written = [csv_path]
     # a level counts as measured when its charted values are finite (failed ones hold nan)
     good = [r for r in rows if all(math.isfinite(r[y]) for _, _, y in kind.series)]
-    if cfg.svg and good:
+    if cfg["output.svg"] and good:
         svg_path = str(out_prefix) + ".svg"
         emit_svg([Series(label, tuple(r[x] for r in good), tuple(r[y] for r in good))
                   for label, x, y in kind.series],
                  AxesSpec(xlabel=kind.xlabel, ylabel=kind.ylabel,
-                          xscale="log" if kind.log_log else cfg.xscale,
-                          yscale="log" if kind.log_log else cfg.yscale,
+                          xscale="log" if kind.log_log else cfg["output.xscale"],
+                          yscale="log" if kind.log_log else cfg["output.yscale"],
                           title=kind.title.format(*extra.values())), svg_path)
         written.append(svg_path)
     return (2 if not good else 0), written

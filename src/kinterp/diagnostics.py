@@ -39,7 +39,8 @@ from .interpolation import (
     lagrange_coefficients,
     native_norm,
 )
-from .kernels import Kernel, ScratchGram, _run_tiles, assemble_gram, kernel_matrix  # noqa: F401 (re-exported)
+from .kernels import (  # noqa: F401 (kernel_matrix is re-exported)
+    MATERN, Kernel, ScratchGram, _run_tiles, assemble_gram, kernel_matrix)
 
 BOUNDED_LIKE = "bounded-like"
 DIVERGING_LIKE = "diverging-like"
@@ -233,8 +234,6 @@ def decay_profile(kernel: Kernel, X: PointSet, i: int, grid: EvalGrid,
     cancellation noise, not decay. 1-d Matern kernels only (integer native
     order). Fewer than 8 usable points raises.
     """
-    from .kernels import MATERN
-
     if kernel.family != MATERN or kernel.dim != 1 or X.domain.dim != 1:
         raise DiagnosticsError("decay_profile needs a 1-d Matern kernel")
     if h <= 0:

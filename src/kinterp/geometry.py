@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DISTINCTNESS_REL_TOL, DuplicateNodesError, _usable_cpus
+from .kernels import (DISTINCTNESS_REL_TOL, DuplicateNodesError, _usable_cpus,
+                      min_pairwise_distance)
 
 SAMPLING_NONE = "none"
 SAMPLING_WEAK_100 = "weak-100"
@@ -99,11 +100,9 @@ class PointSet:
             )
         if not self.domain.contains(pts):
             raise GeometryError("every point must lie inside the domain box")
-        if len(pts) > 1:
-            from .kernels import min_pairwise_distance
-
-            if min_pairwise_distance(pts) < DISTINCTNESS_REL_TOL * self.domain.diameter:
-                raise DuplicateNodesError("point set contains duplicate points")
+        if (len(pts) > 1 and
+                min_pairwise_distance(pts) < DISTINCTNESS_REL_TOL * self.domain.diameter):
+            raise DuplicateNodesError("point set contains duplicate points")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -157,8 +156,6 @@ def _tensor_points(axes) -> np.ndarray:
 
 def separation_distance(X: PointSet) -> float:
     """Half the minimum pairwise distance."""
-    from .kernels import min_pairwise_distance
-
     if len(X) < 2:
         raise GeometryError("separation distance undefined for fewer than 2 points")
     return 0.5 * min_pairwise_distance(X.points)

@@ -185,32 +185,31 @@ class Interpolant:
         return len(self.coefficients)
 
 
-def fit(kernel: Kernel, X: PointSet, values, factorization: Factorization | None = None,
-        gram: GramMatrix | None = None) -> Interpolant:
+def fit(kernel: Kernel, X: PointSet, values,
+        factorization: Factorization | None = None) -> Interpolant:
     """Solve the Gram system for the minimal-norm interpolant of the data.
 
-    Without a factorization or a Gram, the Gram is assembled and handed
-    over to `factorize`, so the fit holds one n x n array. A precomputed
-    factorization (and the Gram it came from) can be shared across fits on
-    the same node set, except one of a handed-over Gram: its buffer is
-    turned back into K for the residual, so the fit spends it. The
-    post-solve residual against the unjittered Gram matrix is recorded, and
-    a warning is emitted when it exceeds 1e-8 relative to the data; it is
-    never silently discarded.
+    Without a factorization, the Gram is assembled and handed over to
+    `factorize`, so the fit holds one n x n array. A precomputed
+    factorization can be shared across fits on the same node set, except
+    one of a handed-over Gram: its buffer is turned back into K for the
+    residual, so the fit spends it. With any other factorization K is
+    assembled again for the residual, to the same bits. The post-solve
+    residual against the unjittered Gram matrix is recorded, and a warning
+    is emitted when it exceeds 1e-8 relative to the data; it is never
+    silently discarded.
     """
     r = np.asarray(values, dtype=float)
     if r.shape != (len(X),):
         raise ValueError(f"got {r.shape[0] if r.ndim else 0} values for {len(X)} nodes")
     if factorization is None:
-        if gram is None:
-            gram = ScratchGram(assemble_gram(kernel, X).entries)
-        factorization = factorize(gram)
+        factorization = factorize(ScratchGram(assemble_gram(kernel, X).entries))
     alpha = factorization.solve(r)
     if factorization.gram_diagonal is not None:
         _restore_gram(factorization.lower, factorization.gram_diagonal)
         K = factorization.lower.T
     else:
-        K = (gram if gram is not None else assemble_gram(kernel, X)).entries
+        K = assemble_gram(kernel, X).entries
     resid = float(np.max(np.abs(K @ alpha - r))) if len(r) else 0.0
     tol = 1e-8 * max(float(np.max(np.abs(r))), 1e-300)
     if resid > tol:

@@ -93,8 +93,9 @@ class Kernel:
             )
         if self.family != MATERN and self.nu is not None:
             raise KernelError("nu is a Matern-only parameter")
-        if self.gamma <= 0:
-            raise KernelError(f"shape parameter gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:  # nan too: it would give nan Grams, flagged nowhere
+            raise KernelError(
+                f"shape parameter gamma must be positive and finite, got {self.gamma}")
         if self.dim < 1:
             raise KernelError(f"dimension must be a positive integer, got {self.dim}")
         if self.family == INTERVAL_W21:
@@ -351,12 +352,13 @@ def assemble_gram(kernel: Kernel, nodes) -> GramMatrix:
     """
     from .geometry import PointSet
 
-    pts = getattr(nodes, "points", nodes)
-    pts = _as_points(pts, kernel.dim)
+    checked = isinstance(nodes, PointSet)
+    pts = _as_points(nodes.points if checked else nodes, kernel.dim)
     n = pts.shape[0]
-    if n > 1 and not isinstance(nodes, PointSet):
-        diam = _domain_diameter(nodes, pts)
-        if min_pairwise_distance(pts) < DISTINCTNESS_REL_TOL * diam:
+    if n > 1 and not checked:
+        span = pts.max(axis=0) - pts.min(axis=0)
+        diam = float(np.sqrt(np.sum(span * span)))  # of the bounding box
+        if min_pairwise_distance(pts) < DISTINCTNESS_REL_TOL * (diam if diam > 0 else 1.0):
             raise DuplicateNodesError(
                 "node set contains points closer than the distinctness tolerance"
             )
@@ -389,12 +391,3 @@ def mirror_upper(A: np.ndarray) -> None:
         for i0 in range(j0 + GRAM_ROW_BLOCK, n, GRAM_ROW_BLOCK):
             rows = slice(i0, i0 + GRAM_ROW_BLOCK)
             A[rows, cols] = A[cols, rows].T
-
-
-def _domain_diameter(nodes, pts: np.ndarray) -> float:
-    dom = getattr(nodes, "domain", None)
-    if dom is not None:
-        return dom.diameter
-    span = pts.max(axis=0) - pts.min(axis=0)
-    d = float(np.sqrt(np.sum(span * span)))
-    return d if d > 0 else 1.0

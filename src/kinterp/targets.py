@@ -57,6 +57,8 @@ def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box) -> 
         center = np.asarray(p.get("center", [0.5] * dim), dtype=float).reshape(1, dim)
         fn = lambda x, c=center: kernel_matrix(kernel, x, c)[:, 0]
     elif name == "translate_combo":
+        if "centers" not in p:
+            raise TargetError("translate_combo needs centers")
         centers = _centers_array(p, dim)
         weights = np.asarray(p.get("weights", np.ones(len(centers))), dtype=float)
         if weights.shape != (len(centers),):

@@ -416,7 +416,6 @@ def edited_cfg(tmp_path, base, changes):
 
 _REQUIRED = ("experiment.kind", "kernel.family", "domain.lower", "domain.upper",
              "design.scheme", "design.levels", "output.prefix")
-_TARGET_ABS = {"target.name": "abs_power", "target.center": "0.5"}
 
 # (id, base config, changes, text the error must contain), one case per rule
 _BAD_CONFIGS = [
@@ -435,7 +434,7 @@ _BAD_CONFIGS = [
     ("candidates-not-an-int", MINIMAL_1D, {"design.candidates": "x"}, "design.candidates"),
     ("grid-not-an-int", MINIMAL_1D, {"grid.points_per_axis": "x"}, "grid.points_per_axis"),
     ("target-parameter-not-a-number", MINIMAL_1D,
-     {**_TARGET_ABS, "target.power": "abc"}, "target.power"),
+     {"target.name": "abs_power", "target.power": "abc"}, "target.power"),
     ("domain-lengths-differ", MINIMAL_1D, {"domain.lower": "0.0, 0.0"}, "domain.lower"),
     ("domain-dimension-not-kernel-dim", MINIMAL_2D, {"kernel.dim": None}, "kernel.dim"),
     ("domain-bounds-reversed", MINIMAL_1D,
@@ -473,3 +472,31 @@ def test_minimal_config_metadata_holds_the_defaults(tmp_path, base, dim, points)
                 "design.candidates": "10000", "grid.points_per_axis": points,
                 "output.svg": "false", "output.xscale": "linear", "output.yscale": "linear"}
     assert {key: str(md[key]) for key in defaults} == defaults
+
+
+# Configs that `run` cannot do, so `validate` must reject them as well
+_RUN_WOULD_FAIL = [
+    ("negative-gamma", MINIMAL_1D, {"kernel.gamma": "-1.0"}, "[kernel]"),
+    ("nan-gamma", MINIMAL_1D, {"kernel.gamma": "nan"}, "[kernel]"),
+    ("level-of-zero-nodes", MINIMAL_1D, {"design.levels": "0, 1, 3"}, "design.levels"),
+    ("unknown-target", MINIMAL_1D, {"target.name": "nosuch"}, "[target]"),
+    ("translate-combo-without-centers", MINIMAL_1D,
+     {"target.name": "translate_combo"}, "centers"),
+    ("negative-seed", MINIMAL_2D,
+     {"design.scheme": "greedy_uniform_random", "design.seed": "-3"}, "design.seed"),
+    ("decay-with-gaussian", MINIMAL_1D,
+     {"experiment.kind": "decay", "kernel.family": "gaussian",
+      "design.scheme": "equispaced_levels"}, "kernel.family"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("base,changes,names", [case[1:] for case in _RUN_WOULD_FAIL],
+                         ids=[case[0] for case in _RUN_WOULD_FAIL])
+def test_validate_rejects_what_run_cannot_do(tmp_path, monkeypatch, capsys, command,
+                                             base, changes, names):
+    monkeypatch.chdir(tmp_path)
+    cfg = edited_cfg(tmp_path, base, changes)
+    assert cli.main([command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and names in err

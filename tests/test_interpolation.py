@@ -377,8 +377,8 @@ def _gram_cases():
 
 
 def test_fit_turns_a_handed_over_buffer_back_into_the_gram():
-    # the residual multiplies the same array by the same @ as the
-    # copied path, so the fits are bit-equal
+    # the residual multiplies the same bits by the same @ as a fit that
+    # assembles K again, so the fits are bit-equal
     rng = np.random.default_rng(8)
     for kernel, X in _gram_cases():
         gram = assemble_gram(kernel, X)
@@ -387,7 +387,7 @@ def test_fit_turns_a_handed_over_buffer_back_into_the_gram():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the jittered fit's residual warning
             s = fit(kernel, X, r, factorization=f)
-            ref = fit(kernel, X, r, factorization=factorize(gram), gram=gram)
+            ref = fit(kernel, X, r, factorization=factorize(gram))
         assert np.array_equal(f.lower.T, gram.entries)
         assert f.lower.T.flags.c_contiguous
         assert np.array_equal(s.coefficients, ref.coefficients)
@@ -412,15 +412,10 @@ def test_fit_hands_its_own_gram_over(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             s = fit(kernel, X, r)
-            ref = fit(kernel, X, r, factorization=factorize_(gram), gram=gram)
+            ref = fit(kernel, X, r, factorization=factorize_(gram))
         assert np.array_equal(s.coefficients, ref.coefficients)
         assert s.residual_inf == ref.residual_inf and s.jitter == ref.jitter
     assert seen == [ScratchGram] * 3
-    # a Gram passed in is the caller's: copied, not handed over
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fit(kernel, X, r, gram=gram)
-    assert seen[-1] is GramMatrix
 
 
 def test_norm_growth_level_holds_one_dense_array():
@@ -651,8 +646,8 @@ def test_linearity_exact_power_of_two_scaling():
     fact = factorize(gram)
     rng = np.random.default_rng(9)
     r = rng.standard_normal(17)
-    s1 = fit(matern(1.5), X, r, factorization=fact, gram=gram)
-    s2 = fit(matern(1.5), X, 4.0 * r, factorization=fact, gram=gram)
+    s1 = fit(matern(1.5), X, r, factorization=fact)
+    s2 = fit(matern(1.5), X, 4.0 * r, factorization=fact)
     # scaling by a power of two is exact in floating point
     assert np.array_equal(s2.coefficients, 4.0 * s1.coefficients)
 
@@ -664,9 +659,9 @@ def test_linearity_general_combination():
     rng = np.random.default_rng(19)
     r1, r2 = rng.standard_normal(17), rng.standard_normal(17)
     a, b = 0.37, -1.2
-    s1 = fit(matern(1.5), X, r1, factorization=fact, gram=gram)
-    s2 = fit(matern(1.5), X, r2, factorization=fact, gram=gram)
-    s3 = fit(matern(1.5), X, a * r1 + b * r2, factorization=fact, gram=gram)
+    s1 = fit(matern(1.5), X, r1, factorization=fact)
+    s2 = fit(matern(1.5), X, r2, factorization=fact)
+    s3 = fit(matern(1.5), X, a * r1 + b * r2, factorization=fact)
     combo = a * s1.coefficients + b * s2.coefficients
     scale = np.max(np.abs(combo))
     assert np.max(np.abs(s3.coefficients - combo)) <= 1e-12 * scale

@@ -260,8 +260,9 @@ def test_factorization_without_jitter_at_moderate_separation():
 def test_invalid_parameters_rejected():
     with pytest.raises(kernels.KernelError):
         matern(1.0)  # not a supported half-integer
-    with pytest.raises(kernels.KernelError):
-        matern(1.5, gamma=0.0)
+    for gamma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(kernels.KernelError, match="gamma"):
+            matern(1.5, gamma=gamma)
     with pytest.raises(kernels.KernelError):
         interval_sobolev(1.0, 0.0)
     with pytest.raises(kernels.KernelError):
