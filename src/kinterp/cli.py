@@ -93,7 +93,7 @@ _FIELDS = {
     "output.yscale": (str, "linear", SCALES),
 }
 # [target] holds the target's name and its parameters, floats except these
-_TARGET_PARSERS = {"centers": _parse_centers, "weights": _floats}
+_TARGET_PARSERS = {"center": _floats, "centers": _parse_centers, "weights": _floats}
 _TARGET_FIELDS = {f"target.{key}" for key in ("name", "value", "center", "power", "centers",
                                               "weights", "width", "freq", "amplitude")}
 _KNOWN = _FIELDS.keys() | _TARGET_FIELDS

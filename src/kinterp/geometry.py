@@ -10,7 +10,8 @@ Fill distances are exact on intervals (closed form over the sorted gaps) and
 probe-grid lower bounds in higher dimension, with error at most half the
 probe spacing times sqrt(N). On a tensor probe (`TensorProbe`) the maximum is
 found by a bounded search over cells of the probe that queries only the
-points that can still reach it.
+points that can still reach it. Nearest-node distances in dimension >= 2
+come from the exact sweep in `kernels`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (DISTINCTNESS_REL_TOL, DuplicateNodesError, _usable_cpus,
+from .kernels import (DISTINCTNESS_REL_TOL, DuplicateNodesError, _nearest_distance_to,
                       min_pairwise_distance)
 
 SAMPLING_NONE = "none"
@@ -31,8 +32,11 @@ SAMPLING_STRONG_1200 = "strong-1200"
 DEFAULT_FILL_PROBE = 1001
 # Probe index steps per axis of one cell of the bounded fill-distance search.
 FILL_CELL = 8
-# Most probe points handed to one kd-tree query of that search.
-_FILL_BATCH = 1 << 18
+# Most probe points handed to one nearest-node sweep, by that search and by
+# a query of a probe array. Each sweep step makes some twenty numpy passes
+# over the live queries, which stay in cache at this size; much smaller
+# batches leave the Python loop dominant.
+_FILL_BATCH = 1 << 15
 
 
 class GeometryError(ValueError):
@@ -193,32 +197,28 @@ def fill_distance_grid(X: PointSet, probe) -> float:
         if len(X) == 0 or len(probe) == 0:
             raise GeometryError("fill distance needs nonempty nodes and probe")
         if X.domain.dim > 1:
-            from scipy.spatial import cKDTree
-
-            return _bounded_fill_distance(cKDTree(X.points), probe.axes)
+            return _bounded_fill_distance(_nearest_distance_to(X.points), probe.axes)
         probe = probe.axes[0][:, None]
     probe_pts = np.atleast_2d(np.asarray(probe, float))
     if len(X) == 0 or probe_pts.shape[0] == 0:
         raise GeometryError("fill distance needs nonempty nodes and probe")
     if X.domain.dim == 1:
-        # sorted scan, much faster than a tree for 10^6-point probes
+        # each probe point against its two neighbours in the sorted nodes
         nodes = np.sort(X.points[:, 0])
         p = probe_pts[:, 0]
         idx = np.searchsorted(nodes, p)
         left = np.where(idx > 0, np.abs(p - nodes[np.maximum(idx - 1, 0)]), np.inf)
         right = np.where(idx < len(nodes), np.abs(nodes[np.minimum(idx, len(nodes) - 1)] - p), np.inf)
         return float(np.minimum(left, right).max())
-    from scipy.spatial import cKDTree
-
-    # each probe point is queried on its own, so the split across workers
-    # cannot change the distances
-    d, _ = cKDTree(X.points).query(probe_pts, workers=_usable_cpus())
-    return float(np.max(d))
+    nearest = _nearest_distance_to(X.points)
+    return max(float(nearest(probe_pts[i:i + _FILL_BATCH]).max())
+               for i in range(0, len(probe_pts), _FILL_BATCH))
 
 
-def _bounded_fill_distance(tree, axes) -> float:
-    """Max over the tensor probe `axes` of the nearest-node distance in
-    `tree`, by branch and bound over cells of the probe.
+def _bounded_fill_distance(nearest, axes) -> float:
+    """Max over the tensor probe `axes` of the nearest-node distance that
+    `nearest` maps query points to, by branch and bound over cells of the
+    probe.
 
     The cells are blocks of FILL_CELL index steps per axis, the last one
     ending at the last index. The cell corners are queried first; their
@@ -228,13 +228,14 @@ def _bounded_fill_distance(tree, axes) -> float:
     every distance in the cell, the factor covering float rounding. Only the
     points of cells whose bound reaches the best distance found so far are
     queried. A cell that holds the maximizing probe point has a bound at or
-    above every distance found, so it is never dropped, and its points are
-    queried in the same tree: the result is the float the full query gives.
+    above every distance found, so it is never dropped, and each of its
+    points is queried on its own: the result is the float the full query
+    gives.
     """
     d = len(axes)
     cuts = [np.append(np.arange(0, max(len(ax) - 1, 1), FILL_CELL), len(ax) - 1)
             for ax in axes]
-    low = _nearest_on_tensor(tree, [ax[c] for ax, c in zip(axes, cuts)])
+    low = _nearest_on_tensor(nearest, [ax[c] for ax, c in zip(axes, cuts)])
     best = float(low.max())
     diag2 = 0.0
     for j, (ax, c) in enumerate(zip(axes, cuts)):
@@ -268,21 +269,19 @@ def _bounded_fill_distance(tree, axes) -> float:
             keep &= (idx < stops[j][cells[:, j], None]).reshape(view)
             coords.append(ax[np.minimum(idx, len(ax) - 1)].reshape(view))
         pts = np.stack([np.broadcast_to(c, shape)[keep] for c in coords], axis=-1)
-        dist, _ = tree.query(pts, workers=_usable_cpus())
-        best = max(best, float(dist.max()))
+        best = max(best, float(nearest(pts).max()))
     return best
 
 
-def _nearest_on_tensor(tree, axes) -> np.ndarray:
-    """Nearest-node distance in `tree` of every point of the tensor grid of
-    `axes`, shaped like the grid; queried in slabs along the first axis."""
+def _nearest_on_tensor(nearest, axes) -> np.ndarray:
+    """The `nearest` distance of every point of the tensor grid of `axes`,
+    shaped like the grid; queried in slabs along the first axis."""
     shape = tuple(len(ax) for ax in axes)
     rows = max(1, _FILL_BATCH // math.prod(shape[1:]))
     out = np.empty(shape)
     for first in range(0, shape[0], rows):
         slab = (axes[0][first:first + rows],) + tuple(axes[1:])
-        dist, _ = tree.query(_tensor_points(slab), workers=_usable_cpus())
-        out[first:first + rows] = dist.reshape((-1,) + shape[1:])
+        out[first:first + rows] = nearest(_tensor_points(slab)).reshape((-1,) + shape[1:])
     return out
 
 

@@ -21,6 +21,10 @@ calls produce bit-identical values. Blocks larger than one row tile are
 filled on a process-wide thread pool, and every entry keeps the bits of a
 one-pass evaluation. Everything here is pure and safe to call from multiple
 threads.
+
+Minimum pairwise distances (the duplicate-node check) and nearest-node
+distances in dimension >= 2 come from one exact numpy sweep over the points
+sorted on one axis (`_sweep`).
 """
 
 from __future__ import annotations
@@ -328,16 +332,99 @@ def eval(kernel: Kernel, x, y) -> float:  # noqa: A001 - spec-level operation na
 
 def min_pairwise_distance(points: np.ndarray) -> float:
     """Exact minimum pairwise Euclidean distance: the smallest gap of the
-    sorted coordinates in 1-d, a nearest-neighbor query in higher dimension."""
+    sorted coordinates in 1-d, a sweep over the sorted points (`_sweep`)
+    in higher dimension."""
     pts = np.atleast_2d(points)
     if pts.shape[0] < 2:
         raise ValueError("need at least two points")
     if pts.shape[1] == 1:
         return float(np.diff(np.sort(pts[:, 0])).min())
-    from scipy.spatial import cKDTree
+    nodes, key = _sweep_axes(pts)
+    best = np.array(np.inf)
+    # each point walks only to the points after it in the sort order
+    _sweep(nodes, key, [a[1:-1] for a in nodes], np.arange(2, len(pts) + 2), 1, best)
+    return float(np.sqrt(best))
 
-    d, _ = cKDTree(pts).query(pts, k=2)
-    return float(d[:, 1].min())
+
+def _nearest_distance_to(points: np.ndarray):
+    """The function that maps an (m, N) array of queries to each query's
+    distance to the nearest of `points`, by `_sweep`; the points are
+    sorted once, when this is called."""
+    nodes, key = _sweep_axes(np.atleast_2d(points))
+
+    def nearest(queries: np.ndarray) -> np.ndarray:
+        q = [np.ascontiguousarray(queries[:, k]) for k in range(len(nodes))]
+        # first node at or after each query on the sort axis
+        pos = np.searchsorted(nodes[key], q[key])
+        best = np.full(len(queries), np.inf)
+        _sweep(nodes, key, q, pos, 1, best)
+        _sweep(nodes, key, q, pos - 1, -1, best)
+        return np.sqrt(best, out=best)
+
+    return nearest
+
+
+def _sweep_axes(points: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """The coordinates of `points`, one array per axis, sorted on the axis
+    of widest spread, and that axis. Each array has one sentinel at either
+    end: -inf and +inf on the sort axis, 0 on the others, so a walk that
+    reaches one is at an infinite distance and stops."""
+    span = points.max(axis=0) - points.min(axis=0)
+    key = int(np.argmax(span))
+    order = np.argsort(points[:, key], kind="stable")
+    return [np.concatenate(([-np.inf if k == key else 0.0], points[order, k],
+                            [np.inf if k == key else 0.0]))
+            for k in range(points.shape[1])], key
+
+
+def _sweep(nodes: list, key: int, queries: list, start: np.ndarray, step: int,
+           best: np.ndarray) -> None:
+    """Lower best[i], a squared distance, to the least squared distance
+    from query i to the nodes start[i], start[i] + step, ... of `nodes`
+    (from `_sweep_axes`), walked one index shift at a time, vectorised
+    across the queries. Queries are given as one coordinate array per
+    axis. A 0-d `best` is one bound shared by all queries, lowered to the
+    least squared distance of any of them.
+
+    Squared distances are summed one axis at a time, in axis order, and
+    the caller takes the square root only after the minimum; in 2-d and
+    3-d that is the arithmetic of scipy's kd-tree for p = 2, and the tests
+    check the results against it bit for bit. A walk stops once the squared gap on the sort axis `key` to
+    the node just reached is at least its query's best: every later node
+    lies at least as far along that axis, rounding is monotone, and a sum
+    of nonnegative axis terms is no less than any one of them, so no later
+    node can come closer.
+    """
+    # the walks not yet dropped: query index, node position, coordinates,
+    # best, and whether each is still running. A stopped walk is carried on
+    # until a quarter of them have stopped: its later nodes cannot come
+    # closer, and `take` clips its position to the sentinel.
+    idx = np.arange(len(start))
+    pos = np.array(start)
+    low = best.copy() if best.ndim else best
+    running = np.ones(len(idx), dtype=bool)
+    while idx.size:
+        d2 = gap2 = None
+        for k, (q, p) in enumerate(zip(queries, nodes)):
+            t = q - p.take(pos, mode="clip")
+            t *= t
+            d2 = t if d2 is None else d2 + t
+            if k == key:
+                gap2 = t
+        if best.ndim:
+            np.minimum(low, d2, out=low)
+        else:
+            best[()] = min(best, d2.min())
+        pos += step
+        running &= gap2 < low
+        count = np.count_nonzero(running)
+        if count < 0.75 * idx.size:
+            if best.ndim:
+                best[idx] = low
+                low = low[running]
+            idx, pos = idx[running], pos[running]
+            queries = [q[running] for q in queries]
+            running = np.ones(count, dtype=bool)
 
 
 def assemble_gram(kernel: Kernel, nodes) -> GramMatrix:

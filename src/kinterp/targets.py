@@ -65,7 +65,10 @@ def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box) -> 
             raise TargetError("weights must match the number of centers")
         fn = lambda x, c=centers, w=weights: kernel_matrix(kernel, x, c) @ w
     elif name == "smooth_step":
-        center = float(p.get("center", 0.5))
+        center = np.asarray(p.get("center", 0.5), dtype=float)
+        if center.size != 1:
+            raise TargetError("smooth_step center must be one number")
+        center = center.item()
         width = float(p.get("width", 0.1))
         if width <= 0:
             raise TargetError("smooth_step width must be positive")

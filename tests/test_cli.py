@@ -500,3 +500,31 @@ def test_validate_rejects_what_run_cannot_do(tmp_path, monkeypatch, capsys, comm
     assert cli.main([command, cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and names in err
+
+
+def test_target_center_takes_one_coordinate_per_axis(tmp_path, monkeypatch, capsys):
+    from kinterp.geometry import Box
+    from kinterp.targets import make_target
+
+    monkeypatch.chdir(tmp_path)
+    cfg = edited_cfg(tmp_path, MINIMAL_2D, {"experiment.kind": "convergence",
+                                            "target.name": "abs_power",
+                                            "target.center": "0.3, 0.6"})
+    assert cli.main(["validate", cfg]) == 0
+    assert "target.center = 0.3, 0.6" in capsys.readouterr().out
+    parsed = parse_config(cfg)
+    assert parse_metadata_config(cli.config_metadata(parsed))["target.params"] == {
+        "center": (0.3, 0.6)}
+    target = make_target("abs_power", parsed["target.params"], None, Box.unit_cube(2))
+    assert target([[0.3, 0.6], [0.5, 0.5]])[0] == 0.0
+    # a 1-d center reads and prints as one number
+    one_d = parse_config(edited_cfg(tmp_path, MINIMAL_1D, {
+        "experiment.kind": "convergence", "target.name": "smooth_step",
+        "target.center": "0.3"}))
+    assert cli.config_metadata(one_d)["target.center"] == "0.3"
+    step = make_target("smooth_step", one_d["target.params"], None, Box.unit_cube(1))
+    assert step([[0.3]])[0] == 0.5
+    with pytest.raises(ConfigError, match="smooth_step center"):
+        parse_config(edited_cfg(tmp_path, MINIMAL_2D, {
+            "experiment.kind": "convergence", "target.name": "smooth_step",
+            "target.center": "0.3, 0.6"}))

@@ -471,7 +471,6 @@ def tile_workers(monkeypatch):
 
     def use(count):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: count)
-        monkeypatch.setattr(geometry, "_usable_cpus", lambda: count)
         monkeypatch.setattr(kernels, "_pool", None)
 
     yield use

@@ -164,16 +164,21 @@ def square_greedy_design(pool):
 
 @pytest.mark.parametrize("pool", [10000, 9300])
 def test_bounded_fill_search_on_square_design(pool, monkeypatch):
-    from scipy import spatial
+    from scipy.spatial import cKDTree
 
     queried = [0]
+    sweep = geo._nearest_distance_to
 
-    class CountingTree(spatial.cKDTree):
-        def query(self, x, *args, **kwargs):
-            queried[0] += len(x)
-            return super().query(x, *args, **kwargs)
+    def counting_sweep(points):
+        nearest = sweep(points)
 
-    monkeypatch.setattr(spatial, "cKDTree", CountingTree)
+        def counted(queries):
+            queried[0] += len(queries)
+            return nearest(queries)
+
+        return counted
+
+    monkeypatch.setattr(geo, "_nearest_distance_to", counting_sweep)
     design = square_greedy_design(pool)
     probe = TensorProbe.on_box(Box.unit_cube(2), geo.DEFAULT_FILL_PROBE)
     probe_points = geo._tensor_points(probe.axes)
@@ -184,6 +189,7 @@ def test_bounded_fill_search_on_square_design(pool, monkeypatch):
         searched = queried[0]
         assert h == fill_distance_grid(X, probe_points)
         assert queried[0] - searched == len(probe)  # the counter sees every query
+        assert h == float(cKDTree(X.points).query(probe_points)[0].max())
     # at n = 400 the bounded search queries a small part of the probe, so a
     # silent fallback to the full query fails here
     assert searched < 0.05 * len(probe)

@@ -218,6 +218,23 @@ def test_lapack_loads_without_scipy_linalg():
     assert out.split() == ["1.0", "2.0", "False", "True"]
 
 
+def test_2d_levels_load_no_scipy_spatial():
+    # duplicate checks and fill distances are numpy sweeps: scipy.spatial
+    # would also load scipy.sparse and scipy.linalg, about 0.4 s and 32 MB
+    out = _fresh_interpreter(
+        "import sys\n"
+        "import kinterp\n"
+        "box = kinterp.Box(lower=(0.0, 0.0), upper=(1.0, 1.0))\n"
+        "pool = kinterp.generate_candidates(box, 400, 'low_discrepancy')\n"
+        "design = kinterp.geometric_greedy(pool, 20, 0, (10, 20))\n"
+        "rows = kinterp.measure_levels(kinterp.matern(1.5, gamma=5.0, dim=2),\n"
+        "                              [design.level_points(i) for i in range(2)],\n"
+        "                              kinterp.EvalGrid.tensor(box, 33), lebesgue=True)\n"
+        "print(all(r['h'] > 0 for r in rows),\n"
+        "      *(m in sys.modules for m in ('scipy.spatial', 'scipy.sparse', 'scipy.linalg')))\n")
+    assert out.split() == ["True", "False", "False", "False"]
+
+
 def test_lapack_routines_are_scipys_own():
     # a later import of scipy.linalg reuses the loaded module, so kinterp
     # calls the very objects get_lapack_funcs returns

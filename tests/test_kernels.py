@@ -330,10 +330,9 @@ def test_point_set_gram_skips_second_duplicate_check(monkeypatch):
         assemble_gram(matern(1.5, dim=2), X.points)
 
 
-def _kd_tree_min_distance(x):
+def _kd_tree_min_distance(pts):
     from scipy.spatial import cKDTree
 
-    pts = x[:, None]
     d, _ = cKDTree(pts).query(pts, k=2)
     return float(d[:, 1].min())
 
@@ -350,7 +349,72 @@ def test_min_pairwise_distance_1d_equals_kd_tree():
         sets.append(-7.0 + spacing * np.cumsum(rng.uniform(0.5, 1.5, size=50)))
     sets.append(np.array([0.2, 0.9, 0.2]))  # exact duplicate: distance 0
     for x in sets:
-        assert kernels.min_pairwise_distance(x[:, None]) == _kd_tree_min_distance(x)
+        assert kernels.min_pairwise_distance(x[:, None]) == _kd_tree_min_distance(x[:, None])
+
+
+# Candidate counts of the 16 variants of the `square_lebesgue` benchmark
+# workload (perfbench/workloads.py), each a low-discrepancy pool in the unit
+# square: the largest duplicate checks a 2-d run makes.
+SQUARE_VARIANT_POOLS = (10000, 9800, 10200, 9800, 9300, 9300, 9700, 9400,
+                        9200, 10800, 10100, 9400, 10200, 10000, 10300, 10200)
+
+
+def _sweep_cases(dim, rng):
+    """Point sets for the sweep against the kd-tree oracle."""
+    from kinterp.geometry import generate_candidates
+
+    unit = Box.unit_cube(dim)
+    per_axis = {2: 30, 3: 9}[dim]
+    cases = {f"random {n}": rng.uniform(-1.0, 2.0, size=(n, dim)) for n in (2, 3, 17, 400)}
+    # many points tie on every axis, the sweep axis included
+    cases["tensor grid"] = generate_candidates(unit, per_axis ** dim, "tensor_grid").points
+    cases["snapped"] = np.round(rng.uniform(size=(300, dim)) * 16) / 16
+    cases["low discrepancy"] = generate_candidates(unit, 1000, "low_discrepancy").points
+    for axis in range(dim):
+        shared = rng.uniform(size=(200, dim))
+        shared[:, axis] = 0.3  # all points share one coordinate
+        cases[f"shared axis {axis}"] = shared
+    # a dense cluster far out along one axis widens the spread of that axis
+    cases["far cluster"] = np.vstack([rng.uniform(size=(50, dim)),
+                                      [1e6] + [0.0] * (dim - 1) + 1e-3 * rng.uniform(size=(20, dim))])
+    return cases
+
+
+@pytest.mark.parametrize("count", sorted(set(SQUARE_VARIANT_POOLS)))
+def test_min_pairwise_distance_on_square_pools_equals_kd_tree(count):
+    from kinterp.geometry import generate_candidates
+
+    pts = generate_candidates(Box.unit_cube(2), count, "low_discrepancy").points
+    assert kernels.min_pairwise_distance(pts) == _kd_tree_min_distance(pts)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_min_pairwise_distance_equals_kd_tree(dim):
+    rng = np.random.default_rng(40 + dim)
+    for name, pts in _sweep_cases(dim, rng).items():
+        assert kernels.min_pairwise_distance(pts) == _kd_tree_min_distance(pts), name
+        # a second copy of one point gives 0
+        dup = np.vstack([pts, pts[len(pts) // 2]])
+        assert kernels.min_pairwise_distance(dup) == 0.0 == _kd_tree_min_distance(dup), name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nearest_distances_equal_kd_tree(dim):
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(50 + dim)
+    for name, nodes in _sweep_cases(dim, rng).items():
+        lo, up = nodes.min(axis=0), nodes.max(axis=0)
+        queries = np.vstack([
+            lo + (up - lo) * rng.uniform(-0.2, 1.2, size=(2000, dim)),
+            nodes[rng.choice(len(nodes), size=min(len(nodes), 50), replace=False)],
+            np.round(rng.uniform(size=(300, dim)) * 16) / 16,
+        ])
+        expected, _ = cKDTree(nodes).query(queries)
+        got = kernels._nearest_distance_to(nodes)(queries)
+        assert np.array_equal(got, expected), name
+        # queries that sit on nodes are at distance 0
+        assert not got[2000:2000 + min(len(nodes), 50)].any(), name
 
 
 # ---------------------------------------------------------------- row tiles
