@@ -31,16 +31,15 @@ from . import interpolation
 from .interpolation import (
     FactorizationError,
     Interpolant,
-    _weighted_row_sums,
+    _scan_levels,
     evaluate,
     fit,
-    kernel_blocks,
     lagrange,
     lagrange_coefficients,
     native_norm,
 )
 from .kernels import (  # noqa: F401 (kernel_matrix is re-exported)
-    MATERN, Kernel, ScratchGram, _run_tiles, assemble_gram, kernel_matrix)
+    MATERN, Kernel, ScratchGram, assemble_gram, kernel_matrix)
 
 BOUNDED_LIKE = "bounded-like"
 DIVERGING_LIKE = "diverging-like"
@@ -95,45 +94,7 @@ def lebesgue_max_from_coefficients(kernel: Kernel, X: PointSet, C: np.ndarray,
                                    grid: EvalGrid) -> float:
     """Chunked grid scan of max_x sum_i |l_i(x)| given the cardinal
     coefficient matrix."""
-    lmax = 0.0
-    product = _product_buffer(grid, C.shape[1])
-    for _, cross in kernel_blocks(kernel, grid.points, X.points):
-        lmax = max(lmax, _lebesgue_block_max(cross, C, product))
-    return lmax
-
-
-def _product_buffer(grid: EvalGrid, n_max: int) -> np.ndarray:
-    """The flat buffer that takes every `cross @ C` product of one scan of
-    `grid`: a block's rows by up to `n_max` columns, allocated once."""
-    return np.empty(min(interpolation.EVAL_CHUNK, len(grid)) * n_max)
-
-
-def _lebesgue_block_max(cross: np.ndarray, C: np.ndarray, product: np.ndarray) -> float:
-    """Max over the rows of one cross-kernel block of sum_i |l_i(x)|."""
-    return float(_cardinal_abs_sums(cross, C, np.empty(cross.shape[0]), product).max())
-
-
-def _cardinal_abs_sums(cross: np.ndarray, C: np.ndarray, out: np.ndarray,
-                       product: np.ndarray) -> np.ndarray:
-    """Row sums of |cross @ C| into `out`: the Lebesgue function on one
-    block's points.
-
-    The product is one GEMM over the whole block, written into the leading
-    entries of the scan's flat buffer `product` (see `_product_buffer`)
-    viewed as a C-contiguous (len(cross), C.shape[1]) array; the GEMM keeps
-    the shape, and so the bits, of `cross @ C`. The absolute values and the
-    row sums then run in place on its row tiles. Each row is summed on its
-    own, so the tiles leave every sum's bits unchanged.
-    """
-    m, n = cross.shape[0], C.shape[1]
-    p = np.matmul(cross, C, out=product[:m * n].reshape(m, n))
-
-    def tile(rows):
-        q = p[rows]
-        np.sum(np.abs(q, out=q), axis=1, out=out[rows])
-
-    _run_tiles(tile, m, p[:1].nbytes)
-    return out
+    return _scan_levels(kernel, [(X, None, C)], grid.points)[0][0]
 
 
 def lebesgue_function(kernel: Kernel, X: PointSet, grid: EvalGrid) -> np.ndarray:
@@ -148,9 +109,7 @@ def lebesgue_function(kernel: Kernel, X: PointSet, grid: EvalGrid) -> np.ndarray
     except FactorizationError as exc:
         raise FactorizationError(f"Lebesgue function at n={len(X)}: {exc}") from exc
     out = np.empty(len(grid))
-    product = _product_buffer(grid, C.shape[1])
-    for rows, cross in kernel_blocks(kernel, grid.points, X.points):
-        _cardinal_abs_sums(cross, C, out[rows], product)
+    _scan_levels(kernel, [(X, None, C)], grid.points, [out])
     return out
 
 
@@ -340,14 +299,24 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
     Lebesgue constant over `grid`; quantities not asked for stay nan. A
     level whose factorization fails gives a "failed" row carrying the error
     text under "error", and the next level is still measured. The grid
-    quantities of all levels come from one shared scan of the grid (see
-    `_scan_levels`).
+    quantities of all levels come from one scan of the grid
+    (`interpolation._scan_levels`), and the errors are reduced over the whole
+    grid as `sup_error` and `l2_error` do, so every result equals theirs.
     """
     errors = errors and target is not None
     fitted = _fit_levels(kernel, level_sets, target, lebesgue)
     ok = [f for f in fitted if f[0]["jitter_flag"] != "failed"]
     if ok and (lebesgue or errors):
-        _scan_levels(kernel, ok, grid, target if errors else None, lebesgue)
+        scanned = _scan_levels(kernel, [(X, alpha if errors else None, C)
+                                        for _, X, alpha, C in ok], grid.points)
+        exact = target(grid.points) if errors else None
+        for (row, *_), (lmax, values) in zip(ok, scanned):
+            if lebesgue:
+                row["lebesgue_constant"] = lmax
+            if errors:
+                d = exact - values
+                row["sup_error"] = _sup_norm(d)
+                row["l2_error"] = _l2_norm(d, grid)
     return [row for row, *_ in fitted]
 
 
@@ -395,51 +364,6 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tupl
         del fact
         fitted.append((row, X, alpha, C))
     return fitted
-
-
-def _scan_levels(kernel: Kernel, fitted, grid: EvalGrid, target, lebesgue: bool) -> None:
-    """Fill in the grid quantities of the fitted levels from one grid scan.
-
-    The scan's columns are the nodes of the largest level, plus the nodes of
-    every level that is not a prefix of them; each level reads its own
-    columns of the shared cross-kernel block, which are bit-identical to its
-    own block. Per block, the Lebesgue maxima use the arithmetic of
-    `lebesgue_max_from_coefficients` and the fitted values the row-wise sum
-    of `interpolation.evaluate`. The errors are reduced once over the whole
-    grid, as `sup_error` and `l2_error` do, so the results equal theirs.
-    The scan allocates its workspace once: the block buffer of
-    `kernel_blocks` and one product buffer as wide as the largest level,
-    which every level's `cross @ C` of every block is written into.
-    """
-    base = max((X for _, X, _, _ in fitted), key=len).points
-    parts, width, columns = [base], len(base), []
-    for _, X, _, _ in fitted:
-        n = len(X)
-        if np.array_equal(X.points, base[:n]):
-            columns.append(slice(0, n))
-        else:
-            parts.append(X.points)
-            columns.append(slice(width, width + n))
-            width += n
-    nodes = np.concatenate(parts) if len(parts) > 1 else base
-    lmax = [0.0] * len(fitted)
-    product = _product_buffer(grid, len(base)) if lebesgue else None
-    values = [np.empty(len(grid)) for _ in fitted] if target is not None else None
-    for rows, cross in kernel_blocks(kernel, grid.points, nodes):
-        for k, (cols, (_, _, alpha, C)) in enumerate(zip(columns, fitted)):
-            block = cross[:, cols]
-            if lebesgue:
-                lmax[k] = max(lmax[k], _lebesgue_block_max(block, C, product))
-            if values is not None:
-                _weighted_row_sums(block, alpha, values[k][rows])
-    exact = target(grid.points) if target is not None else None
-    for k, (row, _, _, _) in enumerate(fitted):
-        if lebesgue:
-            row["lebesgue_constant"] = lmax[k]
-        if exact is not None:
-            d = exact - values[k]
-            row["sup_error"] = _sup_norm(d)
-            row["l2_error"] = _l2_norm(d, grid)
 
 
 def error_slopes(rows) -> dict:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import PointSet
 from .kernels import (
+    GRAM_ROW_BLOCK,
     GramMatrix,
     Kernel,
     ScratchGram,
@@ -240,16 +241,71 @@ def kernel_blocks(kernel: Kernel, points: np.ndarray, nodes: np.ndarray):
         yield rows, kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
 
 
-def evaluate(s: Interpolant, points) -> np.ndarray:
-    """Evaluate the interpolant at a batch of points.
+def _scan_levels(kernel: Kernel, levels, points: np.ndarray, functions=None) -> list[tuple]:
+    """The one grid scan. `levels` holds one (X, alpha, C) triple per level:
+    its nodes, fit coefficients and cardinal coefficient matrix, alpha or C
+    possibly None. Returns one (max_x sum_i |l_i(x)|, values of the fit at
+    `points`) pair per level, each None when its C or alpha is; a level's
+    whole Lebesgue function is written only into a given functions[k].
 
-    Each output value is a row-wise pairwise-summed dot product, so batch
-    evaluation is bit-identical to evaluating points one at a time.
+    The scan's columns are the nodes of the largest level, plus the nodes of
+    every level that is not a prefix of them; each level reads its own
+    columns of the shared block, which are bit-identical to its own block,
+    so no level's results depend on the others. The workspace is allocated
+    once: the block buffer of `kernel_blocks`, one product buffer as wide as
+    the widest C, which every `cross @ C` is written into, and one block of
+    Lebesgue sums.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(pts.shape[0])
-    for rows, cross in kernel_blocks(s.kernel, pts, s.nodes.points):
-        _weighted_row_sums(cross, s.coefficients, out[rows])
+    base = max((X for X, _, _ in levels), key=len).points
+    parts, width, columns = [base], len(base), []
+    for X, _, _ in levels:
+        n = len(X)
+        if np.array_equal(X.points, base[:n]):
+            columns.append(slice(0, n))
+        else:
+            parts.append(X.points)
+            columns.append(slice(width, width + n))
+            width += n
+    nodes = np.concatenate(parts) if len(parts) > 1 else base
+    functions = functions or [None] * len(levels)
+    product = _product_buffer(points, max((C.shape[1] for *_, C in levels if C is not None),
+                                          default=0))
+    sums = np.empty(min(EVAL_CHUNK, len(points)))
+    lmax = [None if C is None else 0.0 for _, _, C in levels]
+    values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
+    for rows, cross in kernel_blocks(kernel, points, nodes):
+        for k, (cols, (_, alpha, C)) in enumerate(zip(columns, levels)):
+            block = cross[:, cols]
+            if C is not None:
+                out = sums[:len(block)] if functions[k] is None else functions[k][rows]
+                lmax[k] = max(lmax[k], float(_cardinal_abs_sums(block, C, out, product).max()))
+            if alpha is not None:
+                _weighted_row_sums(block, alpha, values[k][rows])
+    return list(zip(lmax, values))
+
+
+def _product_buffer(points, n_max: int) -> np.ndarray:
+    """The flat buffer that takes every `cross @ C` product of one scan of
+    `points`: a block's rows by up to `n_max` columns, allocated once."""
+    return np.empty(min(EVAL_CHUNK, len(points)) * n_max)
+
+
+def _cardinal_abs_sums(cross: np.ndarray, C: np.ndarray, out: np.ndarray,
+                       product: np.ndarray) -> np.ndarray:
+    """Row sums of |cross @ C| into `out`: the Lebesgue function on one
+    block's points. The product is one GEMM, with the shape and so the bits
+    of `cross @ C`, written into the leading entries of the scan's flat
+    buffer `product`; the absolute values and the row sums then run in
+    place on its row tiles, each row summed on its own, so the tiles leave
+    every sum's bits unchanged."""
+    m, n = cross.shape[0], C.shape[1]
+    p = np.matmul(cross, C, out=product[:m * n].reshape(m, n))
+
+    def tile(rows):
+        q = p[rows]
+        np.sum(np.abs(q, out=q), axis=1, out=out[rows])
+
+    _run_tiles(tile, m, p[:1].nbytes)
     return out
 
 
@@ -261,6 +317,17 @@ def _weighted_row_sums(block: np.ndarray, weights: np.ndarray, out: np.ndarray) 
         np.sum(block[rows] * weights, axis=1, out=out[rows])
 
     _run_tiles(tile, block.shape[0], block[:1].nbytes)
+
+
+def evaluate(s: Interpolant, points) -> np.ndarray:
+    """Evaluate the interpolant at a batch of points.
+
+    Each output value is a row-wise pairwise-summed dot product, so batch
+    evaluation is bit-identical to evaluating points one at a time.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    (_, values), = _scan_levels(s.kernel, [(s.nodes, s.coefficients, None)], pts)
+    return values
 
 
 def lagrange(kernel: Kernel, X: PointSet, i: int) -> Interpolant:
@@ -276,18 +343,22 @@ def lagrange_coefficients(kernel: Kernel, X: PointSet) -> tuple[np.ndarray, Fact
     """Coefficient matrix of all cardinal functions at once.
 
     Solves K C = I through one shared factorization (n right-hand sides);
-    column i holds the coefficients of the i-th cardinal function. The
-    cardinal residual max|K C - I| against the unjittered Gram matrix is
-    checked under the same rule as `fit` (||I||_inf = 1), and a warning is
-    emitted when it exceeds 1e-8.
+    column i holds the coefficients of the i-th cardinal function. The Gram
+    is handed over to `factorize` (a ScratchGram), so its buffer becomes the
+    factor, and the factorization returned is that handed-over one: `solve`
+    and `inverse` can be called on it again, but a `fit` with it turns its
+    buffer back into K and uses it up. The cardinal residual max|K C - I|
+    against the unjittered Gram matrix is formed one GRAM_ROW_BLOCK strip of
+    re-evaluated K rows at a time and checked under the same rule as `fit`
+    (||I||_inf = 1); a warning is emitted when it exceeds 1e-8.
     """
-    gram = assemble_gram(kernel, X)
-    fact = factorize(gram)
-    n = len(X)
+    fact = factorize(ScratchGram(assemble_gram(kernel, X).entries))
     C = fact.inverse()
-    R = gram.entries @ C
-    R[np.diag_indices(n)] -= 1.0
-    resid = float(np.max(np.abs(R, out=R)))
+    resid = 0.0
+    for i0 in range(0, len(X), GRAM_ROW_BLOCK):
+        R = kernel_matrix(kernel, X.points[i0:i0 + GRAM_ROW_BLOCK], X.points) @ C
+        R[np.arange(len(R)), np.arange(i0, i0 + len(R))] -= 1.0
+        resid = max(resid, float(np.max(np.abs(R, out=R))))
     if resid > 1e-8:
         warnings.warn(
             f"cardinal residual {resid:.3e} exceeds 1e-8 * ||I||_inf "

@@ -33,9 +33,11 @@ class Target:
 
 
 def _centers_array(params, dim: int, key: str = "centers") -> np.ndarray:
-    c = np.atleast_2d(np.asarray(params[key], dtype=float))
-    if c.shape[1] != dim:
-        raise TargetError(f"{key} must be points of dimension {dim}")
+    """params[key] as (m, dim) points; `center` is one point, 0.5 on each axis by default."""
+    c = np.atleast_2d(np.asarray(params.get(key, [0.5] * dim), dtype=float))
+    one = key == "center"
+    if c.shape[1] != dim or (one and len(c) != 1):
+        raise TargetError(f"{key} must be {'one point' if one else 'points'} of dimension {dim}")
     return c
 
 
@@ -48,13 +50,13 @@ def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box) -> 
         v = float(p.get("value", 1.0))
         fn = lambda x: np.full(x.shape[0], v)
     elif name == "abs_power":
-        center = np.asarray(p.get("center", [0.5] * dim), dtype=float).reshape(dim)
+        center = _centers_array(p, dim, "center")
         power = float(p.get("power", 1.0))
         def fn(x, c=center, q=power):
             d = np.sqrt(np.sum((x - c) ** 2, axis=1))
             return d ** q
     elif name == "kernel_translate":
-        center = np.asarray(p.get("center", [0.5] * dim), dtype=float).reshape(1, dim)
+        center = _centers_array(p, dim, "center")
         fn = lambda x, c=center: kernel_matrix(kernel, x, c)[:, 0]
     elif name == "translate_combo":
         if "centers" not in p:

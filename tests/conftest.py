@@ -5,6 +5,26 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+
+def traced_peak(call, *args, **kwargs):
+    """(result, traced peak in bytes) of call(*args, **kwargs).
+
+    The tile pool is created first, so the peak never includes its
+    first-use imports and does not depend on which test ran before.
+    """
+    import tracemalloc
+
+    from kinterp import kernels
+
+    kernels._tile_pool()
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # Per-criterion pass/fail lines collected by tests/test_acceptance.py and
 # replayed at the end of the run.
 ACCEPTANCE_LINES: list[str] = []

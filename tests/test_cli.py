@@ -528,3 +528,15 @@ def test_target_center_takes_one_coordinate_per_axis(tmp_path, monkeypatch, caps
         parse_config(edited_cfg(tmp_path, MINIMAL_2D, {
             "experiment.kind": "convergence", "target.name": "smooth_step",
             "target.center": "0.3, 0.6"}))
+
+
+@pytest.mark.parametrize("name", ["abs_power", "kernel_translate"])
+@pytest.mark.parametrize("center", ["0.3", "0.3, 0.6, 0.9"])
+def test_validate_names_a_center_of_the_wrong_dimension(tmp_path, monkeypatch, capsys,
+                                                         name, center):
+    monkeypatch.chdir(tmp_path)
+    cfg = edited_cfg(tmp_path, MINIMAL_2D, {"experiment.kind": "convergence",
+                                            "target.name": name, "target.center": center})
+    assert cli.main(["validate", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "config error: [target] center must be one point of dimension 2\n")

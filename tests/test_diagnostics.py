@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinterp import diagnostics, geometry, kernels
+from kinterp import geometry, interpolation, kernels
 from kinterp.diagnostics import (
     BOUNDED_LIKE,
     DIVERGING_LIKE,
@@ -30,6 +30,8 @@ from kinterp.geometry import (
 from kinterp.interpolation import EVAL_CHUNK, evaluate, fit, kernel_blocks, lagrange_coefficients
 from kinterp.kernels import assemble_gram, kernel_matrix, matern
 from kinterp.targets import make_target
+
+from conftest import traced_peak
 
 UNIT = Box.interval(0.0, 1.0)
 M32 = matern(1.5)
@@ -278,6 +280,19 @@ def test_measure_levels_fits_the_level_after_a_failed_one(monkeypatch):
     assert slope == pytest.approx(0.4715, abs=1e-4)
 
 
+def test_lebesgue_function_names_the_level_when_the_ladder_is_exhausted(monkeypatch):
+    factorize = interpolation.factorize
+    # every rung fails on -I, so the real factorize exhausts its ladder
+    monkeypatch.setattr(interpolation, "factorize", lambda K: factorize(-np.eye(K.order)))
+    X = equispaced_interval(0, 1, 9)
+    for measure in (lebesgue_function, lebesgue_constant):
+        with pytest.raises(interpolation.FactorizationError,
+                           match=r"^Lebesgue function at n=9: matrix of order 9 is not "
+                                 r"positive definite after the jitter ladder") as info:
+            measure(M32, X, grid1d(65))
+        assert isinstance(info.value.__cause__, interpolation.FactorizationError)
+
+
 def test_classify_empty_and_zero():
     assert classify_norm_growth([])[0] == "inconclusive"
     zero = [{"n": n, "native_norm": 0.0, "jitter_flag": "none"} for n in (2, 4, 8)]
@@ -410,6 +425,10 @@ def test_shared_scan_equals_per_level_functions(levels):
         C, _ = lagrange_coefficients(kernel, X)
         s = fit(kernel, X, target(X.points))
         assert row["lebesgue_constant"] == lebesgue_max_from_coefficients(kernel, X, C, grid)
+        # the independent oracle: each 8192-row chunk's own block and product
+        assert row["lebesgue_constant"] == max(
+            np.abs(kernel_matrix(kernel, grid.points[i:i + 8192], X.points) @ C).sum(axis=1).max()
+            for i in range(0, len(grid), 8192))
         assert row["sup_error"] == sup_error(target, s, grid)
         assert row["l2_error"] == l2_error(target, s, grid)
 
@@ -426,18 +445,11 @@ def test_fill_probe_is_the_tensor_grid_of_the_box():
 
 
 def test_measure_levels_in_3d_never_forms_the_fill_probe():
-    import tracemalloc
-
     box = Box.unit_cube(3)
     cands = generate_candidates(box, 2000, "low_discrepancy")
     design = geometric_greedy(cands, 64, seed_index=0, level_counts=[8, 27, 64])
-    tracemalloc.start()
-    try:
-        rows = measure_levels(matern(1.5, gamma=3.0, dim=3), design_levels(design),
-                              EvalGrid.tensor(box, 9), lebesgue=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(measure_levels, matern(1.5, gamma=3.0, dim=3),
+                             design_levels(design), EvalGrid.tensor(box, 9), lebesgue=True)
     for row in rows:
         assert all(np.isfinite(row[key]) for key in ("h", "q", "rho", "lebesgue_constant"))
     # the DEFAULT_FILL_PROBE^3 probe alone would take 8 * 1001^3 B = 8 GB
@@ -514,7 +526,7 @@ def test_grid_scan_fills_one_workspace():
     X = geometric_greedy(generate_candidates(box, 400, "low_discrepancy"), 30, 0, (30,)).master
     grid = EvalGrid.tensor(box, 129)
     C, _ = lagrange_coefficients(kernel, X)
-    product = diagnostics._product_buffer(grid, len(X))
+    product = interpolation._product_buffer(grid.points, len(X))
     assert product.shape == (EVAL_CHUNK * len(X),)
     first, heights = None, []
     for rows, cross in kernel_blocks(kernel, grid.points, X.points):
@@ -522,7 +534,7 @@ def test_grid_scan_fills_one_workspace():
         assert np.shares_memory(cross, first)
         heights.append(len(cross))
         assert np.array_equal(cross, kernel_matrix(kernel, grid.points[rows], X.points))
-        sums = diagnostics._cardinal_abs_sums(cross, C, np.empty(len(cross)), product)
+        sums = interpolation._cardinal_abs_sums(cross, C, np.empty(len(cross)), product)
         landed = product[:cross.size].reshape(cross.shape)  # C is n x n
         assert np.array_equal(landed, np.abs(cross @ C))
         assert np.array_equal(sums, landed.sum(axis=1))

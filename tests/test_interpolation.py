@@ -27,6 +27,8 @@ from kinterp.interpolation import (
 )
 from kinterp.kernels import GramMatrix, ScratchGram, assemble_gram, interval_sobolev, matern
 
+from conftest import traced_peak
+
 UNIT = Box.interval(0.0, 1.0)
 
 
@@ -152,19 +154,11 @@ def test_factorize_nested_matern52_escalation_bit_equal():
 def test_gram_and_factor_hold_at_most_two_dense_arrays():
     # traced peaks at n = 1087: the Gram plus a few row tiles while it is
     # assembled, the Gram plus one work array while it is factored
-    import tracemalloc
-
     X = nested_equispaced_design(0.0, 1.0, 16, 7).master
     dense = 8 * len(X) ** 2
-    tracemalloc.start()
-    try:
-        gram = assemble_gram(matern(2.5), X)
-        _, gram_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        f = factorize(gram)
-        _, factor_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    gram, gram_peak = traced_peak(assemble_gram, matern(2.5), X)
+    f, factor_peak = traced_peak(factorize, gram)
+    factor_peak += gram.entries.nbytes  # the Gram is held throughout
     assert f.jitter_step == 1e-12
     # the messages give each peak in dense n x n arrays
     assert gram_peak <= 2.0 * dense, f"assembly peak {gram_peak / dense:.3f} > 2.0"
@@ -261,8 +255,6 @@ def test_inverse_bit_equal_to_identity_solve():
 
 
 def test_solve_bit_equal_to_triangular_pair_without_dense_temporaries():
-    import tracemalloc
-
     import scipy.linalg as sla
 
     X = nested_equispaced_design(0.0, 1.0, 16, 7).master
@@ -273,55 +265,37 @@ def test_solve_bit_equal_to_triangular_pair_without_dense_temporaries():
         before = rhs.copy()
         y = sla.solve_triangular(fact.lower, rhs, lower=True)
         ref = sla.solve_triangular(fact.lower.T, y, lower=False)
-        tracemalloc.start()
-        try:
-            x = fact.solve(rhs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        x, peak = traced_peak(fact.solve, rhs)
         assert np.array_equal(x, ref) and x.shape == rhs.shape
         assert np.array_equal(rhs, before)
         # a few right-hand-side copies; no n x n array, not even a bool one
         assert peak <= 4 * rhs.nbytes + 4096
 
 
-def test_lagrange_coefficients_peak_at_four_dense_arrays():
-    # the Gram, the factor, C and the residual K C - I, whose absolute value
-    # is taken in place
-    import tracemalloc
-
+def test_lagrange_coefficients_peak_under_three_dense_arrays():
+    # the handed-over Gram is factored in place; then the factor, C and the
+    # residual K C - I, formed a strip of K's rows at a time
     X = nested_equispaced_design(0.0, 1.0, 16, 7).master
     dense = 8 * len(X) ** 2
-    tracemalloc.start()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the residual warning of this cell
-            lagrange_coefficients(matern(1.5), X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.2 * dense
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the residual warning of this cell
+        (C, fact), peak = traced_peak(lagrange_coefficients, matern(1.5), X)
+    assert peak <= 2.9 * dense, f"lagrange_coefficients peak {peak / dense:.3f} > 2.9"
+    assert np.array_equal(C, fact.solve(np.eye(len(X))))
 
 
 def test_lebesgue_level_holds_at_most_the_factor_and_one_dense_array():
     # one Lebesgue level with a target at n = 1087: the handed-over Gram is
     # factored in place, then the factor and the cardinal matrix, then the
     # cardinal matrix and the buffer turned back into K for the residual
-    import tracemalloc
-
     from kinterp.diagnostics import _fit_levels
 
     X = nested_equispaced_design(0.0, 1.0, 16, 7).master
     dense = 8 * len(X) ** 2
-    tracemalloc.start()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the jittered fit's residual warning
-            (row, _, _, C), = _fit_levels(matern(2.5), [X],
-                                          lambda p: np.abs(p[:, 0] - 0.5), True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the jittered fit's residual warning
+        ((row, _, _, C),), peak = traced_peak(_fit_levels, matern(2.5), [X],
+                                              lambda p: np.abs(p[:, 0] - 0.5), True)
     assert row["jitter_flag"] == "1e-12"
     assert C.shape == (len(X), len(X))
     assert peak <= 2.2 * dense
@@ -439,21 +413,14 @@ def test_norm_growth_level_holds_one_dense_array():
     # one norm-growth level at n = 1087 (no Lebesgue matrix): the Gram is
     # assembled in strips, factored in its own buffer and turned back into
     # K for the residual, with no second n x n array at any time
-    import tracemalloc
-
     from kinterp.diagnostics import _fit_levels
 
     X = nested_equispaced_design(0.0, 1.0, 16, 7).master
     dense = 8 * len(X) ** 2
-    tracemalloc.start()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the jittered fit's residual warning
-            (row, _, alpha, C), = _fit_levels(matern(2.5), [X],
-                                              lambda p: np.abs(p[:, 0] - 0.5), False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the jittered fit's residual warning
+        ((row, _, alpha, C),), peak = traced_peak(_fit_levels, matern(2.5), [X],
+                                                  lambda p: np.abs(p[:, 0] - 0.5), False)
     assert row["jitter_flag"] == "1e-12" and C is None and alpha.shape == (len(X),)
     assert peak <= 1.8 * dense, f"norm-growth level peak {peak / dense:.3f} > 1.8"
 

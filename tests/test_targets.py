@@ -31,6 +31,20 @@ def test_kernel_translate_matches_kernel():
     assert np.array_equal(t(pts), kernel_matrix(M32, pts, [[0.3]])[:, 0])
 
 
+@pytest.mark.parametrize("name", ["abs_power", "kernel_translate"])
+def test_center_needs_one_coordinate_per_axis(name):
+    kernel, box = matern(1.5, dim=2), Box.unit_cube(2)
+    for center in (0.3, (0.3,), (0.3, 0.6, 0.9), [(0.3, 0.6), (0.1, 0.2)]):
+        with pytest.raises(TargetError, match="^center must be one point of dimension 2$"):
+            make_target(name, {"center": center}, kernel, box)
+    with pytest.raises(TargetError, match="^center must be one point of dimension 1$"):
+        make_target(name, {"center": (0.3, 0.6)}, M32, UNIT)
+    # the default is 0.5 on each axis, and a 1-tuple is a 1-d center
+    at_center = 0.0 if name == "abs_power" else 1.0
+    assert make_target(name, {}, kernel, box)([[0.5, 0.5]])[0] == at_center
+    assert make_target(name, {"center": (0.3,)}, M32, UNIT)([[0.3]])[0] == at_center
+
+
 def test_translate_combo():
     centers = [(0.2,), (0.8,)]
     w = [2.0, -1.0]
