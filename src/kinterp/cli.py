@@ -39,7 +39,7 @@ from .diagnostics import classify_norm_growth, error_slopes, read_report_csv
 from .geometry import Box
 from .interpolation import FactorizationError, fit, interpolant_to_csv
 from .svg import AxesSpec, Series, SvgError, emit_svg
-from .targets import make_target
+from .targets import _PARAMETERS as _TARGET_PARAMETERS, make_target
 
 EXPERIMENTS = ("lebesgue_trace", "convergence", "norm_growth", "decay", "interp_once")
 KERNEL_NAMES = ("matern12", "matern32", "matern52", "gaussian", "w21")
@@ -94,8 +94,8 @@ _FIELDS = {
 }
 # [target] holds the target's name and its parameters, floats except these
 _TARGET_PARSERS = {"center": _floats, "centers": _parse_centers, "weights": _floats}
-_TARGET_FIELDS = {f"target.{key}" for key in ("name", "value", "center", "power", "centers",
-                                              "weights", "width", "freq", "amplitude")}
+_TARGET_FIELDS = {f"target.{key}" for keys in ({"name"}, *_TARGET_PARAMETERS.values())
+                  for key in keys}
 _KNOWN = _FIELDS.keys() | _TARGET_FIELDS
 _SECTIONS = {name.partition(".")[0] for name in _KNOWN}
 

@@ -63,28 +63,24 @@ class EvalGrid:
 
     points: np.ndarray
     quad_weights: np.ndarray
-    spacing: tuple[float, ...]
-    domain: Box
 
     @classmethod
     def tensor(cls, domain: Box, points_per_axis: int) -> "EvalGrid":
         if points_per_axis < 2:
             raise DiagnosticsError("need at least 2 grid points per axis")
-        axes, weights, spacing = [], [], []
+        axes, weights = [], []
         for a, b in zip(domain.lower, domain.upper):
-            ax = np.linspace(a, b, points_per_axis)
             h = (b - a) / (points_per_axis - 1)
             w = np.full(points_per_axis, h)
             w[0] = w[-1] = 0.5 * h
-            axes.append(ax)
+            axes.append(np.linspace(a, b, points_per_axis))
             weights.append(w)
-            spacing.append(h)
         pts = _tensor_points(axes)
         wmesh = np.meshgrid(*weights, indexing="ij")
         qw = np.ones(pts.shape[0])
         for wm in wmesh:
             qw = qw * wm.reshape(-1)
-        return cls(points=pts, quad_weights=qw, spacing=tuple(spacing), domain=domain)
+        return cls(points=pts, quad_weights=qw)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -289,7 +285,8 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
                    lebesgue: bool = False, errors: bool = False) -> list[dict]:
     """Measure each level: one REPORT_COLUMNS row per level, in level order.
 
-    This is the one place where a level's geometry is measured. A row always
+    This is where a report row's geometry is measured (a decay row takes h
+    from `fill_distance_interval` in `cli._decay_rows`). A row always
     holds the level's fill distance h (exact on intervals, otherwise a lower
     bound: the maximum over the DEFAULT_FILL_PROBE tensor probe, found by a
     bounded search and equal to the full probe query), its separation
@@ -305,7 +302,7 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
     """
     errors = errors and target is not None
     fitted = _fit_levels(kernel, level_sets, target, lebesgue)
-    ok = [f for f in fitted if f[0]["jitter_flag"] != "failed"]
+    ok = _successful(fitted, row=lambda f: f[0])
     if ok and (lebesgue or errors):
         scanned = _scan_levels(kernel, [(X, alpha if errors else None, C)
                                         for _, X, alpha, C in ok], grid.points)
@@ -379,7 +376,7 @@ def error_slopes(rows) -> dict:
     }
 
 
-def _successful(rows) -> list:
-    """The rows whose level was measured: the one row filter of the slope
-    rules, which skip a failed level but keep every level after it."""
-    return [r for r in rows if r["jitter_flag"] != "failed"]
+def _successful(items, row=lambda item: item) -> list:
+    """The items whose level was measured, `row(item)` being its row: the
+    one failed-level rule, of `measure_levels`' scan and the slope rules."""
+    return [item for item in items if row(item)["jitter_flag"] != "failed"]

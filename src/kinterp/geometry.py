@@ -10,8 +10,8 @@ Fill distances are exact on intervals (closed form over the sorted gaps) and
 probe-grid lower bounds in higher dimension, with error at most half the
 probe spacing times sqrt(N). On a tensor probe (`TensorProbe`) the maximum is
 found by a bounded search over cells of the probe that queries only the
-points that can still reach it. Nearest-node distances in dimension >= 2
-come from the exact sweep in `kernels`.
+points that can still reach it. Nearest-node distances come from the exact
+sweep in `kernels`, in every dimension.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def fill_distance_grid(X: PointSet, probe) -> float:
     A lower bound of the true fill distance, converging as the probe is
     refined; the error is at most half the probe spacing times sqrt(N).
     `probe` is an array of points or a `TensorProbe`. An array is queried
-    point by point; in dimension >= 2 a tensor probe is searched by
-    `_bounded_fill_distance`, which returns the same float.
+    point by point; a tensor probe is searched by `_bounded_fill_distance`,
+    which returns the same float.
     """
     if isinstance(probe, TensorProbe):
         if len(probe.axes) != X.domain.dim:
@@ -196,20 +196,10 @@ def fill_distance_grid(X: PointSet, probe) -> float:
                 f"a {len(probe.axes)}-d probe for {X.domain.dim}-d points")
         if len(X) == 0 or len(probe) == 0:
             raise GeometryError("fill distance needs nonempty nodes and probe")
-        if X.domain.dim > 1:
-            return _bounded_fill_distance(_nearest_distance_to(X.points), probe.axes)
-        probe = probe.axes[0][:, None]
+        return _bounded_fill_distance(_nearest_distance_to(X.points), probe.axes)
     probe_pts = np.atleast_2d(np.asarray(probe, float))
     if len(X) == 0 or probe_pts.shape[0] == 0:
         raise GeometryError("fill distance needs nonempty nodes and probe")
-    if X.domain.dim == 1:
-        # each probe point against its two neighbours in the sorted nodes
-        nodes = np.sort(X.points[:, 0])
-        p = probe_pts[:, 0]
-        idx = np.searchsorted(nodes, p)
-        left = np.where(idx > 0, np.abs(p - nodes[np.maximum(idx - 1, 0)]), np.inf)
-        right = np.where(idx < len(nodes), np.abs(nodes[np.minimum(idx, len(nodes) - 1)] - p), np.inf)
-        return float(np.minimum(left, right).max())
     nearest = _nearest_distance_to(X.points)
     return max(float(nearest(probe_pts[i:i + _FILL_BATCH]).max())
                for i in range(0, len(probe_pts), _FILL_BATCH))

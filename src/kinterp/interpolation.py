@@ -223,24 +223,6 @@ def fit(kernel: Kernel, X: PointSet, values,
                        jitter=factorization.jitter, residual_inf=resid)
 
 
-def kernel_blocks(kernel: Kernel, points: np.ndarray, nodes: np.ndarray):
-    """Yield (row slice, kernel_matrix(kernel, points[rows], nodes)) pairs
-    that cover the points in EVAL_CHUNK steps.
-
-    Every block is filled (through `kernel_matrix`'s `out`) into the leading
-    rows of one buffer of min(EVAL_CHUNK, len(points)) x len(nodes) entries,
-    allocated on the first step, so a scan holds one block and allocates it
-    once. A yielded block is therefore valid only until the next step. The
-    block height stays EVAL_CHUNK because the bits of a GEMM's rows depend
-    on it.
-    """
-    buffer = np.empty((min(EVAL_CHUNK, points.shape[0]), nodes.shape[0]))
-    for start in range(0, points.shape[0], EVAL_CHUNK):
-        rows = slice(start, start + EVAL_CHUNK)
-        chunk = points[rows]
-        yield rows, kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
-
-
 def _scan_levels(kernel: Kernel, levels, points: np.ndarray, functions=None) -> list[tuple]:
     """The one grid scan. `levels` holds one (X, alpha, C) triple per level:
     its nodes, fit coefficients and cardinal coefficient matrix, alpha or C
@@ -252,9 +234,11 @@ def _scan_levels(kernel: Kernel, levels, points: np.ndarray, functions=None) -> 
     every level that is not a prefix of them; each level reads its own
     columns of the shared block, which are bit-identical to its own block,
     so no level's results depend on the others. The workspace is allocated
-    once: the block buffer of `kernel_blocks`, one product buffer as wide as
-    the widest C, which every `cross @ C` is written into, and one block of
-    Lebesgue sums.
+    once, here: one block buffer, which `kernel_matrix` fills with each
+    EVAL_CHUNK rows of points in turn (the block height stays EVAL_CHUNK
+    because the bits of a GEMM's rows depend on it), one flat product
+    buffer of a block's rows by the widest C, which every `cross @ C` is
+    written into, and one block of Lebesgue sums.
     """
     base = max((X for X, _, _ in levels), key=len).points
     parts, width, columns = [base], len(base), []
@@ -268,12 +252,17 @@ def _scan_levels(kernel: Kernel, levels, points: np.ndarray, functions=None) -> 
             width += n
     nodes = np.concatenate(parts) if len(parts) > 1 else base
     functions = functions or [None] * len(levels)
-    product = _product_buffer(points, max((C.shape[1] for *_, C in levels if C is not None),
-                                          default=0))
-    sums = np.empty(min(EVAL_CHUNK, len(points)))
+    height = min(EVAL_CHUNK, len(points))
+    buffer = np.empty((height, len(nodes)))
+    product = np.empty(height * max((C.shape[1] for *_, C in levels if C is not None),
+                                    default=0))
+    sums = np.empty(height)
     lmax = [None if C is None else 0.0 for _, _, C in levels]
     values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
-    for rows, cross in kernel_blocks(kernel, points, nodes):
+    for start in range(0, len(points), EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        chunk = points[rows]
+        cross = kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
         for k, (cols, (_, alpha, C)) in enumerate(zip(columns, levels)):
             block = cross[:, cols]
             if C is not None:
@@ -282,12 +271,6 @@ def _scan_levels(kernel: Kernel, levels, points: np.ndarray, functions=None) -> 
             if alpha is not None:
                 _weighted_row_sums(block, alpha, values[k][rows])
     return list(zip(lmax, values))
-
-
-def _product_buffer(points, n_max: int) -> np.ndarray:
-    """The flat buffer that takes every `cross @ C` product of one scan of
-    `points`: a block's rows by up to `n_max` columns, allocated once."""
-    return np.empty(min(EVAL_CHUNK, len(points)) * n_max)
 
 
 def _cardinal_abs_sums(cross: np.ndarray, C: np.ndarray, out: np.ndarray,

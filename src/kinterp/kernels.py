@@ -23,8 +23,8 @@ one-pass evaluation. Everything here is pure and safe to call from multiple
 threads.
 
 Minimum pairwise distances (the duplicate-node check) and nearest-node
-distances in dimension >= 2 come from one exact numpy sweep over the points
-sorted on one axis (`_sweep`).
+distances come from one exact numpy sweep over the points sorted on one
+axis (`_sweep`), in every dimension.
 """
 
 from __future__ import annotations
@@ -331,14 +331,13 @@ def eval(kernel: Kernel, x, y) -> float:  # noqa: A001 - spec-level operation na
 
 
 def min_pairwise_distance(points: np.ndarray) -> float:
-    """Exact minimum pairwise Euclidean distance: the smallest gap of the
-    sorted coordinates in 1-d, a sweep over the sorted points (`_sweep`)
-    in higher dimension."""
+    """Exact minimum pairwise Euclidean distance, by a sweep over the sorted
+    points (`_sweep`) in every dimension. In 1-d it is the smallest gap of
+    the sorted coordinates: sqrt(fl(d^2)) = |d| in binary64 unless d^2
+    underflows, that is for gaps below about 1.5e-154."""
     pts = np.atleast_2d(points)
     if pts.shape[0] < 2:
         raise ValueError("need at least two points")
-    if pts.shape[1] == 1:
-        return float(np.diff(np.sort(pts[:, 0])).min())
     nodes, key = _sweep_axes(pts)
     best = np.array(np.inf)
     # each point walks only to the points after it in the sort order
@@ -387,13 +386,13 @@ def _sweep(nodes: list, key: int, queries: list, start: np.ndarray, step: int,
     least squared distance of any of them.
 
     Squared distances are summed one axis at a time, in axis order, and
-    the caller takes the square root only after the minimum; in 2-d and
-    3-d that is the arithmetic of scipy's kd-tree for p = 2, and the tests
-    check the results against it bit for bit. A walk stops once the squared gap on the sort axis `key` to
-    the node just reached is at least its query's best: every later node
-    lies at least as far along that axis, rounding is monotone, and a sum
-    of nonnegative axis terms is no less than any one of them, so no later
-    node can come closer.
+    the caller takes the square root only after the minimum; in 1-d, 2-d
+    and 3-d that is the arithmetic of scipy's kd-tree for p = 2, and the
+    tests check the results against it bit for bit. A walk stops once the
+    squared gap on the sort axis `key` to the node just reached is at least
+    its query's best: every later node lies at least as far along that
+    axis, rounding is monotone, and a sum of nonnegative axis terms is no
+    less than any one of them, so no later node can come closer.
     """
     # the walks not yet dropped: query index, node position, coordinates,
     # best, and whether each is still running. A stopped walk is carried on

@@ -41,10 +41,21 @@ def _centers_array(params, dim: int, key: str = "centers") -> np.ndarray:
     return c
 
 
+# The parameter names each target reads; it takes no others.
+_PARAMETERS = {"constant": ("value",), "abs_power": ("center", "power"),
+               "kernel_translate": ("center",), "translate_combo": ("centers", "weights"),
+               "smooth_step": ("center", "width"), "trig": ("freq", "amplitude")}
+
+
 def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box) -> Target:
-    """Build a named target. Unknown names raise with the offending field."""
+    """Build a named target. An unknown name, or a parameter the target
+    does not read, raises with the offending field."""
     p = dict(params or {})
     dim = domain.dim
+    if name not in _PARAMETERS:
+        raise TargetError(f"unknown target name {name!r}")
+    if stray := sorted(p.keys() - set(_PARAMETERS[name])):
+        raise TargetError(f"{name} reads no parameter {', '.join(stray)}")
 
     if name == "constant":
         v = float(p.get("value", 1.0))
@@ -75,14 +86,9 @@ def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box) -> 
         if width <= 0:
             raise TargetError("smooth_step width must be positive")
         fn = lambda x, c=center, w=width: 0.5 * (1.0 + np.tanh((x[:, 0] - c) / w))
-    elif name == "trig":
+    else:  # trig
         freq = float(p.get("freq", 1.0))
         amp = float(p.get("amplitude", 1.0))
         fn = lambda x, f=freq, a=amp: a * np.sin(2.0 * np.pi * f * x).sum(axis=1)
-    else:
-        raise TargetError(f"unknown target name {name!r}")
     return Target(name=name, params=p, fn=fn)
 
-
-TARGET_NAMES = ("constant", "abs_power", "kernel_translate", "translate_combo",
-                "smooth_step", "trig")

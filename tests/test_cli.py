@@ -435,6 +435,9 @@ _BAD_CONFIGS = [
     ("grid-not-an-int", MINIMAL_1D, {"grid.points_per_axis": "x"}, "grid.points_per_axis"),
     ("target-parameter-not-a-number", MINIMAL_1D,
      {"target.name": "abs_power", "target.power": "abc"}, "target.power"),
+    ("target-parameter-not-read", MINIMAL_1D,
+     {"experiment.kind": "norm_growth", "target.name": "trig", "target.power": "2.0",
+      "target.center": "0.3"}, "trig reads no parameter center, power"),
     ("domain-lengths-differ", MINIMAL_1D, {"domain.lower": "0.0, 0.0"}, "domain.lower"),
     ("domain-dimension-not-kernel-dim", MINIMAL_2D, {"kernel.dim": None}, "kernel.dim"),
     ("domain-bounds-reversed", MINIMAL_1D,

@@ -27,7 +27,7 @@ from kinterp.geometry import (
     geometric_greedy,
     nested_equispaced_design,
 )
-from kinterp.interpolation import EVAL_CHUNK, evaluate, fit, kernel_blocks, lagrange_coefficients
+from kinterp.interpolation import EVAL_CHUNK, evaluate, fit, lagrange_coefficients
 from kinterp.kernels import assemble_gram, kernel_matrix, matern
 from kinterp.targets import make_target
 
@@ -519,23 +519,38 @@ def test_lebesgue_function_bit_equal_to_one_pass_scan():
     assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref.max()
 
 
-def test_grid_scan_fills_one_workspace():
+def test_grid_scan_fills_one_workspace(monkeypatch):
     # 129^2 = 16641 points: two full scan blocks and a 257-row last block
     box = Box.unit_cube(2)
     kernel = matern(1.5, gamma=5.0, dim=2)
     X = geometric_greedy(generate_candidates(box, 400, "low_discrepancy"), 30, 0, (30,)).master
     grid = EvalGrid.tensor(box, 129)
     C, _ = lagrange_coefficients(kernel, X)
-    product = interpolation._product_buffer(grid.points, len(X))
-    assert product.shape == (EVAL_CHUNK * len(X),)
-    first, heights = None, []
-    for rows, cross in kernel_blocks(kernel, grid.points, X.points):
-        first = cross if first is None else first
-        assert np.shares_memory(cross, first)
-        heights.append(len(cross))
-        assert np.array_equal(cross, kernel_matrix(kernel, grid.points[rows], X.points))
-        sums = interpolation._cardinal_abs_sums(cross, C, np.empty(len(cross)), product)
-        landed = product[:cross.size].reshape(cross.shape)  # C is n x n
-        assert np.array_equal(landed, np.abs(cross @ C))
-        assert np.array_equal(sums, landed.sum(axis=1))
-    assert heights == [EVAL_CHUNK, EVAL_CHUNK, 257]
+    fill, abs_sums = interpolation.kernel_matrix, interpolation._cardinal_abs_sums
+    outs, blocks, products = [], [], []
+
+    def recording_fill(kernel, points, nodes, out=None):
+        result = fill(kernel, points, nodes, out=out)
+        outs.append(out)
+        blocks.append(result.copy())  # the buffer is reused: keep this block's bits
+        return result
+
+    def recording_sums(cross, C, out, product):
+        products.append(product)
+        return abs_sums(cross, C, out, product)
+
+    monkeypatch.setattr(interpolation, "kernel_matrix", recording_fill)
+    monkeypatch.setattr(interpolation, "_cardinal_abs_sums", recording_sums)
+    function = np.empty(len(grid))
+    interpolation._scan_levels(kernel, [(X, None, C)], grid.points, [function])
+    assert [len(b) for b in blocks] == [EVAL_CHUNK, EVAL_CHUNK, 257]
+    assert all(np.shares_memory(out, outs[0]) for out in outs)
+    assert len(products) == 3 and all(p is products[0] for p in products)
+    assert products[0].shape == (EVAL_CHUNK * len(X),)
+    # the last product landed in the shared buffer, C being n x n
+    landed = products[0][:blocks[-1].size].reshape(blocks[-1].shape)
+    assert np.array_equal(landed, np.abs(blocks[-1] @ C))
+    for start, block in zip(range(0, len(grid), EVAL_CHUNK), blocks):
+        fresh = fill(kernel, grid.points[start:start + EVAL_CHUNK], X.points)
+        assert np.array_equal(block, fresh)
+        assert np.array_equal(function[start:start + EVAL_CHUNK], np.abs(fresh @ C).sum(1))

@@ -685,3 +685,31 @@ def test_interpolant_csv_roundtrip(tmp_path):
     assert np.array_equal(loaded.coefficients, s.coefficients)
     assert np.array_equal(loaded.data, s.data)
     assert np.array_equal(loaded.nodes.points, s.nodes.points)
+
+
+# The modules whose public functions and methods the benchmark's span tracer
+# (perfbench/tracer.py) wraps. Its span of a call closes when the call
+# returns, so a generator's work would be charged to whoever iterates it.
+_TRACED_MODULES = ("kernels", "geometry", "interpolation", "diagnostics", "svg", "cli")
+
+
+def test_no_traced_public_function_is_a_generator():
+    import importlib
+    import inspect
+
+    generators = []
+    for short in _TRACED_MODULES:
+        module = importlib.import_module(f"kinterp.{short}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                members = {attr: obj}
+            elif inspect.isclass(obj):  # methods, static and class methods included
+                members = {f"{attr}.{name}": getattr(raw, "__func__", raw)
+                           for name, raw in vars(obj).items() if not name.startswith("_")}
+            else:
+                continue
+            generators += [f"{short}.{name}" for name, fn in members.items()
+                           if inspect.isgeneratorfunction(fn)]
+    assert generators == []

@@ -364,7 +364,7 @@ def _sweep_cases(dim, rng):
     from kinterp.geometry import generate_candidates
 
     unit = Box.unit_cube(dim)
-    per_axis = {2: 30, 3: 9}[dim]
+    per_axis = {1: 900, 2: 30, 3: 9}[dim]
     cases = {f"random {n}": rng.uniform(-1.0, 2.0, size=(n, dim)) for n in (2, 3, 17, 400)}
     # many points tie on every axis, the sweep axis included
     cases["tensor grid"] = generate_candidates(unit, per_axis ** dim, "tensor_grid").points
@@ -388,7 +388,7 @@ def test_min_pairwise_distance_on_square_pools_equals_kd_tree(count):
     assert kernels.min_pairwise_distance(pts) == _kd_tree_min_distance(pts)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_min_pairwise_distance_equals_kd_tree(dim):
     rng = np.random.default_rng(40 + dim)
     for name, pts in _sweep_cases(dim, rng).items():
@@ -398,7 +398,7 @@ def test_min_pairwise_distance_equals_kd_tree(dim):
         assert kernels.min_pairwise_distance(dup) == 0.0 == _kd_tree_min_distance(dup), name
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_nearest_distances_equal_kd_tree(dim):
     from scipy.spatial import cKDTree
 

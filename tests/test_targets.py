@@ -78,3 +78,9 @@ def test_trig_2d_sums_axes():
 def test_unknown_name():
     with pytest.raises(TargetError):
         make_target("nope", {}, M32, UNIT)
+
+
+def test_parameter_the_target_does_not_read():
+    with pytest.raises(TargetError, match="trig reads no parameter center, power"):
+        make_target("trig", {"power": 2.0, "center": 0.3}, M32, UNIT)
+    make_target("trig", {"freq": 2.0, "amplitude": 0.5}, M32, UNIT)
