@@ -299,22 +299,28 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
     quantities of all levels come from one scan of the grid
     (`interpolation._scan_levels`), and the errors are reduced over the whole
     grid as `sup_error` and `l2_error` do, so every result equals theirs.
+    The scan is handed the only reference to each level's cardinal matrix,
+    so each is freed after the last block that reads it, not at the end of
+    the scan.
     """
     errors = errors and target is not None
     fitted = _fit_levels(kernel, level_sets, target, lebesgue)
-    ok = _successful(fitted, row=lambda f: f[0])
+    rows = [row for row, *_ in fitted]
+    ok = _successful(rows)
+    levels = [(X, alpha if errors else None, C)
+              for _, X, alpha, C in _successful(fitted, row=lambda f: f[0])]
+    del fitted  # the scan list now holds the only reference to each C
     if ok and (lebesgue or errors):
-        scanned = _scan_levels(kernel, [(X, alpha if errors else None, C)
-                                        for _, X, alpha, C in ok], grid.points)
+        scanned = _scan_levels(kernel, levels, grid.points)
         exact = target(grid.points) if errors else None
-        for (row, *_), (lmax, values) in zip(ok, scanned):
+        for row, (lmax, values) in zip(ok, scanned):
             if lebesgue:
                 row["lebesgue_constant"] = lmax
             if errors:
                 d = exact - values
                 row["sup_error"] = _sup_norm(d)
                 row["l2_error"] = _l2_norm(d, grid)
-    return [row for row, *_ in fitted]
+    return rows
 
 
 def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tuple]:

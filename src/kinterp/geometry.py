@@ -186,9 +186,9 @@ def fill_distance_grid(X: PointSet, probe) -> float:
 
     A lower bound of the true fill distance, converging as the probe is
     refined; the error is at most half the probe spacing times sqrt(N).
-    `probe` is an array of points or a `TensorProbe`. An array is queried
-    point by point; a tensor probe is searched by `_bounded_fill_distance`,
-    which returns the same float.
+    `probe` is an (m, N) array of points, N the nodes' dimension, or a
+    `TensorProbe`. An array is queried point by point; a tensor probe is
+    searched by `_bounded_fill_distance`, which returns the same float.
     """
     if isinstance(probe, TensorProbe):
         if len(probe.axes) != X.domain.dim:
@@ -198,6 +198,9 @@ def fill_distance_grid(X: PointSet, probe) -> float:
             raise GeometryError("fill distance needs nonempty nodes and probe")
         return _bounded_fill_distance(_nearest_distance_to(X.points), probe.axes)
     probe_pts = np.atleast_2d(np.asarray(probe, float))
+    if probe_pts.shape[1] != X.domain.dim:
+        raise GeometryError(
+            f"a {probe_pts.shape[1]}-d probe for {X.domain.dim}-d points")
     if len(X) == 0 or probe_pts.shape[0] == 0:
         raise GeometryError("fill distance needs nonempty nodes and probe")
     nearest = _nearest_distance_to(X.points)

@@ -230,6 +230,12 @@ def _scan_levels(kernel: Kernel, levels, points: np.ndarray, functions=None) -> 
     `points`) pair per level, each None when its C or alpha is; a level's
     whole Lebesgue function is written only into a given functions[k].
 
+    The list is handed over: right after the last block a level reads, its
+    entry is set to None, so a C the caller holds no other reference to is
+    freed before the next level's product is formed. A caller that holds
+    its own reference to C, as the one-level public calls do, keeps it:
+    only the list entry is dropped.
+
     The scan's columns are the nodes of the largest level, plus the nodes of
     every level that is not a prefix of them; each level reads its own
     columns of the shared block, which are bit-identical to its own block,
@@ -263,8 +269,14 @@ def _scan_levels(kernel: Kernel, levels, points: np.ndarray, functions=None) -> 
         rows = slice(start, start + EVAL_CHUNK)
         chunk = points[rows]
         cross = kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
-        for k, (cols, (_, alpha, C)) in enumerate(zip(columns, levels)):
-            block = cross[:, cols]
+        last = start + EVAL_CHUNK >= len(points)
+        # indexed, not zipped: a zip's tuple would keep level k's C alive
+        # through level k + 1
+        for k in range(len(levels)):
+            _, alpha, C = levels[k]
+            if last:
+                levels[k] = None
+            block = cross[:, columns[k]]
             if C is not None:
                 out = sums[:len(block)] if functions[k] is None else functions[k][rows]
                 lmax[k] = max(lmax[k], float(_cardinal_abs_sums(block, C, out, product).max()))

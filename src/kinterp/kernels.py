@@ -18,8 +18,8 @@ Three families are supported:
 
 All evaluation goes through one vectorized routine, so scalar and batch
 calls produce bit-identical values. Blocks larger than one row tile are
-filled on a process-wide thread pool, and every entry keeps the bits of a
-one-pass evaluation. Everything here is pure and safe to call from multiple
+filled, and Grams of more than one tile mirrored, on a process-wide thread
+pool, and every entry keeps the bits of a one-pass evaluation. Everything here is pure and safe to call from multiple
 threads.
 
 Minimum pairwise distances (the duplicate-node check) and nearest-node
@@ -465,15 +465,24 @@ def mirror_upper(A: np.ndarray) -> None:
     The tiles, not whole strips, keep each transposed copy in cache, and
     mirroring once after the strips are filled, not strip by strip, avoids
     numpy's copy of a strip whose transpose overlaps it on the diagonal
-    tile.
+    tile. Each tile pair is one task of `_run_tiles`: a task writes only
+    its lower tile and reads only its upper one, which no task writes, so
+    the bits do not depend on the order or the worker count.
     """
     n = A.shape[0]
     strict_lower = np.tri(min(n, GRAM_ROW_BLOCK), k=-1, dtype=bool)
-    for j0 in range(0, n, GRAM_ROW_BLOCK):
-        cols = slice(j0, j0 + GRAM_ROW_BLOCK)
-        tile = A[cols, cols]
-        m = tile.shape[0]
-        np.copyto(tile, tile.T, where=strict_lower[:m, :m])
-        for i0 in range(j0 + GRAM_ROW_BLOCK, n, GRAM_ROW_BLOCK):
+    starts = range(0, n, GRAM_ROW_BLOCK)
+    pairs = [(i0, j0) for j0 in starts for i0 in starts if i0 >= j0]
+
+    def mirror(tasks):
+        for i0, j0 in pairs[tasks]:
             rows = slice(i0, i0 + GRAM_ROW_BLOCK)
-            A[rows, cols] = A[cols, rows].T
+            cols = slice(j0, j0 + GRAM_ROW_BLOCK)
+            if i0 == j0:
+                tile = A[cols, cols]
+                m = tile.shape[0]
+                np.copyto(tile, tile.T, where=strict_lower[:m, :m])
+            else:
+                A[rows, cols] = A[cols, rows].T
+
+    _run_tiles(mirror, len(pairs), 8 * GRAM_ROW_BLOCK ** 2)

@@ -1,6 +1,8 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
@@ -23,6 +25,20 @@ def traced_peak(call, *args, **kwargs):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def tile_workers(monkeypatch):
+    """Set the usable-CPU rule to a given count, with a fresh tile pool."""
+    from kinterp import kernels
+
+    def use(count):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(kernels, "_pool", None)
+
+    yield use
+    if kernels._pool is not None:
+        kernels._pool.shutdown()
 
 
 # Per-criterion pass/fail lines collected by tests/test_acceptance.py and

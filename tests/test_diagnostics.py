@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -477,19 +479,6 @@ def test_report_csv_roundtrip(tmp_path):
 # ---------------------------------------------------------------- tile pool
 
 
-@pytest.fixture
-def tile_workers(monkeypatch):
-    """Set the usable-CPU rule to a given count, with a fresh tile pool."""
-
-    def use(count):
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: count)
-        monkeypatch.setattr(kernels, "_pool", None)
-
-    yield use
-    if kernels._pool is not None:
-        kernels._pool.shutdown()
-
-
 def _rows_key(rows):
     return [[repr(row[c]) for c in row] for row in rows]
 
@@ -554,3 +543,110 @@ def test_grid_scan_fills_one_workspace(monkeypatch):
         fresh = fill(kernel, grid.points[start:start + EVAL_CHUNK], X.points)
         assert np.array_equal(block, fresh)
         assert np.array_equal(function[start:start + EVAL_CHUNK], np.abs(fresh @ C).sum(1))
+
+
+# ------------------------------------------- cardinal matrix hand-over
+
+
+def _recording_cardinal_sums(monkeypatch):
+    """Patch the scan's cardinal sums to record, at each call, a weak
+    reference to the C it is given and which of the earlier calls' Cs are
+    still alive; the recording itself holds no C."""
+    import weakref
+
+    sums = interpolation._cardinal_abs_sums
+    refs, alive = [], []
+
+    def recording(cross, C, out, product):
+        alive.append([ref() is not None for ref in refs])
+        refs.append(weakref.ref(C))
+        return sums(cross, C, out, product)
+
+    monkeypatch.setattr(interpolation, "_cardinal_abs_sums", recording)
+    return refs, alive
+
+
+def test_one_block_scan_frees_each_cardinal_matrix_before_the_next_level(monkeypatch):
+    level_sets = design_levels(nested_equispaced_design(0, 1, 8, 4))
+    refs, alive = _recording_cardinal_sums(monkeypatch)
+    rows = measure_levels(M32, level_sets, grid1d(2049), lebesgue=True)
+    assert len(refs) == len(level_sets)
+    # level k's C is dead by the time level k + 1's product is formed
+    assert alive == [[False] * k for k in range(len(level_sets))]
+    assert all(ref() is None for ref in refs)
+    assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
+
+
+def test_multi_block_scan_keeps_each_cardinal_matrix_until_its_last_block(monkeypatch):
+    kernel, box, m, level_sets = _square_levels()  # 129^2 points: three blocks
+    refs, alive = _recording_cardinal_sums(monkeypatch)
+    measure_levels(kernel, level_sets, EvalGrid.tensor(box, m), lebesgue=True)
+    count = len(level_sets)
+    assert len(refs) == 3 * count
+    for call, flags in enumerate(alive):
+        block, k = divmod(call, count)
+        # every earlier call's level stays alive until the last block, where
+        # the levels before k have been dropped
+        assert flags == [block < 2 or j % count >= k for j in range(call)], call
+    assert all(ref() is None for ref in refs)
+
+
+def test_one_level_calls_keep_the_callers_arrays():
+    # two scan blocks; each public call hands the scan a list of its own
+    X = nested_equispaced_design(0, 1, 8, 4).master
+    grid = grid1d(9000)
+    C, _ = lagrange_coefficients(M32, X)
+    kept = C.copy()
+    ref = max(np.abs(kernel_matrix(M32, grid.points[i:i + EVAL_CHUNK], X.points) @ C)
+              .sum(axis=1).max() for i in range(0, len(grid), EVAL_CHUNK))
+    assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref
+    assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref
+    assert np.array_equal(C, kept)
+    assert lebesgue_function(M32, X, grid).max() == ref
+    s = fit(M32, X, np.sin(4 * X.points[:, 0]))
+    coefficients = s.coefficients.copy()
+    values = evaluate(s, grid.points)
+    assert np.array_equal(evaluate(s, grid.points), values)
+    assert np.array_equal(s.coefficients, coefficients)
+    # the scan itself consumes the list it is given
+    levels = [(X, s.coefficients, C)]
+    ((lmax, scanned),) = interpolation._scan_levels(M32, levels, grid.points)
+    assert levels == [None]
+    assert lmax == ref and np.array_equal(scanned, values)
+    assert np.array_equal(C, kept)
+
+
+def test_top_level_product_is_formed_beside_no_other_cardinal_matrix(monkeypatch,
+                                                                      tile_workers):
+    # nested Matern 3/2 levels up to n = 1087 on a 2049-point grid, one scan
+    # block. From the top level's product on, the run holds its C, the cross
+    # block and the product, plus row tiles and grid vectors: the smaller
+    # levels' C are freed by then. (The peak of the whole run is earlier,
+    # where the block is filled beside every level's C: tracemalloc counts
+    # the product buffer when it is allocated, not as its pages are touched.)
+    import tracemalloc
+
+    tile_workers(2)
+    design = nested_equispaced_design(0, 1, 16, 7)
+    n, G = len(design.master), 2049
+    target = make_target("abs_power", {"power": 1.0 / 3.0}, M32, UNIT)
+    bound = (8 * (n * n + 2 * G * n)  # C_top, the cross block and the product
+             + 2 * 2 * kernels.TILE_BYTES  # two tile temporaries on each worker
+             + 16 * 8 * G)  # grid vectors: values, target, differences, sums
+    sums = interpolation._cardinal_abs_sums
+    tops = []
+
+    def top_resets_the_peak(cross, C, out, product):
+        if len(C) == n:
+            tops.append(len(C))
+            tracemalloc.reset_peak()
+        return sums(cross, C, out, product)
+
+    monkeypatch.setattr(interpolation, "_cardinal_abs_sums", top_resets_the_peak)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the larger levels' fit residual warnings
+        rows, peak = traced_peak(measure_levels, M32, design_levels(design), grid1d(G),
+                                 target, lebesgue=True, errors=True)
+    assert tops == [n] and rows[-1]["n"] == n
+    assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"

@@ -106,6 +106,21 @@ def test_fill_grid_empty_rejected():
         fill_distance_grid(X, np.empty((0, 1)))
 
 
+def test_fill_grid_rejects_a_probe_of_another_width():
+    # a flat probe would be read as one 11-coordinate point, and a 3-column
+    # probe against 2-d nodes would lose its last column
+    X = geo.equispaced_interval(0, 1, 4)
+    probe = np.linspace(0.5, 1, 11)
+    with pytest.raises(GeometryError, match="a 11-d probe for 1-d points"):
+        fill_distance_grid(X, probe)
+    assert fill_distance_grid(X, probe[:, None]) == pytest.approx(0.2)
+    Y = PointSet(points=[[0.5, 0.5]], domain=Box.unit_cube(2))
+    wide = np.random.default_rng(2).uniform(size=(50, 3))
+    with pytest.raises(GeometryError, match="a 3-d probe for 2-d points"):
+        fill_distance_grid(Y, wide)
+    assert fill_distance_grid(Y, wide[:, :2]) > 0
+
+
 def fill_search_cases(box, probe_points, rng):
     """Node sets for the bounded search, each against its full-query oracle."""
     lo, up = np.asarray(box.lower), np.asarray(box.upper)

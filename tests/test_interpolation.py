@@ -336,6 +336,23 @@ def test_handed_over_factor_equals_the_copied_factor():
         assert ref.gram_diagonal is None
 
 
+def test_restore_after_a_failed_rung_gives_the_gram_back(tile_workers):
+    # nested Matern 5/2 at n = 1087 fails its first rung; the mirror that
+    # resets the buffer runs serially and on three tile workers
+    from kinterp.interpolation import _flapack, _restore_gram
+
+    K = assemble_gram(matern(2.5), nested_equispaced_design(0.0, 1.0, 16, 7).master).entries
+    for count in (1, 3):
+        tile_workers(count)
+        buffer = K.copy()
+        A = buffer.T  # the handed-over view that factorize works in
+        diagonal = A.diagonal().copy()
+        _, info = _flapack.dpotrf(A, lower=True, clean=False, overwrite_a=True)
+        assert info > 0
+        _restore_gram(A, diagonal)
+        assert np.array_equal(buffer.view(np.uint64), K.view(np.uint64))
+
+
 def test_handed_over_exhausted_ladder_gives_the_same_message():
     gram = _symmetric_gram(_shifted_spectrum(40, 1e-6, seed=3))
     with pytest.raises(FactorizationError) as ref:

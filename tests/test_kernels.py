@@ -317,6 +317,42 @@ def test_mirror_upper_copies_the_strict_upper_triangle(n):
         assert np.array_equal(view, want)
 
 
+def _serial_mirror(A):
+    # the tile order of a one-thread mirror: each column of tiles in turn,
+    # its diagonal tile first
+    B, n = kernels.GRAM_ROW_BLOCK, A.shape[0]
+    for j0 in range(0, n, B):
+        cols = slice(j0, j0 + B)
+        tile = A[cols, cols]
+        np.copyto(tile, tile.T, where=np.tri(tile.shape[0], k=-1, dtype=bool))
+        for i0 in range(j0 + B, n, B):
+            A[i0:i0 + B, cols] = A[cols, i0:i0 + B].T
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1087])
+def test_threaded_mirror_bit_equal_to_serial_tile_order(n, tile_workers):
+    # also with more workers than cores and frequent thread switches: a
+    # tile pair lost, taken twice or raced leaves a wrong or unset entry
+    import sys
+
+    A = np.random.default_rng(n).normal(size=(n, n))
+    A[0, -1] = -0.0  # compared bit for bit, so the sign of zero counts
+    ref = A.copy()
+    _serial_mirror(ref)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for count in (1, 3, (os.cpu_count() or 1) + 1):
+            tile_workers(count)
+            for view in (A.copy(), A.T.copy().T):  # a handed-over buffer is F-order
+                mirror_upper(view)
+                assert np.array_equal(view.view(np.uint64), ref.view(np.uint64))
+            # one tile pair runs in the caller; more go on the pool
+            assert (kernels._pool is not None) == (count > 1 and n > kernels.GRAM_ROW_BLOCK)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_point_set_gram_skips_second_duplicate_check(monkeypatch):
     # PointSet construction already applied the duplicate-node rule
     X = _random_pointset(np.random.default_rng(8), 30, 2)
