@@ -186,7 +186,7 @@ def _validate(cp: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("decay experiments need a Matern kernel.family")
 
     if cfg["grid.points_per_axis"] == 0:
-        cfg["grid.points_per_axis"] = 4097 if dim == 1 else 513
+        cfg["grid.points_per_axis"] = {1: 4097, 2: 513}.get(dim, 129)
     if cfg["grid.points_per_axis"] < 33:
         raise ConfigError("grid.points_per_axis must be at least 33")
 

@@ -3,10 +3,11 @@ the native-norm growth label, Lagrange decay fits, and the per-level
 measurements of nested designs (`measure_levels`).
 
 Supremum norms are discretized as maxima over a fixed tensor evaluation
-grid (a lower bound of the true sup, converging under grid refinement);
-L2 norms use tensorized composite-trapezoid quadrature. Grid scans run in
-fixed-size chunks with deterministic reductions, so reports are reproducible
-run to run.
+grid, a `geometry.EvalGrid` (a lower bound of the true sup, converging under
+grid refinement); L2 norms use its tensorized composite-trapezoid weights.
+Grid scans run in fixed-size chunks with deterministic reductions, so
+reports are reproducible run to run, and form the grid's points one chunk at
+a time; the errors read the whole grid, `grid[:]`, once.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import numpy as np
 
 from .geometry import (
     DEFAULT_FILL_PROBE,
-    Box,
+    EvalGrid,
     PointSet,
-    TensorProbe,
-    _tensor_points,
     fill_distance_grid,
     fill_distance_interval,
     sampling_condition,
@@ -54,43 +53,11 @@ class DecayFitError(DiagnosticsError):
     pass
 
 
-@dataclass(frozen=True)
-class EvalGrid:
-    """Tensor evaluation grid with composite-trapezoid quadrature weights.
-
-    Points are ordered lexicographically; the weights sum to the box volume.
-    """
-
-    points: np.ndarray
-    quad_weights: np.ndarray
-
-    @classmethod
-    def tensor(cls, domain: Box, points_per_axis: int) -> "EvalGrid":
-        if points_per_axis < 2:
-            raise DiagnosticsError("need at least 2 grid points per axis")
-        axes, weights = [], []
-        for a, b in zip(domain.lower, domain.upper):
-            h = (b - a) / (points_per_axis - 1)
-            w = np.full(points_per_axis, h)
-            w[0] = w[-1] = 0.5 * h
-            axes.append(np.linspace(a, b, points_per_axis))
-            weights.append(w)
-        pts = _tensor_points(axes)
-        wmesh = np.meshgrid(*weights, indexing="ij")
-        qw = np.ones(pts.shape[0])
-        for wm in wmesh:
-            qw = qw * wm.reshape(-1)
-        return cls(points=pts, quad_weights=qw)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def lebesgue_max_from_coefficients(kernel: Kernel, X: PointSet, C: np.ndarray,
                                    grid: EvalGrid) -> float:
     """Chunked grid scan of max_x sum_i |l_i(x)| given the cardinal
     coefficient matrix."""
-    return _scan_levels(kernel, [(X, None, C)], grid.points)[0][0]
+    return _scan_levels(kernel, [(X, None, C)], grid)[0][0]
 
 
 def lebesgue_function(kernel: Kernel, X: PointSet, grid: EvalGrid) -> np.ndarray:
@@ -105,7 +72,7 @@ def lebesgue_function(kernel: Kernel, X: PointSet, grid: EvalGrid) -> np.ndarray
     except FactorizationError as exc:
         raise FactorizationError(f"Lebesgue function at n={len(X)}: {exc}") from exc
     out = np.empty(len(grid))
-    _scan_levels(kernel, [(X, None, C)], grid.points, [out])
+    _scan_levels(kernel, [(X, None, C)], grid, [out])
     return out
 
 
@@ -116,13 +83,13 @@ def lebesgue_constant(kernel: Kernel, X: PointSet, grid: EvalGrid) -> float:
 
 
 def sup_error(target, s: Interpolant, grid: EvalGrid) -> float:
-    return _sup_norm(target(grid.points) - evaluate(s, grid.points))
+    return _sup_norm(target(grid[:]) - evaluate(s, grid[:]))
 
 
 def l2_error(target, s: Interpolant, grid: EvalGrid) -> float:
     """Trapezoid-quadrature L2 error; the quadrature error is O(spacing^2)
     for twice-differentiable integrands and unquantified for rougher ones."""
-    return _l2_norm(target(grid.points) - evaluate(s, grid.points), grid)
+    return _l2_norm(target(grid[:]) - evaluate(s, grid[:]), grid)
 
 
 def _sup_norm(d: np.ndarray) -> float:
@@ -194,10 +161,11 @@ def decay_profile(kernel: Kernel, X: PointSet, i: int, grid: EvalGrid,
     if h <= 0:
         raise DiagnosticsError("decay_profile needs h > 0")
     li = lagrange(kernel, X, i)
-    lv = evaluate(li, grid.points)
+    pts = grid[:]
+    lv = evaluate(li, pts)
     floor = max(1e-12, 10.0 * np.finfo(float).eps * kernel.diagonal_value()
                 * float(np.sum(np.abs(li.coefficients))))
-    t = np.abs(grid.points[:, 0] - X.points[i, 0]) / h
+    t = np.abs(pts[:, 0] - X.points[i, 0]) / h
     mask = (t >= 1.0) & (np.abs(lv) > floor)
     if int(mask.sum()) < 8:
         raise DecayFitError(
@@ -311,8 +279,8 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
               for _, X, alpha, C in _successful(fitted, row=lambda f: f[0])]
     del fitted  # the scan list now holds the only reference to each C
     if ok and (lebesgue or errors):
-        scanned = _scan_levels(kernel, levels, grid.points)
-        exact = target(grid.points) if errors else None
+        scanned = _scan_levels(kernel, levels, grid)
+        exact = target(grid[:]) if errors else None
         for row, (lmax, values) in zip(ok, scanned):
             if lebesgue:
                 row["lebesgue_constant"] = lmax
@@ -340,7 +308,7 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tupl
             h = fill_distance_interval(X, dom.lower[0], dom.upper[0])
         else:
             if fill_probe is None:
-                fill_probe = TensorProbe.on_box(dom, DEFAULT_FILL_PROBE)
+                fill_probe = EvalGrid.tensor(dom, DEFAULT_FILL_PROBE)
             h = fill_distance_grid(X, fill_probe)
         row = dict.fromkeys(REPORT_COLUMNS, float("nan"))
         row.update(n=n, h=h, jitter_flag="failed", sampling_condition="n/a")

@@ -4,12 +4,14 @@ A PointSet carries its axis-aligned domain box. Designs are prefix-nested:
 one master ordered point list plus a list of prefix lengths, so the nesting
 X_1 subset X_2 subset ... holds exactly. The geometric greedy selector
 (iteratively add the candidate farthest from the current selection) produces
-such designs from a candidate pool.
+such designs from a candidate pool. `EvalGrid` is the one tensor grid, the
+diagnostics' evaluation grid and the fill-distance probe; it stores only its
+axes and forms its points a slice of rows at a time.
 
 Fill distances are exact on intervals (closed form over the sorted gaps) and
 probe-grid lower bounds in higher dimension, with error at most half the
-probe spacing times sqrt(N). On a tensor probe (`TensorProbe`) the maximum is
-found by a bounded search over cells of the probe that queries only the
+probe spacing times sqrt(N). On a tensor probe (an `EvalGrid`) the maximum
+is found by a bounded search over cells of the probe that queries only the
 points that can still reach it. Nearest-node distances come from the exact
 sweep in `kernels`, in every dimension.
 """
@@ -127,11 +129,13 @@ class PointSet:
 
 
 @dataclass(frozen=True)
-class TensorProbe:
-    """The lexicographic tensor grid of the per-axis coordinates `axes`.
+class EvalGrid:
+    """The lexicographic tensor grid of the per-axis coordinates `axes`,
+    with composite-trapezoid quadrature weights that sum to the box volume.
 
-    It is never materialized; `len()` is its point count. Its points are
-    those of `EvalGrid.tensor` on the same box and count per axis.
+    Only the axes are stored. `len()` is the point count, and a slice of
+    rows, `grid[a:b]`, forms just those points as an (m, N) array, so a
+    grid scan forms one block at a time; `grid[:]` forms them all.
     """
 
     axes: tuple[np.ndarray, ...]
@@ -139,23 +143,36 @@ class TensorProbe:
     def __post_init__(self):
         axes = tuple(np.asarray(ax, dtype=float) for ax in self.axes)
         if not axes or any(ax.ndim != 1 for ax in axes):
-            raise GeometryError("a tensor probe needs one coordinate vector per axis")
+            raise GeometryError("a tensor grid needs one coordinate vector per axis")
         object.__setattr__(self, "axes", axes)
 
     @classmethod
-    def on_box(cls, domain: Box, per_axis: int) -> "TensorProbe":
-        return cls(tuple(np.linspace(a, b, per_axis)
+    def tensor(cls, domain: Box, points_per_axis: int) -> "EvalGrid":
+        if points_per_axis < 2:
+            raise GeometryError("need at least 2 grid points per axis")
+        return cls(tuple(np.linspace(a, b, points_per_axis)
                          for a, b in zip(domain.lower, domain.upper)))
 
     def __len__(self) -> int:
         return math.prod(len(ax) for ax in self.axes)
 
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        r = range(len(self))[rows]
+        index = np.unravel_index(np.arange(r.start, r.stop, r.step),
+                                 tuple(len(ax) for ax in self.axes))
+        return np.stack([ax[i] for ax, i in zip(self.axes, index)], axis=-1)
 
-def _tensor_points(axes) -> np.ndarray:
-    """The lexicographic tensor grid of the per-axis coordinates, one row
-    per point."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    @property
+    def quad_weights(self) -> np.ndarray:
+        """The trapezoid weight of each point: the product, in axis order,
+        of its per-axis weights."""
+        qw = np.float64(1.0)
+        for ax in self.axes:
+            h = (ax[-1] - ax[0]) / (len(ax) - 1)
+            w = np.full(len(ax), h)
+            w[0] = w[-1] = 0.5 * h
+            qw = np.multiply.outer(qw, w)
+        return qw.reshape(-1)
 
 
 def separation_distance(X: PointSet) -> float:
@@ -186,11 +203,11 @@ def fill_distance_grid(X: PointSet, probe) -> float:
 
     A lower bound of the true fill distance, converging as the probe is
     refined; the error is at most half the probe spacing times sqrt(N).
-    `probe` is an (m, N) array of points, N the nodes' dimension, or a
-    `TensorProbe`. An array is queried point by point; a tensor probe is
-    searched by `_bounded_fill_distance`, which returns the same float.
+    `probe` is an (m, N) array of points, N the nodes' dimension, or an
+    `EvalGrid`. An array is queried point by point; a grid is searched by
+    `_bounded_fill_distance`, which returns the same float.
     """
-    if isinstance(probe, TensorProbe):
+    if isinstance(probe, EvalGrid):
         if len(probe.axes) != X.domain.dim:
             raise GeometryError(
                 f"a {len(probe.axes)}-d probe for {X.domain.dim}-d points")
@@ -203,9 +220,7 @@ def fill_distance_grid(X: PointSet, probe) -> float:
             f"a {probe_pts.shape[1]}-d probe for {X.domain.dim}-d points")
     if len(X) == 0 or probe_pts.shape[0] == 0:
         raise GeometryError("fill distance needs nonempty nodes and probe")
-    nearest = _nearest_distance_to(X.points)
-    return max(float(nearest(probe_pts[i:i + _FILL_BATCH]).max())
-               for i in range(0, len(probe_pts), _FILL_BATCH))
+    return float(_nearest_in_batches(_nearest_distance_to(X.points), probe_pts).max())
 
 
 def _bounded_fill_distance(nearest, axes) -> float:
@@ -228,7 +243,8 @@ def _bounded_fill_distance(nearest, axes) -> float:
     d = len(axes)
     cuts = [np.append(np.arange(0, max(len(ax) - 1, 1), FILL_CELL), len(ax) - 1)
             for ax in axes]
-    low = _nearest_on_tensor(nearest, [ax[c] for ax, c in zip(axes, cuts)])
+    low = _nearest_in_batches(nearest, EvalGrid(tuple(ax[c] for ax, c in zip(axes, cuts))))
+    low = low.reshape(tuple(len(c) for c in cuts))
     best = float(low.max())
     diag2 = 0.0
     for j, (ax, c) in enumerate(zip(axes, cuts)):
@@ -266,16 +282,11 @@ def _bounded_fill_distance(nearest, axes) -> float:
     return best
 
 
-def _nearest_on_tensor(nearest, axes) -> np.ndarray:
-    """The `nearest` distance of every point of the tensor grid of `axes`,
-    shaped like the grid; queried in slabs along the first axis."""
-    shape = tuple(len(ax) for ax in axes)
-    rows = max(1, _FILL_BATCH // math.prod(shape[1:]))
-    out = np.empty(shape)
-    for first in range(0, shape[0], rows):
-        slab = (axes[0][first:first + rows],) + tuple(axes[1:])
-        out[first:first + rows] = nearest(_tensor_points(slab)).reshape((-1,) + shape[1:])
-    return out
+def _nearest_in_batches(nearest, points) -> np.ndarray:
+    """The `nearest` distance of every row of `points`, an array or an
+    `EvalGrid`, queried _FILL_BATCH rows at a time."""
+    return np.concatenate([nearest(points[i:i + _FILL_BATCH])
+                           for i in range(0, len(points), _FILL_BATCH)])
 
 
 def mesh_ratio(X: PointSet, h: float) -> float:
@@ -415,7 +426,7 @@ def generate_candidates(domain: Box, count: int, scheme: str, seed: int = 0) -> 
             raise GeometryError(
                 f"tensor_grid count {count} is not a {domain.dim}-th power"
             )
-        u = _tensor_points([np.arange(1, per_axis + 1) / (per_axis + 1)] * domain.dim)
+        u = EvalGrid((np.arange(1, per_axis + 1) / (per_axis + 1),) * domain.dim)[:]
     else:
         raise GeometryError(f"unknown candidate scheme {scheme!r}")
     return PointSet(points=lo + (up - lo) * u, domain=domain)

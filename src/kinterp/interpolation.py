@@ -223,12 +223,14 @@ def fit(kernel: Kernel, X: PointSet, values,
                        jitter=factorization.jitter, residual_inf=resid)
 
 
-def _scan_levels(kernel: Kernel, levels, points: np.ndarray, functions=None) -> list[tuple]:
+def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
     """The one grid scan. `levels` holds one (X, alpha, C) triple per level:
     its nodes, fit coefficients and cardinal coefficient matrix, alpha or C
-    possibly None. Returns one (max_x sum_i |l_i(x)|, values of the fit at
-    `points`) pair per level, each None when its C or alpha is; a level's
-    whole Lebesgue function is written only into a given functions[k].
+    possibly None. `points` is an (m, N) array or a `geometry.EvalGrid`,
+    whose points are formed one block of rows at a time. Returns one
+    (max_x sum_i |l_i(x)|, values of the fit at `points`) pair per level,
+    each None when its C or alpha is; a level's whole Lebesgue function is
+    written only into a given functions[k].
 
     The list is handed over: right after the last block a level reads, its
     entry is set to None, so a C the caller holds no other reference to is

@@ -3,7 +3,8 @@
 Targets are supplied by name plus parameters instead of user code, which
 keeps experiment configs declarative and reruns deterministic. A target is
 a callable mapping an (m, N) array of points to an (m,) array of values and
-carries its name/parameters for report metadata.
+carries its name/parameters for report metadata; points of another width
+than its domain's dimension N are rejected.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ class Target:
     name: str
     params: dict = field(compare=False)
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
+    dim: int
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.dim:
+            raise TargetError(f"a {pts.shape[1]}-d point array for a {self.dim}-d target")
         return self.fn(pts)
 
 
@@ -90,5 +94,5 @@ def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box) -> 
         freq = float(p.get("freq", 1.0))
         amp = float(p.get("amplitude", 1.0))
         fn = lambda x, f=freq, a=amp: a * np.sin(2.0 * np.pi * f * x).sum(axis=1)
-    return Target(name=name, params=p, fn=fn)
+    return Target(name=name, params=p, fn=fn, dim=dim)
 

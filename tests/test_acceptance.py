@@ -148,7 +148,7 @@ def test_criterion_03_native_space_rate():
         X = design.level_points(i)
         s = fit(kernel, X, target(X.points))
         hs.append(fill_distance_interval(X, 0.0, 1.0))
-        errs.append(float(np.max(np.abs(target(grid.points) - evaluate(s, grid.points)))))
+        errs.append(float(np.max(np.abs(target(grid[:]) - evaluate(s, grid[:])))))
     half = len(hs) // 2
     slope = float(np.polyfit(np.log(hs[half:]), np.log(errs[half:]), 1)[0])
     elapsed = time.time() - t0

@@ -380,7 +380,7 @@ prefix = {tmp_path}/w21
     assert rows[1]["sampling_condition"] in ("none", "weak-100", "strong-1200")
 
 
-# Configs that set only the required fields (and, in 2-d, kernel.dim).
+# Configs that set only the required fields (and, in 2-d and 3-d, kernel.dim).
 MINIMAL_1D = {
     "experiment": {"kind": "lebesgue_trace"},
     "kernel": {"family": "matern32"},
@@ -392,6 +392,13 @@ MINIMAL_2D = {
     "experiment": {"kind": "lebesgue_trace"},
     "kernel": {"family": "matern32", "dim": "2"},
     "domain": {"lower": "0.0, 0.0", "upper": "1.0, 1.0"},
+    "design": {"scheme": "greedy_low_discrepancy", "levels": "10, 20"},
+    "output": {"prefix": "out/run"},
+}
+MINIMAL_3D = {
+    "experiment": {"kind": "lebesgue_trace"},
+    "kernel": {"family": "matern32", "dim": "3"},
+    "domain": {"lower": "0.0, 0.0, 0.0", "upper": "1.0, 1.0, 1.0"},
     "design": {"scheme": "greedy_low_discrepancy", "levels": "10, 20"},
     "output": {"prefix": "out/run"},
 }
@@ -463,7 +470,8 @@ def test_each_validation_rule_names_its_field(tmp_path, base, changes, names):
 
 
 @pytest.mark.parametrize("base,dim,points", [(MINIMAL_1D, "1", "4097"),
-                                             (MINIMAL_2D, "2", "513")], ids=["1d", "2d"])
+                                             (MINIMAL_2D, "2", "513"),
+                                             (MINIMAL_3D, "3", "129")], ids=["1d", "2d", "3d"])
 def test_minimal_config_metadata_holds_the_defaults(tmp_path, base, dim, points):
     md = cli.config_metadata(parse_config(edited_cfg(tmp_path, base, {})))
     assert list(md) == [

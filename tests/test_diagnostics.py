@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kinterp import geometry, interpolation, kernels
+from kinterp import interpolation, kernels
 from kinterp.diagnostics import (
     BOUNDED_LIKE,
     DIVERGING_LIKE,
@@ -72,8 +72,52 @@ def test_grid_weights_sum_to_volume_2d():
 
 def test_grid_lexicographic_order():
     g = EvalGrid.tensor(Box.unit_cube(2), 33)
-    order = np.lexsort((g.points[:, 1], g.points[:, 0]))
+    order = np.lexsort((g[:][:, 1], g[:][:, 0]))
     assert np.array_equal(order, np.arange(len(g)))
+
+
+def materialized_tensor_grid(domain, points_per_axis):
+    """(points, quad_weights) of the tensor grid as they were once built and
+    stored for the whole run: the reference for the lazy grid's bits."""
+    axes, weights = [], []
+    for a, b in zip(domain.lower, domain.upper):
+        h = (b - a) / (points_per_axis - 1)
+        w = np.full(points_per_axis, h)
+        w[0] = w[-1] = 0.5 * h
+        axes.append(np.linspace(a, b, points_per_axis))
+        weights.append(w)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    wmesh = np.meshgrid(*weights, indexing="ij")
+    qw = np.ones(pts.shape[0])
+    for wm in wmesh:
+        qw = qw * wm.reshape(-1)
+    return pts, qw
+
+
+@pytest.mark.parametrize("dim,per_axis", [(1, 2), (1, 17), (1, 4097), (2, 2), (2, 33),
+                                          (2, 65), (3, 2), (3, 9), (3, 17)])
+def test_lazy_grid_rows_and_weights_equal_the_materialized_grid(dim, per_axis):
+    rng = np.random.default_rng(10 * dim + per_axis)
+    lower = rng.uniform(-3.0, 3.0, size=dim)
+    boxes = [Box.unit_cube(dim),
+             Box(lower=(-1.3, 0.1, 2.0)[:dim], upper=(2.7, 0.35, 9.5)[:dim]),
+             Box(lower=tuple(lower), upper=tuple(lower + rng.uniform(1e-3, 5.0, size=dim)))]
+    for box in boxes:
+        grid = EvalGrid.tensor(box, per_axis)
+        pts, qw = materialized_tensor_grid(box, per_axis)
+        assert len(grid) == len(pts) and not hasattr(grid, "points")
+        assert grid.quad_weights.tobytes() == qw.tobytes()
+        G, m = len(pts), per_axis
+        # whole grid, rows that cross the last axis's and the first axis's
+        # boundaries, strided, negative and empty slices
+        cuts = [slice(None), slice(m - 1, m + 3), slice(m * m - 2, m * m + m + 1),
+                slice(1, None, 7), slice(-5, None), slice(3, 3),
+                slice(*sorted(rng.integers(0, G + 1, size=2)))]
+        for rows in cuts:
+            block = grid[rows]
+            assert block.shape == pts[rows].shape and block.flags.c_contiguous
+            assert block.tobytes() == pts[rows].tobytes(), rows
 
 
 # ------------------------------------------------------- Lebesgue function
@@ -92,7 +136,7 @@ def test_lebesgue_single_node_is_normalized_kernel():
     X = PointSet(points=[[0.4]], domain=UNIT)
     g = grid1d(101)
     vals = lebesgue_function(matern(2.5), X, g)
-    expect = np.abs(kernel_matrix(matern(2.5), g.points, X.points)[:, 0]) / 3.0
+    expect = np.abs(kernel_matrix(matern(2.5), g[:], X.points)[:, 0]) / 3.0
     assert np.allclose(vals, expect, rtol=1e-12)
 
 
@@ -107,7 +151,7 @@ def test_lebesgue_three_nodes_matches_brute_force_oracle():
         e = np.zeros(3)
         e[i] = 1.0
         a = np.linalg.solve(K, e)
-        lv[:, i] = kernel_matrix(M32, g.points, X.points) @ a
+        lv[:, i] = kernel_matrix(M32, g[:], X.points) @ a
     oracle = np.abs(lv).sum(axis=1)
     vals = lebesgue_function(M32, X, g)
     assert np.max(np.abs(vals - oracle)) <= 1e-9
@@ -137,10 +181,10 @@ def test_operator_norm_attained_by_sign_data():
     star = int(np.argmax(vals))
     K = assemble_gram(M32, X).entries
     C = np.linalg.solve(K, np.eye(33))
-    lstar = kernel_matrix(M32, g.points[star:star + 1], X.points) @ C
+    lstar = kernel_matrix(M32, g[:][star:star + 1], X.points) @ C
     signs = np.sign(lstar[0])
     s = fit(M32, X, signs)
-    assert evaluate(s, g.points[star:star + 1])[0] == pytest.approx(vals[star], abs=1e-6)
+    assert evaluate(s, g[:][star:star + 1])[0] == pytest.approx(vals[star], abs=1e-6)
 
 
 # ------------------------------------------------------------- error norms
@@ -157,7 +201,7 @@ def test_sup_error_single_node_constant_structure():
     s = fit(M32, X, [1.0])
     g = grid1d(513)
     target = make_target("constant", {"value": 1.0}, M32, UNIT)
-    expect = np.max(np.abs(1.0 - kernel_matrix(M32, g.points, X.points)[:, 0]))
+    expect = np.max(np.abs(1.0 - kernel_matrix(M32, g[:], X.points)[:, 0]))
     assert sup_error(target, s, g) == pytest.approx(expect, rel=1e-12)
 
 
@@ -429,7 +473,7 @@ def test_shared_scan_equals_per_level_functions(levels):
         assert row["lebesgue_constant"] == lebesgue_max_from_coefficients(kernel, X, C, grid)
         # the independent oracle: each 8192-row chunk's own block and product
         assert row["lebesgue_constant"] == max(
-            np.abs(kernel_matrix(kernel, grid.points[i:i + 8192], X.points) @ C).sum(axis=1).max()
+            np.abs(kernel_matrix(kernel, grid[:][i:i + 8192], X.points) @ C).sum(axis=1).max()
             for i in range(0, len(grid), 8192))
         assert row["sup_error"] == sup_error(target, s, grid)
         assert row["l2_error"] == l2_error(target, s, grid)
@@ -438,12 +482,48 @@ def test_shared_scan_equals_per_level_functions(levels):
 def test_fill_probe_is_the_tensor_grid_of_the_box():
     # the levels' h are measured on the points EvalGrid.tensor would give
     box = Box(lower=(0.0, -1.0), upper=(2.0, 3.0))
-    probe = geometry.TensorProbe.on_box(box, 33)
+    probe = EvalGrid.tensor(box, 33)
     # no point array to read: len() counts the points without forming them
     assert not hasattr(probe, "points")
     assert len(probe) == 33 * 33
-    assert np.array_equal(geometry._tensor_points(probe.axes),
-                          EvalGrid.tensor(box, 33).points)
+    assert np.array_equal(probe[:], materialized_tensor_grid(box, 33)[0])
+
+
+@pytest.mark.parametrize("levels", [_square_levels, _unnested_interval_levels])
+def test_scan_of_a_grid_equals_the_scan_of_its_points(levels):
+    kernel, box, m, level_sets = levels()
+    grid = EvalGrid.tensor(box, m)
+    target = make_target("trig", {"freq": 1.5}, kernel, box)
+    fits = [(X, fit(kernel, X, target(X.points)).coefficients,
+             lagrange_coefficients(kernel, X)[0]) for X in level_sets]
+    results = []
+    for points in (grid, grid[:]):
+        functions = [np.empty(len(grid)) for _ in fits]
+        scanned = interpolation._scan_levels(kernel, list(fits), points, functions)
+        results.append((scanned, functions))
+    (lazy, lazy_functions), (dense, dense_functions) = results
+    for (lmax, values), (lmax_ref, values_ref) in zip(lazy, dense):
+        assert lmax == lmax_ref
+        assert values.tobytes() == values_ref.tobytes()
+    for f, f_ref in zip(lazy_functions, dense_functions):
+        assert f.tobytes() == f_ref.tobytes()
+
+
+def test_3d_lebesgue_scan_holds_less_than_one_grid_vector():
+    # the 129^3 grid of a 3-d config: G = 2,146,689 points, so its points
+    # alone would take 3 G-vectors; the scan forms them a block at a time
+    box = Box.unit_cube(3)
+    kernel = matern(1.5, gamma=5.0, dim=3)
+    X = geometric_greedy(generate_candidates(box, 1000, "low_discrepancy"), 27, 0, (27,)).master
+    C, _ = lagrange_coefficients(kernel, X)
+
+    def scan():
+        grid = EvalGrid.tensor(box, 129)
+        return len(grid), lebesgue_max_from_coefficients(kernel, X, C, grid)
+
+    (G, lmax), peak = traced_peak(scan)
+    assert G == 129 ** 3 and np.isfinite(lmax) and lmax >= 1.0
+    assert peak < 8 * G
 
 
 def test_measure_levels_in_3d_never_forms_the_fill_probe():
@@ -502,7 +582,7 @@ def test_lebesgue_function_bit_equal_to_one_pass_scan():
     X = nested_equispaced_design(0, 1, 8, 4).master
     grid = grid1d(9000)
     C, _ = lagrange_coefficients(M32, X)
-    ref = np.concatenate([np.abs(kernel_matrix(M32, grid.points[s:s + 8192], X.points) @ C)
+    ref = np.concatenate([np.abs(kernel_matrix(M32, grid[:][s:s + 8192], X.points) @ C)
                           .sum(axis=1) for s in range(0, len(grid), 8192)])
     assert np.array_equal(lebesgue_function(M32, X, grid), ref)
     assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref.max()
@@ -531,7 +611,7 @@ def test_grid_scan_fills_one_workspace(monkeypatch):
     monkeypatch.setattr(interpolation, "kernel_matrix", recording_fill)
     monkeypatch.setattr(interpolation, "_cardinal_abs_sums", recording_sums)
     function = np.empty(len(grid))
-    interpolation._scan_levels(kernel, [(X, None, C)], grid.points, [function])
+    interpolation._scan_levels(kernel, [(X, None, C)], grid[:], [function])
     assert [len(b) for b in blocks] == [EVAL_CHUNK, EVAL_CHUNK, 257]
     assert all(np.shares_memory(out, outs[0]) for out in outs)
     assert len(products) == 3 and all(p is products[0] for p in products)
@@ -540,7 +620,7 @@ def test_grid_scan_fills_one_workspace(monkeypatch):
     landed = products[0][:blocks[-1].size].reshape(blocks[-1].shape)
     assert np.array_equal(landed, np.abs(blocks[-1] @ C))
     for start, block in zip(range(0, len(grid), EVAL_CHUNK), blocks):
-        fresh = fill(kernel, grid.points[start:start + EVAL_CHUNK], X.points)
+        fresh = fill(kernel, grid[:][start:start + EVAL_CHUNK], X.points)
         assert np.array_equal(block, fresh)
         assert np.array_equal(function[start:start + EVAL_CHUNK], np.abs(fresh @ C).sum(1))
 
@@ -597,7 +677,7 @@ def test_one_level_calls_keep_the_callers_arrays():
     grid = grid1d(9000)
     C, _ = lagrange_coefficients(M32, X)
     kept = C.copy()
-    ref = max(np.abs(kernel_matrix(M32, grid.points[i:i + EVAL_CHUNK], X.points) @ C)
+    ref = max(np.abs(kernel_matrix(M32, grid[:][i:i + EVAL_CHUNK], X.points) @ C)
               .sum(axis=1).max() for i in range(0, len(grid), EVAL_CHUNK))
     assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref
     assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref
@@ -605,12 +685,12 @@ def test_one_level_calls_keep_the_callers_arrays():
     assert lebesgue_function(M32, X, grid).max() == ref
     s = fit(M32, X, np.sin(4 * X.points[:, 0]))
     coefficients = s.coefficients.copy()
-    values = evaluate(s, grid.points)
-    assert np.array_equal(evaluate(s, grid.points), values)
+    values = evaluate(s, grid[:])
+    assert np.array_equal(evaluate(s, grid[:]), values)
     assert np.array_equal(s.coefficients, coefficients)
     # the scan itself consumes the list it is given
     levels = [(X, s.coefficients, C)]
-    ((lmax, scanned),) = interpolation._scan_levels(M32, levels, grid.points)
+    ((lmax, scanned),) = interpolation._scan_levels(M32, levels, grid[:])
     assert levels == [None]
     assert lmax == ref and np.array_equal(scanned, values)
     assert np.array_equal(C, kept)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from kinterp import geometry as geo
 from kinterp.geometry import (
     Box,
+    EvalGrid,
     GeometryError,
     NestedDesign,
     PointSet,
-    TensorProbe,
     fill_distance_grid,
     fill_distance_interval,
     generate_candidates,
@@ -146,9 +146,9 @@ def test_bounded_fill_search_equals_full_query(dim, per_axis):
     boxes = [Box.unit_cube(dim),
              Box(lower=(-1.0,) + (0.0,) * (dim - 1), upper=(3.0,) + (0.25,) * (dim - 1))]
     for box in boxes:
-        probe = TensorProbe.on_box(box, per_axis)
+        probe = EvalGrid.tensor(box, per_axis)
         assert len(probe) == per_axis ** dim
-        probe_points = geo._tensor_points(probe.axes)
+        probe_points = probe[:]
         for name, nodes in fill_search_cases(box, probe_points, rng).items():
             X = PointSet(points=nodes, domain=box)
             assert fill_distance_grid(X, probe) == fill_distance_grid(X, probe_points), name
@@ -157,15 +157,15 @@ def test_bounded_fill_search_equals_full_query(dim, per_axis):
 def test_tensor_probe_rejects_mismatched_or_empty_input():
     X = PointSet(points=[[0.5, 0.5]], domain=Box.unit_cube(2))
     with pytest.raises(GeometryError):
-        fill_distance_grid(X, TensorProbe.on_box(Box.unit_cube(3), 5))
+        fill_distance_grid(X, EvalGrid.tensor(Box.unit_cube(3), 5))
     with pytest.raises(GeometryError):
-        fill_distance_grid(X, TensorProbe((np.linspace(0, 1, 5), np.empty(0))))
+        fill_distance_grid(X, EvalGrid((np.linspace(0, 1, 5), np.empty(0))))
     with pytest.raises(GeometryError):
-        TensorProbe((np.zeros((2, 2)),))
+        EvalGrid((np.zeros((2, 2)),))
     # a 1-d tensor probe is the sorted scan of its one axis
     Y = pset([0.2, 0.5, 0.9])
     ax = np.linspace(0, 1, 1001)
-    assert fill_distance_grid(Y, TensorProbe((ax,))) == fill_distance_grid(Y, ax[:, None])
+    assert fill_distance_grid(Y, EvalGrid((ax,))) == fill_distance_grid(Y, ax[:, None])
 
 
 def square_greedy_design(pool):
@@ -195,8 +195,8 @@ def test_bounded_fill_search_on_square_design(pool, monkeypatch):
 
     monkeypatch.setattr(geo, "_nearest_distance_to", counting_sweep)
     design = square_greedy_design(pool)
-    probe = TensorProbe.on_box(Box.unit_cube(2), geo.DEFAULT_FILL_PROBE)
-    probe_points = geo._tensor_points(probe.axes)
+    probe = EvalGrid.tensor(Box.unit_cube(2), geo.DEFAULT_FILL_PROBE)
+    probe_points = probe[:]
     for i in range(len(design)):
         X = design.level_points(i)
         queried[0] = 0

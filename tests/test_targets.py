@@ -84,3 +84,20 @@ def test_parameter_the_target_does_not_read():
     with pytest.raises(TargetError, match="trig reads no parameter center, power"):
         make_target("trig", {"power": 2.0, "center": 0.3}, M32, UNIT)
     make_target("trig", {"freq": 2.0, "amplitude": 0.5}, M32, UNIT)
+
+
+@pytest.mark.parametrize("name", ["constant", "abs_power", "trig"])
+def test_flat_array_is_not_read_as_one_point(name):
+    # five 1-d points given flat would be one 5-d point
+    t = make_target(name, {}, M32, UNIT)
+    with pytest.raises(TargetError, match="^a 5-d point array for a 1-d target$"):
+        t(np.linspace(0, 1, 5))
+    assert t(np.linspace(0, 1, 5)[:, None]).shape == (5,)
+
+
+def test_points_of_the_wrong_width_are_rejected():
+    t = make_target("trig", {}, matern(1.5, dim=2), Box.unit_cube(2))
+    pts = np.random.default_rng(0).uniform(size=(4, 3))
+    with pytest.raises(TargetError, match="^a 3-d point array for a 2-d target$"):
+        t(pts)
+    assert np.array_equal(t(pts[:, :2]), np.sin(2.0 * np.pi * pts[:, :2]).sum(axis=1))
