@@ -220,7 +220,8 @@ def _format(value) -> str:
 
 def config_metadata(cfg: ExperimentConfig) -> dict:
     """Flatten a config into the CSV metadata mapping; parse_metadata_config
-    inverts this, so an emitted CSV fully determines a rerun."""
+    inverts this, so an emitted CSV holds all a rerun reads but the BLAS
+    thread count."""
     md = {name: _format(cfg[name]) for name in _FIELDS}
     if cfg["target.name"] is not None:
         md["target.name"] = cfg["target.name"]

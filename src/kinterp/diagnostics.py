@@ -296,9 +296,8 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tupl
     the grid ones, the fit coefficients (None without a target) and the
     cardinal coefficient matrix (None unless `lebesgue`). The Gram is handed
     over to `factorize` (a ScratchGram), so its one buffer becomes the
-    factor, and the fit turns it back into K for its residual; the cardinal
-    matrix is formed before the fit. A level holds one n x n array, two with
-    `lebesgue`."""
+    factor, which keeps K for the fit's residual. A level holds one n x n
+    array, two with `lebesgue`."""
     tau = kernel.sobolev_order_tau
     fill_probe = None
     fitted = []

@@ -69,19 +69,17 @@ _flapack = _load_flapack()
 
 @dataclass(frozen=True)
 class Factorization:
-    """Lower-triangular Cholesky factor of K + jitter * I.
+    """Lower-triangular Cholesky factor of K + jitter * I, which keeps K.
 
-    Only the lower triangle of `lower` is the factor. It is zero above the
-    diagonal, except for a factorization of a handed-over Gram (see
-    `factorize`): there the strict upper triangle still holds K's, and
-    `gram_diagonal` holds K's diagonal. A `fit` with such a factorization
-    turns its buffer back into K, and the factorization is spent.
+    Only the lower triangle of `lower` is the factor; its strict upper
+    triangle holds K's, and `gram_diagonal` K's diagonal. A fit reads K
+    there and writes nothing, so one factorization serves any number of fits.
     """
 
     lower: np.ndarray
     jitter: float  # absolute diagonal shift that was applied, 0 if none
     jitter_step: float  # relative ladder step that succeeded, 0 if none
-    gram_diagonal: np.ndarray | None = None  # set only for a handed-over Gram
+    gram_diagonal: np.ndarray  # K's diagonal, without the jitter
 
     @property
     def order(self) -> int:
@@ -112,49 +110,66 @@ class Factorization:
             overwrite = True
         return b
 
+    def _residual(self, Y: np.ndarray, R: np.ndarray | None = None) -> float:
+        """max|K Y - R| against the kept, unjittered K, R the identity when
+        None, with a warning when it exceeds 1e-8 * ||R||_inf: the one
+        residual rule of `fit` and `lagrange_coefficients`. K is read, never
+        written, one GRAM_ROW_BLOCK strip of rows at a time, as the sum of
+        three products: the columns left of the strip's diagonal tile (read
+        transposed), that tile made symmetric, and the columns right of it."""
+        L, resid = self.lower, 0.0
+        for i0 in range(0, self.order, GRAM_ROW_BLOCK):
+            rows = slice(i0, i0 + GRAM_ROW_BLOCK)
+            tile = L[rows, rows].copy()
+            _restore_gram(tile, self.gram_diagonal[rows])
+            strip = L[:i0, rows].T @ Y[:i0]
+            strip += tile @ Y[rows]
+            strip += L[rows, rows.stop:] @ Y[rows.stop:]
+            strip -= np.eye(len(tile), self.order, i0) if R is None else R[rows]
+            resid = max(resid, float(np.max(np.abs(strip, out=strip))))
+            del tile, strip  # before the next strip's are formed
+        name, rhs, scale = (("cardinal", "I", 1.0) if R is None else
+                            ("interpolation", "r", float(np.max(np.abs(R)))))
+        if resid > 1e-8 * max(scale, 1e-300):
+            warnings.warn(f"{name} residual {resid:.3e} exceeds 1e-8 * ||{rhs}||_inf "
+                          f"(jitter {self.jitter:.1e})", stacklevel=3)
+        return resid
+
 
 def factorize(K) -> Factorization:
     """Cholesky factorization with the jitter escalation ladder.
 
     Accepts a GramMatrix or a plain symmetric ndarray, which is never
-    modified; only the lower triangle of a plain ndarray is read. Every rung
-    copies the input into one Fortran-order work array, adds the jitter to
-    the diagonal in place and factors the copy in place, so a call holds one
-    n x n array besides its input; on success that array is the returned
-    factor. A GramMatrix equals its transpose to the last bit, and the
-    transpose of its C-order entries is already in Fortran order, so its
-    rungs copy the transpose contiguously.
-
-    A ScratchGram is handed over instead: that transpose of its own buffer
-    is the work array, so the call allocates no n x n array and the factor
-    has the same bits. `potrf` writes only the lower triangle, so the strict
-    upper triangle keeps K's, and K's diagonal is saved on the result as
-    `gram_diagonal`; a failed rung is reset from the two (`_restore_gram`).
+    modified; only the lower triangle of a plain ndarray is read. The ladder
+    runs in one Fortran-order work array that holds K: the transpose of a
+    ScratchGram's own buffer (handed over: the same bits, so no n x n array
+    is allocated), else one copy, of a GramMatrix's transpose or of a plain
+    array's lower triangle mirrored up. Each rung adds its jitter to the
+    diagonal and factors the array in place; potrf writes only the lower
+    triangle, so the strict upper one keeps K's, and with K's diagonal
+    (`gram_diagonal`) it resets a failed rung (`_restore_gram`).
     Raises FactorizationError naming the failing leading minor once the
     ladder is exhausted.
     """
-    handed_over = isinstance(K, ScratchGram)
-    if isinstance(K, GramMatrix):
-        A = K.entries.T  # the same bits, already in Fortran order
+    if isinstance(K, GramMatrix):  # K.entries.T: the same bits, in Fortran order
+        work = K.entries.T if isinstance(K, ScratchGram) else K.entries.T.copy(order="F")
     else:
-        A = np.asarray(K, float)
-    n = A.shape[0]
-    diagonal = A.diagonal().copy()
+        work = np.array(K, float, order="F")
+        mirror_upper(work.T)  # the strict lower triangle into the upper one
+    n = work.shape[0]
+    diagonal = work.diagonal().copy()
     scale = float(np.max(diagonal))
-    work = A if handed_over else np.empty_like(A, order="F")
     last_info = 0
     for rung, step in enumerate((0.0,) + JITTER_LADDER):
         jitter = step * scale
-        if not handed_over:
-            np.copyto(work, A)
-        elif rung:
+        if rung:
             _restore_gram(work, diagonal)
         if jitter:
             work[np.diag_indices(n)] += jitter
-        c, info = _flapack.dpotrf(work, lower=True, clean=not handed_over, overwrite_a=True)
+        c, info = _flapack.dpotrf(work, lower=True, clean=False, overwrite_a=True)
         if info == 0:
             return Factorization(lower=c, jitter=jitter, jitter_step=step,
-                                 gram_diagonal=diagonal if handed_over else None)
+                                 gram_diagonal=diagonal)
         last_info = int(info)
     raise FactorizationError(
         f"matrix of order {n} is not positive definite after the jitter "
@@ -163,10 +178,9 @@ def factorize(K) -> Factorization:
 
 
 def _restore_gram(A: np.ndarray, diagonal: np.ndarray) -> None:
-    """Make a handed-over buffer hold K again: mirror its strict upper
-    triangle, which potrf leaves as K's, into the lower triangle, as
-    `assemble_gram` does, and write K's diagonal, so A equals the assembled
-    Gram to the last bit."""
+    """Make a work array hold K again: mirror its strict upper triangle,
+    which potrf leaves as K's, into the lower one, as `assemble_gram` does,
+    and write K's diagonal, so A equals the assembled Gram to the last bit."""
     mirror_upper(A)
     A[np.diag_indices(A.shape[0])] = diagonal
 
@@ -192,10 +206,8 @@ def fit(kernel: Kernel, X: PointSet, values,
 
     Without a factorization, the Gram is assembled and handed over to
     `factorize`, so the fit holds one n x n array. A precomputed
-    factorization can be shared across fits on the same node set, except
-    one of a handed-over Gram: its buffer is turned back into K for the
-    residual, so the fit spends it. With any other factorization K is
-    assembled again for the residual, to the same bits. The post-solve
+    factorization of the Gram on the same node set can be shared across any
+    number of fits: K is read from it, not assembled again. The post-solve
     residual against the unjittered Gram matrix is recorded, and a warning
     is emitted when it exceeds 1e-8 relative to the data; it is never
     silently discarded.
@@ -206,21 +218,9 @@ def fit(kernel: Kernel, X: PointSet, values,
     if factorization is None:
         factorization = factorize(ScratchGram(assemble_gram(kernel, X).entries))
     alpha = factorization.solve(r)
-    if factorization.gram_diagonal is not None:
-        _restore_gram(factorization.lower, factorization.gram_diagonal)
-        K = factorization.lower.T
-    else:
-        K = assemble_gram(kernel, X).entries
-    resid = float(np.max(np.abs(K @ alpha - r))) if len(r) else 0.0
-    tol = 1e-8 * max(float(np.max(np.abs(r))), 1e-300)
-    if resid > tol:
-        warnings.warn(
-            f"interpolation residual {resid:.3e} exceeds 1e-8 * ||r||_inf "
-            f"(jitter {factorization.jitter:.1e})",
-            stacklevel=2,
-        )
     return Interpolant(kernel=kernel, nodes=X, coefficients=alpha, data=r,
-                       jitter=factorization.jitter, residual_inf=resid)
+                       jitter=factorization.jitter,
+                       residual_inf=factorization._residual(alpha, r))
 
 
 def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
@@ -342,26 +342,15 @@ def lagrange_coefficients(kernel: Kernel, X: PointSet) -> tuple[np.ndarray, Fact
     Solves K C = I through one shared factorization (n right-hand sides);
     column i holds the coefficients of the i-th cardinal function. The Gram
     is handed over to `factorize` (a ScratchGram), so its buffer becomes the
-    factor, and the factorization returned is that handed-over one: `solve`
-    and `inverse` can be called on it again, but a `fit` with it turns its
-    buffer back into K and uses it up. The cardinal residual max|K C - I|
-    against the unjittered Gram matrix is formed one GRAM_ROW_BLOCK strip of
-    re-evaluated K rows at a time and checked under the same rule as `fit`
-    (||I||_inf = 1); a warning is emitted when it exceeds 1e-8.
+    factor, and that factorization, which keeps K, is returned: `solve`,
+    `inverse` and `fit` can be called on it again. The cardinal residual
+    max|K C - I| against the unjittered Gram matrix is formed from the kept
+    K one GRAM_ROW_BLOCK strip at a time and checked under the same rule as
+    `fit` (||I||_inf = 1); a warning is emitted when it exceeds 1e-8.
     """
     fact = factorize(ScratchGram(assemble_gram(kernel, X).entries))
     C = fact.inverse()
-    resid = 0.0
-    for i0 in range(0, len(X), GRAM_ROW_BLOCK):
-        R = kernel_matrix(kernel, X.points[i0:i0 + GRAM_ROW_BLOCK], X.points) @ C
-        R[np.arange(len(R)), np.arange(i0, i0 + len(R))] -= 1.0
-        resid = max(resid, float(np.max(np.abs(R, out=R))))
-    if resid > 1e-8:
-        warnings.warn(
-            f"cardinal residual {resid:.3e} exceeds 1e-8 * ||I||_inf "
-            f"(jitter {fact.jitter:.1e})",
-            stacklevel=2,
-        )
+    fact._residual(C)
     return C, fact
 
 

@@ -465,12 +465,13 @@ def mirror_upper(A: np.ndarray) -> None:
     The tiles, not whole strips, keep each transposed copy in cache, and
     mirroring once after the strips are filled, not strip by strip, avoids
     numpy's copy of a strip whose transpose overlaps it on the diagonal
-    tile. Each tile pair is one task of `_run_tiles`: a task writes only
-    its lower tile and reads only its upper one, which no task writes, so
-    the bits do not depend on the order or the worker count.
+    tile; a diagonal tile is mirrored in panels of 32 columns, as only a
+    panel's top square overlaps its source. Each tile pair is one task of
+    `_run_tiles`: a task writes only its lower tile and reads only its upper
+    one, which no task writes, so the bits do not depend on the order or the
+    worker count.
     """
     n = A.shape[0]
-    strict_lower = np.tri(min(n, GRAM_ROW_BLOCK), k=-1, dtype=bool)
     starts = range(0, n, GRAM_ROW_BLOCK)
     pairs = [(i0, j0) for j0 in starts for i0 in starts if i0 >= j0]
 
@@ -478,11 +479,13 @@ def mirror_upper(A: np.ndarray) -> None:
         for i0, j0 in pairs[tasks]:
             rows = slice(i0, i0 + GRAM_ROW_BLOCK)
             cols = slice(j0, j0 + GRAM_ROW_BLOCK)
-            if i0 == j0:
-                tile = A[cols, cols]
-                m = tile.shape[0]
-                np.copyto(tile, tile.T, where=strict_lower[:m, :m])
-            else:
+            if i0 != j0:
                 A[rows, cols] = A[cols, rows].T
+                continue
+            tile = A[cols, cols]
+            for k in range(0, len(tile), 32):
+                top = tile[k:k + 32, k:k + 32]
+                np.copyto(top, top.T, where=np.tri(len(top), k=-1, dtype=bool))
+                tile[k + 32:, k:k + 32] = tile[k:k + 32, k + 32:].T
 
     _run_tiles(mirror, len(pairs), 8 * GRAM_ROW_BLOCK ** 2)

@@ -341,6 +341,27 @@ def test_kinterp_threads_pins_every_openblas_at_import():
     assert threads == dict.fromkeys(threads, 1)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="sets the child's CPU affinity")
+def test_kinterp_threads_above_the_usable_cpus_is_named_on_stderr():
+    # the child pins itself to one CPU before it imports kinterp; OpenBLAS
+    # would then take one thread, not the two asked for
+    code = ("import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import kinterp\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    stderr = {}
+    for threads in ("1", "2"):
+        env["KINTERP_THREADS"] = threads
+        stderr[threads] = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                         text=True, env=env, check=True).stderr
+    assert stderr == {
+        "1": "",
+        "2": "kinterp: KINTERP_THREADS=2 exceeds the 1 usable CPU(s); BLAS takes fewer "
+             "threads, so output bytes may differ\n",
+    }
+
+
 def test_target_free_experiments_do_not_require_target(tmp_path):
     cfg = base_cfg(tmp_path, kind="convergence")  # no [target] section
     with pytest.raises(ConfigError, match="target.name"):

@@ -63,9 +63,12 @@ def test_factorize_reconstruction_residual():
     X = PointSet(points=np.sort(rng.uniform(0, 1, 40))[:, None], domain=UNIT)
     K = assemble_gram(matern(1.5), X)
     f = factorize(K)
-    recon = f.lower @ f.lower.T
+    L = np.tril(f.lower)
+    recon = L @ L.T
     target = K.entries + f.jitter * np.eye(40)
     assert np.max(np.abs(recon - target)) <= 1e-10 * np.max(np.abs(K.entries))
+    # the factorization keeps K above the factor
+    assert np.array_equal(np.triu(f.lower, 1), np.triu(K.entries, 1))
 
 
 def test_factorize_reports_jitter_or_fails_loudly():
@@ -133,7 +136,9 @@ def test_factorize_equals_fresh_jittered_potrf_at_every_rung(shift, step):
     else:
         f = factorize(A)
         assert f.jitter_step == step
-        assert np.array_equal(f.lower, ref)
+        assert np.array_equal(np.tril(f.lower), ref)
+        # K, read from A's lower triangle, is kept above the factor
+        assert np.array_equal(np.triu(f.lower, 1), np.triu(A.T, 1))
     assert np.array_equal(A, before)
 
 
@@ -147,7 +152,8 @@ def test_factorize_nested_matern52_escalation_bit_equal():
     ref, ref_step = _ladder_reference(gram.entries)
     assert f.jitter_step == ref_step == 1e-12
     assert f.jitter == 1e-12 * 3.0
-    assert np.array_equal(f.lower, ref)
+    assert np.array_equal(np.tril(f.lower), ref)
+    assert np.array_equal(np.triu(f.lower, 1), np.triu(gram.entries, 1))
     assert np.array_equal(gram.entries, before)
 
 
@@ -274,7 +280,7 @@ def test_solve_bit_equal_to_triangular_pair_without_dense_temporaries():
 
 def test_lagrange_coefficients_peak_under_three_dense_arrays():
     # the handed-over Gram is factored in place; then the factor, C and the
-    # residual K C - I, formed a strip of K's rows at a time
+    # residual K C - I, formed from the kept K a strip of rows at a time
     X = nested_equispaced_design(0.0, 1.0, 16, 7).master
     dense = 8 * len(X) ** 2
     with warnings.catch_warnings():
@@ -286,8 +292,8 @@ def test_lagrange_coefficients_peak_under_three_dense_arrays():
 
 def test_lebesgue_level_holds_at_most_the_factor_and_one_dense_array():
     # one Lebesgue level with a target at n = 1087: the handed-over Gram is
-    # factored in place, then the factor and the cardinal matrix, then the
-    # cardinal matrix and the buffer turned back into K for the residual
+    # factored in place, then the factor, which keeps K for the fit's
+    # residual, and the cardinal matrix
     from kinterp.diagnostics import _fit_levels
 
     X = nested_equispaced_design(0.0, 1.0, 16, 7).master
@@ -326,14 +332,15 @@ def test_handed_over_factor_equals_the_copied_factor():
         f = factorize(ScratchGram(entries=buffer))
         assert f.jitter_step == ref.jitter_step == step
         assert f.jitter == ref.jitter
-        assert np.array_equal(np.tril(f.lower), ref.lower)
-        # factored in the buffer itself; K's strict upper triangle and its
-        # diagonal are still there
+        # both keep K's strict upper triangle above the factor and K's
+        # diagonal; only the handed-over one in the buffer itself
+        assert np.array_equal(f.lower, ref.lower)
+        assert np.array_equal(f.gram_diagonal, ref.gram_diagonal)
         assert np.shares_memory(f.lower, buffer)
+        assert not np.shares_memory(ref.lower, gram.entries)
         upper = np.triu_indices(n, 1)
         assert np.array_equal(f.lower[upper], gram.entries[upper])
         assert np.array_equal(f.gram_diagonal, np.diag(gram.entries))
-        assert ref.gram_diagonal is None
 
 
 def test_restore_after_a_failed_rung_gives_the_gram_back(tile_workers):
@@ -384,22 +391,42 @@ def _gram_cases():
     yield interval_sobolev(0.0, 1.0), X
 
 
-def test_fit_turns_a_handed_over_buffer_back_into_the_gram():
-    # the residual multiplies the same bits by the same @ as a fit that
-    # assembles K again, so the fits are bit-equal
+def test_fit_leaves_the_factorization_unchanged():
+    # the residual reads the kept K and writes nothing; a handed-over and a
+    # copied factorization hold the same bits, so their fits are bit-equal
     rng = np.random.default_rng(8)
     for kernel, X in _gram_cases():
         gram = assemble_gram(kernel, X)
         r = rng.normal(size=len(X))
         f = factorize(ScratchGram(entries=gram.entries.copy()))
+        lower, diagonal = f.lower.copy(), f.gram_diagonal.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the jittered fit's residual warning
             s = fit(kernel, X, r, factorization=f)
             ref = fit(kernel, X, r, factorization=factorize(gram))
-        assert np.array_equal(f.lower.T, gram.entries)
-        assert f.lower.T.flags.c_contiguous
+        assert np.array_equal(f.lower.view(np.uint64), lower.view(np.uint64))
+        assert np.array_equal(f.gram_diagonal, diagonal)
         assert np.array_equal(s.coefficients, ref.coefficients)
         assert s.residual_inf == ref.residual_inf
+
+
+def test_refits_and_inverse_after_a_fit_are_bit_equal():
+    # Matern 3/2, gamma 5, n = 50: a second fit with the factorization that
+    # lagrange_coefficients returns, or with a handed-over one, and the
+    # inverse after it, give the bits of the first fit and of C
+    kernel = matern(1.5, gamma=5.0)
+    X = equispaced_interval(0, 1, 50)
+    r = np.sin(7.0 * X.points[:, 0])
+    C, from_cardinals = lagrange_coefficients(kernel, X)
+    handed_over = factorize(ScratchGram(entries=assemble_gram(kernel, X).entries))
+    for fact in (from_cardinals, handed_over):
+        lower = fact.lower.copy()
+        first = fit(kernel, X, r, factorization=fact)
+        second = fit(kernel, X, r, factorization=fact)
+        assert np.array_equal(second.coefficients, first.coefficients)
+        assert second.residual_inf == first.residual_inf
+        assert np.array_equal(fact.inverse(), C)
+        assert np.array_equal(fact.lower.view(np.uint64), lower.view(np.uint64))
 
 
 def test_fit_hands_its_own_gram_over(monkeypatch):
@@ -428,8 +455,8 @@ def test_fit_hands_its_own_gram_over(monkeypatch):
 
 def test_norm_growth_level_holds_one_dense_array():
     # one norm-growth level at n = 1087 (no Lebesgue matrix): the Gram is
-    # assembled in strips, factored in its own buffer and turned back into
-    # K for the residual, with no second n x n array at any time
+    # assembled in strips and factored in its own buffer, which keeps K for
+    # the residual, with no second n x n array at any time
     from kinterp.diagnostics import _fit_levels
 
     X = nested_equispaced_design(0.0, 1.0, 16, 7).master

@@ -353,6 +353,20 @@ def test_threaded_mirror_bit_equal_to_serial_tile_order(n, tile_workers):
         sys.setswitchinterval(interval)
 
 
+def test_mirror_allocates_no_tile_temporary(tile_workers):
+    # a diagonal tile mirrored through its whole overlapping transpose
+    # would copy 512 KiB per worker; its panels leave small squares only,
+    # so at n = 1087 the traced peak stays under 64 KiB on 1 and 3 workers
+    from conftest import traced_peak
+
+    A = np.random.default_rng(4).normal(size=(1087, 1087))
+    for count in (1, 3):
+        tile_workers(count)
+        for view in (A.copy(), A.T.copy().T):  # a handed-over buffer is F-order
+            _, peak = traced_peak(mirror_upper, view)
+            assert peak <= 64 * 1024, f"{count} workers: mirror peak {peak} B > 64 KiB"
+
+
 def test_point_set_gram_skips_second_duplicate_check(monkeypatch):
     # PointSet construction already applied the duplicate-node rule
     X = _random_pointset(np.random.default_rng(8), 30, 2)
