@@ -142,8 +142,8 @@ class EvalGrid:
 
     def __post_init__(self):
         axes = tuple(np.asarray(ax, dtype=float) for ax in self.axes)
-        if not axes or any(ax.ndim != 1 for ax in axes):
-            raise GeometryError("a tensor grid needs one coordinate vector per axis")
+        if not axes or any(ax.ndim != 1 or len(ax) == 0 for ax in axes):
+            raise GeometryError("a tensor grid needs one nonempty coordinate vector per axis")
         object.__setattr__(self, "axes", axes)
 
     @classmethod
@@ -165,7 +165,9 @@ class EvalGrid:
     @property
     def quad_weights(self) -> np.ndarray:
         """The trapezoid weight of each point: the product, in axis order,
-        of its per-axis weights."""
+        of its per-axis weights. Needs at least 2 points per axis."""
+        if any(len(ax) < 2 for ax in self.axes):
+            raise GeometryError("trapezoid weights need at least 2 points per axis")
         qw = np.float64(1.0)
         for ax in self.axes:
             h = (ax[-1] - ax[0]) / (len(ax) - 1)
@@ -211,8 +213,8 @@ def fill_distance_grid(X: PointSet, probe) -> float:
         if len(probe.axes) != X.domain.dim:
             raise GeometryError(
                 f"a {len(probe.axes)}-d probe for {X.domain.dim}-d points")
-        if len(X) == 0 or len(probe) == 0:
-            raise GeometryError("fill distance needs nonempty nodes and probe")
+        if len(X) == 0:  # a grid is never empty
+            raise GeometryError("fill distance needs nonempty nodes")
         return _bounded_fill_distance(_nearest_distance_to(X.points), probe.axes)
     probe_pts = np.atleast_2d(np.asarray(probe, float))
     if probe_pts.shape[1] != X.domain.dim:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet
+from .geometry import EvalGrid, PointSet
 from .kernels import (
     GRAM_ROW_BLOCK,
     GramMatrix,
@@ -35,8 +35,9 @@ from .kernels import (
 
 JITTER_LADDER = (1e-14, 1e-12, 1e-10, 1e-8)
 
-# Grid scans (evaluation, Lebesgue functions) run in chunks of this many
-# evaluation points to bound the size of the cross-kernel block.
+# Grid scans (evaluation, Lebesgue functions) run in blocks of whole grid
+# lines of at most SCAN_ROWS rows, or EVAL_CHUNK rows of a longer line.
+SCAN_ROWS = 2048
 EVAL_CHUNK = 8192
 
 
@@ -241,12 +242,15 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
     The scan's columns are the nodes of the largest level, plus the nodes of
     every level that is not a prefix of them; each level reads its own
     columns of the shared block, which are bit-identical to its own block,
-    so no level's results depend on the others. The workspace is allocated
-    once, here: one block buffer, which `kernel_matrix` fills with each
-    EVAL_CHUNK rows of points in turn (the block height stays EVAL_CHUNK
-    because the bits of a GEMM's rows depend on it), one flat product
-    buffer of a block's rows by the widest C, which every `cross @ C` is
-    written into, and one block of Lebesgue sums.
+    so no level's results depend on the others. An EvalGrid is scanned in
+    blocks of whole lines (the len(axes[-1]) rows that share all other
+    coordinates), as many as fit in SCAN_ROWS rows and at least one, since
+    a GEMM's row bits depend on the block height: a 1-d grid stays one
+    block. An array counts as one line; a line longer than EVAL_CHUNK is
+    cut into EVAL_CHUNK-row pieces. The workspace is allocated once, here:
+    one block buffer, which `kernel_matrix` fills with each block of points
+    in turn, one flat product buffer of a block's rows by the widest C,
+    which every `cross @ C` is written into, and one block of Lebesgue sums.
     """
     base = max((X for X, _, _ in levels), key=len).points
     parts, width, columns = [base], len(base), []
@@ -260,18 +264,20 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
             width += n
     nodes = np.concatenate(parts) if len(parts) > 1 else base
     functions = functions or [None] * len(levels)
-    height = min(EVAL_CHUNK, len(points))
+    line = len(points.axes[-1]) if isinstance(points, EvalGrid) else len(points)
+    step = line * max(1, SCAN_ROWS // line) if 0 < line <= EVAL_CHUNK else EVAL_CHUNK
+    height = min(step, len(points))
     buffer = np.empty((height, len(nodes)))
     product = np.empty(height * max((C.shape[1] for *_, C in levels if C is not None),
                                     default=0))
     sums = np.empty(height)
     lmax = [None if C is None else 0.0 for _, _, C in levels]
     values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
-    for start in range(0, len(points), EVAL_CHUNK):
-        rows = slice(start, start + EVAL_CHUNK)
+    for start in range(0, len(points), step):
+        rows = slice(start, start + step)
         chunk = points[rows]
         cross = kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
-        last = start + EVAL_CHUNK >= len(points)
+        last = start + step >= len(points)
         # indexed, not zipped: a zip's tuple would keep level k's C alive
         # through level k + 1
         for k in range(len(levels)):

@@ -23,13 +23,20 @@ from kinterp.diagnostics import (
 )
 from kinterp.geometry import (
     Box,
+    GeometryError,
     PointSet,
     equispaced_interval,
     generate_candidates,
     geometric_greedy,
     nested_equispaced_design,
 )
-from kinterp.interpolation import EVAL_CHUNK, evaluate, fit, lagrange_coefficients
+from kinterp.interpolation import (
+    EVAL_CHUNK,
+    SCAN_ROWS,
+    evaluate,
+    fit,
+    lagrange_coefficients,
+)
 from kinterp.kernels import assemble_gram, kernel_matrix, matern
 from kinterp.targets import make_target
 
@@ -74,6 +81,25 @@ def test_grid_lexicographic_order():
     g = EvalGrid.tensor(Box.unit_cube(2), 33)
     order = np.lexsort((g[:][:, 1], g[:][:, 0]))
     assert np.array_equal(order, np.arange(len(g)))
+
+
+def test_degenerate_grid_axes_raise_instead_of_wrong_numbers():
+    # an empty axis made every Lebesgue constant 0.0 and a one-point axis
+    # every L2 error nan; the scan's block rule also divides by the length
+    # of the last axis
+    design = nested_equispaced_design(0, 1, 4, 2)
+    target = make_target("constant", {"value": 1.0}, M32, UNIT)
+    for axes in [(np.array([]),), (np.linspace(0, 1, 5), np.empty(0))]:
+        with pytest.raises(GeometryError, match="nonempty"):
+            EvalGrid(axes)
+    point = EvalGrid((np.array([0.5]),))
+    with pytest.raises(GeometryError, match="at least 2 points"):
+        point.quad_weights
+    with pytest.raises(GeometryError, match="at least 2 points"):
+        measure_levels(M32, design_levels(design), point, target, errors=True)
+    # a one-point grid still scans, and a one-point tensor pool still forms
+    assert lebesgue_constant(M32, design.master, point) >= 1.0
+    assert generate_candidates(UNIT, 1, "tensor_grid").points.tolist() == [[0.5]]
 
 
 def materialized_tensor_grid(domain, points_per_axis):
@@ -456,10 +482,18 @@ def _unnested_interval_levels():
     return M32, UNIT, 9000, [equispaced_interval(0, 1, n) for n in (5, 11, 23)]
 
 
+def _scan_height(grid):
+    """Rows of a full scan block of `grid` under the block rule: as many
+    whole lines of its last axis as fit in SCAN_ROWS, and at least one; a
+    line longer than EVAL_CHUNK is cut into EVAL_CHUNK-row pieces."""
+    line = len(grid.axes[-1])
+    return EVAL_CHUNK if line > EVAL_CHUNK else line * max(1, SCAN_ROWS // line)
+
+
 @pytest.mark.parametrize("levels", [_square_levels, _interval_levels,
                                     _unnested_interval_levels])
 def test_shared_scan_equals_per_level_functions(levels):
-    # grids of more than one scan chunk; the unnested levels get their own
+    # grids of more than one scan block; the unnested levels get their own
     # columns of the shared block
     kernel, box, m, level_sets = levels()
     grid = EvalGrid.tensor(box, m)
@@ -471,10 +505,11 @@ def test_shared_scan_equals_per_level_functions(levels):
         C, _ = lagrange_coefficients(kernel, X)
         s = fit(kernel, X, target(X.points))
         assert row["lebesgue_constant"] == lebesgue_max_from_coefficients(kernel, X, C, grid)
-        # the independent oracle: each 8192-row chunk's own block and product
+        # the independent oracle: each scan block's own cross block and product
+        step = _scan_height(grid)
         assert row["lebesgue_constant"] == max(
-            np.abs(kernel_matrix(kernel, grid[:][i:i + 8192], X.points) @ C).sum(axis=1).max()
-            for i in range(0, len(grid), 8192))
+            np.abs(kernel_matrix(kernel, grid[:][i:i + step], X.points) @ C).sum(axis=1).max()
+            for i in range(0, len(grid), step))
         assert row["sup_error"] == sup_error(target, s, grid)
         assert row["l2_error"] == l2_error(target, s, grid)
 
@@ -625,6 +660,79 @@ def test_grid_scan_fills_one_workspace(monkeypatch):
         assert np.array_equal(function[start:start + EVAL_CHUNK], np.abs(fresh @ C).sum(1))
 
 
+# ------------------------------------------------------- scan block rule
+
+
+def _scan_blocks(monkeypatch, points):
+    """The point blocks that `_scan_levels` hands `kernel_matrix` while it
+    evaluates one fit of 8 nodes at `points`, an (m, N) array or an EvalGrid."""
+    dim = len(points.axes) if isinstance(points, EvalGrid) else points.shape[1]
+    X = generate_candidates(Box.unit_cube(dim), 8, "low_discrepancy")
+    fill, blocks = interpolation.kernel_matrix, []
+
+    def recording_fill(kernel, points, nodes, out=None):
+        blocks.append(points)
+        return fill(kernel, points, nodes, out=out)
+
+    monkeypatch.setattr(interpolation, "kernel_matrix", recording_fill)
+    interpolation._scan_levels(matern(1.5, dim=dim), [(X, np.ones(len(X)), None)], points)
+    return blocks
+
+
+@pytest.mark.parametrize("points, heights", [
+    # a 1-d grid is one line: the escape workload's 4097 points stay one block
+    (grid1d(4097), [4097]),
+    # a line longer than EVAL_CHUNK is cut into EVAL_CHUNK-row pieces
+    (grid1d(9000), [EVAL_CHUNK, 808]),
+    # an (m, N) array counts as one line
+    (EvalGrid.tensor(Box.unit_cube(2), 129)[:], [EVAL_CHUNK, EVAL_CHUNK, 257]),
+    # 3 lines of 513 fit in SCAN_ROWS rows
+    (EvalGrid.tensor(Box.unit_cube(2), 513), [3 * 513] * 171),
+])
+def test_scan_block_heights(monkeypatch, points, heights):
+    blocks = _scan_blocks(monkeypatch, points)
+    assert [len(b) for b in blocks] == heights
+    assert np.array_equal(np.concatenate(blocks), points[:])
+
+
+@pytest.mark.parametrize("per_axis", [(9, 11, 250), (3, 2, 3000)])
+def test_scan_blocks_of_a_3d_grid_are_whole_lines(monkeypatch, per_axis):
+    # 8 lines of 250 per block, the 99 lines ending in a 3-line block; and
+    # lines longer than SCAN_ROWS, one per block
+    axes = tuple(np.linspace(0.0, 1.0, m) for m in per_axis)
+    grid = EvalGrid(axes)
+    blocks = _scan_blocks(monkeypatch, grid)
+    line = per_axis[-1]
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    assert len(blocks) > 2 and starts[-1] == len(grid)
+    for start, block in zip(starts, blocks):
+        assert start % line == 0 and len(block) % line == 0 and len(block) >= line
+        # each block begins and ends a line: its last coordinate runs the whole axis
+        assert block[0, -1] == axes[-1][0] and block[-1, -1] == axes[-1][-1]
+        assert np.array_equal(block, grid[start:start + len(block)])
+
+
+def test_square_lebesgue_scan_holds_one_block_of_whole_lines(tile_workers):
+    # one Lebesgue level at n = 400 on the 513^2 grid of the square configs.
+    # A block is 3 lines, 1539 rows, so the scan's workspace is its cross
+    # block and product, 2 * 1539 * 400 * 8 B = 9.85 MB, and 1539 sums; with
+    # the tile temporaries and the block's points the bound is 12.2 MB.
+    # 8192-row blocks took 2 * 8192 * 400 * 8 B = 52.4 MB.
+    tile_workers(2)
+    box = Box.unit_cube(2)
+    kernel = matern(1.5, gamma=5.0, dim=2)
+    X = generate_candidates(box, 400, "low_discrepancy")
+    C, _ = lagrange_coefficients(kernel, X)
+    grid = EvalGrid.tensor(box, 513)
+    height, n = 3 * 513, len(X)
+    bound = (8 * (2 * height * n + height)  # the cross block, the product, the sums
+             + 2 * 2 * kernels.TILE_BYTES  # two tile temporaries on each worker
+             + 16 * 8 * height)  # the block's points and their grid indices
+    lmax, peak = traced_peak(lebesgue_max_from_coefficients, kernel, X, C, grid)
+    assert np.isfinite(lmax) and lmax >= 1.0
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
 # ------------------------------------------- cardinal matrix hand-over
 
 
@@ -658,16 +766,18 @@ def test_one_block_scan_frees_each_cardinal_matrix_before_the_next_level(monkeyp
 
 
 def test_multi_block_scan_keeps_each_cardinal_matrix_until_its_last_block(monkeypatch):
-    kernel, box, m, level_sets = _square_levels()  # 129^2 points: three blocks
+    kernel, box, m, level_sets = _square_levels()  # 129^2 points: 9 blocks of up to 15 lines
+    grid = EvalGrid.tensor(box, m)
+    blocks = -(-len(grid) // _scan_height(grid))
     refs, alive = _recording_cardinal_sums(monkeypatch)
-    measure_levels(kernel, level_sets, EvalGrid.tensor(box, m), lebesgue=True)
+    measure_levels(kernel, level_sets, grid, lebesgue=True)
     count = len(level_sets)
-    assert len(refs) == 3 * count
+    assert len(refs) == blocks * count
     for call, flags in enumerate(alive):
         block, k = divmod(call, count)
         # every earlier call's level stays alive until the last block, where
         # the levels before k have been dropped
-        assert flags == [block < 2 or j % count >= k for j in range(call)], call
+        assert flags == [block < blocks - 1 or j % count >= k for j in range(call)], call
     assert all(ref() is None for ref in refs)
 
 
