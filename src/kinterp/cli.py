@@ -86,7 +86,7 @@ _FIELDS = {
     "design.seed": (int, "0", None),
     "design.candidates": (int, "10000", None),
     "design.levels": (_ints, None, None),
-    "grid.points_per_axis": (lambda text: int(text or 0), "0", None),  # 0: by kernel.dim
+    "grid.points_per_axis": (lambda text: int(text) if text else None, "", None),  # empty: by dim
     "output.prefix": (str, None, None),
     "output.svg": (_flag, "false", None),
     "output.xscale": (str, "linear", SCALES),
@@ -185,7 +185,7 @@ def _validate(cp: configparser.ConfigParser) -> ExperimentConfig:
     if kind == "decay" and not family.startswith("matern"):
         raise ConfigError("decay experiments need a Matern kernel.family")
 
-    if cfg["grid.points_per_axis"] == 0:
+    if cfg["grid.points_per_axis"] is None:
         cfg["grid.points_per_axis"] = {1: 4097, 2: 513}.get(dim, 129)
     if cfg["grid.points_per_axis"] < 33:
         raise ConfigError("grid.points_per_axis must be at least 33")

@@ -24,10 +24,10 @@ import numpy as np
 from .geometry import EvalGrid, PointSet
 from .kernels import (
     GRAM_ROW_BLOCK,
+    TILE_BYTES,
     GramMatrix,
     Kernel,
     ScratchGram,
-    _run_tiles,
     assemble_gram,
     kernel_matrix,
     mirror_upper,
@@ -298,28 +298,20 @@ def _cardinal_abs_sums(cross: np.ndarray, C: np.ndarray, out: np.ndarray,
     """Row sums of |cross @ C| into `out`: the Lebesgue function on one
     block's points. The product is one GEMM, with the shape and so the bits
     of `cross @ C`, written into the leading entries of the scan's flat
-    buffer `product`; the absolute values and the row sums then run in
-    place on its row tiles, each row summed on its own, so the tiles leave
-    every sum's bits unchanged."""
+    buffer `product`; the absolute values are taken in place and each row
+    is summed on its own."""
     m, n = cross.shape[0], C.shape[1]
     p = np.matmul(cross, C, out=product[:m * n].reshape(m, n))
-
-    def tile(rows):
-        q = p[rows]
-        np.sum(np.abs(q, out=q), axis=1, out=out[rows])
-
-    _run_tiles(tile, m, p[:1].nbytes)
-    return out
+    return np.sum(np.abs(p, out=p), axis=1, out=out)
 
 
 def _weighted_row_sums(block: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = sum_j block[i, j] * weights[j], in row tiles: each tile's
-    products form one contiguous temporary and every row is summed on its
+    """out[i] = sum_j block[i, j] * weights[j], in row tiles of about
+    TILE_BYTES, whose products stay in cache; every row is summed on its
     own, so the sums equal those of the whole block's product."""
-    def tile(rows):
-        np.sum(block[rows] * weights, axis=1, out=out[rows])
-
-    _run_tiles(tile, block.shape[0], block[:1].nbytes)
+    step = max(1, TILE_BYTES // max(block[:1].nbytes, 1))
+    for i in range(0, block.shape[0], step):
+        np.sum(block[i:i + step] * weights, axis=1, out=out[i:i + step])
 
 
 def evaluate(s: Interpolant, points) -> np.ndarray:

@@ -19,8 +19,8 @@ Three families are supported:
 All evaluation goes through one vectorized routine, so scalar and batch
 calls produce bit-identical values. Blocks larger than one row tile are
 filled, and Grams of more than one tile mirrored, on a process-wide thread
-pool, and every entry keeps the bits of a one-pass evaluation. Everything here is pure and safe to call from multiple
-threads.
+pool that nothing outside this module uses; every entry keeps the bits of
+a one-pass evaluation. Everything here is pure and safe to call from threads.
 
 Minimum pairwise distances (the duplicate-node check) and nearest-node
 distances come from one exact numpy sweep over the points sorted on one
@@ -50,7 +50,7 @@ DISTINCTNESS_REL_TOL = 1e-12
 # mirrors it in square tiles of this side.
 GRAM_ROW_BLOCK = 256
 
-# Kernel blocks are filled, and the grid scan's cardinal sums taken, in row
+# Kernel blocks are filled, and the grid scan's fitted values summed, in row
 # tiles of about this many bytes, so each tile's temporaries stay in cache.
 TILE_BYTES = 512 * 1024
 

@@ -461,6 +461,8 @@ _BAD_CONFIGS = [
     ("seed-not-an-int", MINIMAL_1D, {"design.seed": "x"}, "design.seed"),
     ("candidates-not-an-int", MINIMAL_1D, {"design.candidates": "x"}, "design.candidates"),
     ("grid-not-an-int", MINIMAL_1D, {"grid.points_per_axis": "x"}, "grid.points_per_axis"),
+    # an explicit 0 once passed and ran on the 1-d default of 4097 points
+    ("grid-of-zero-points", MINIMAL_1D, {"grid.points_per_axis": "0"}, "at least 33"),
     ("target-parameter-not-a-number", MINIMAL_1D,
      {"target.name": "abs_power", "target.power": "abc"}, "target.power"),
     ("target-parameter-not-read", MINIMAL_1D,

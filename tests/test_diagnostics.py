@@ -102,6 +102,28 @@ def test_degenerate_grid_axes_raise_instead_of_wrong_numbers():
     assert generate_candidates(UNIT, 1, "tensor_grid").points.tolist() == [[0.5]]
 
 
+@pytest.mark.parametrize("has_grid, has_target, quantities", [
+    # the Lebesgue path once factored every level and then failed on len(None)
+    (False, False, {"lebesgue": True}),
+    (False, True, {"errors": True}),
+    # errors without a target once left sup_error and l2_error at nan
+    (True, False, {"errors": True}),
+], ids=["lebesgue-without-grid", "errors-without-grid", "errors-without-target"])
+def test_measure_levels_rejects_a_missing_input_before_fitting(monkeypatch, has_grid,
+                                                               has_target, quantities):
+    from kinterp.diagnostics import DiagnosticsError
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a level was fitted")
+
+    monkeypatch.setattr(interpolation, "factorize", no_fit)
+    level_sets = design_levels(nested_equispaced_design(0, 1, 4, 2))
+    grid = grid1d(65) if has_grid else None
+    target = make_target("constant", {"value": 1.0}, M32, UNIT) if has_target else None
+    with pytest.raises(DiagnosticsError, match="need a grid"):
+        measure_levels(M32, level_sets, grid, target, **quantities)
+
+
 def materialized_tensor_grid(domain, points_per_axis):
     """(points, quad_weights) of the tensor grid as they were once built and
     stored for the whole run: the reference for the lazy grid's bits."""

@@ -757,3 +757,41 @@ def test_no_traced_public_function_is_a_generator():
             generators += [f"{short}.{name}" for name, fn in members.items()
                            if inspect.isgeneratorfunction(fn)]
     assert generators == []
+
+
+def test_only_kernels_drives_the_tile_pool(monkeypatch, tile_workers):
+    # The grid scan's cardinal and fitted-value sums run in the caller: each
+    # scan block makes one pool round, its kernel fill, however many levels
+    # read the block.
+    import importlib
+    import pkgutil
+
+    import kinterp
+    from kinterp import interpolation, kernels
+    from kinterp.geometry import EvalGrid, geometric_greedy
+
+    binders = []
+    for info in pkgutil.iter_modules(kinterp.__path__):
+        module = importlib.import_module(f"kinterp.{info.name}")
+        if info.name != "kernels":
+            binders += [f"{info.name}.{attr}" for attr in ("_run_tiles", "_tile_pool")
+                        if attr in vars(module)]
+    assert binders == []
+
+    # 129^2 points in 8 blocks of 15 lines and one of 9 lines (1161 rows);
+    # at n >= 60 every product, fitted-value block and fill spans 2+ tiles
+    box = Box.unit_cube(2)
+    kernel = matern(1.5, gamma=5.0, dim=2)
+    design = geometric_greedy(generate_candidates(box, 400, "low_discrepancy"), 120, 0,
+                              (60, 90, 120))
+    sets = [design.level_points(k) for k in range(3)]
+    levels = [(X, None, lagrange_coefficients(kernel, X)[0]) for X in sets]
+    top = sets[-1]
+    levels.append((top, fit(kernel, top, np.sin(3 * top.points[:, 0])).coefficients, None))
+    grid = EvalGrid.tensor(box, 129)
+    assert 1161 * 60 * 8 > kernels.TILE_BYTES
+    tile_workers(2)
+    pool, rounds = kernels._tile_pool, []
+    monkeypatch.setattr(kernels, "_tile_pool", lambda: rounds.append(1) or pool())
+    interpolation._scan_levels(kernel, levels, grid)
+    assert len(rounds) == -(-len(grid) // (15 * 129)) == 9
