@@ -165,12 +165,17 @@ class EvalGrid:
     @property
     def quad_weights(self) -> np.ndarray:
         """The trapezoid weight of each point: the product, in axis order,
-        of its per-axis weights. Needs at least 2 points per axis."""
+        of its per-axis weights. Needs at least 2 points per axis, strictly
+        ascending with spacings equal to h = (last - first) / (count - 1)
+        within a relative 1e-6: the weights are those of a uniform axis."""
         if any(len(ax) < 2 for ax in self.axes):
             raise GeometryError("trapezoid weights need at least 2 points per axis")
         qw = np.float64(1.0)
         for ax in self.axes:
             h = (ax[-1] - ax[0]) / (len(ax) - 1)
+            if not h > 0 or np.any(np.abs(np.diff(ax) - h) > 1e-6 * h):
+                raise GeometryError("trapezoid weights need strictly ascending, "
+                                    "equispaced axes")
             w = np.full(len(ax), h)
             w[0] = w[-1] = 0.5 * h
             qw = np.multiply.outer(qw, w)

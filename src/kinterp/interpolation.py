@@ -26,18 +26,21 @@ from .kernels import (
     GRAM_ROW_BLOCK,
     TILE_BYTES,
     GramMatrix,
+    GridLines,
     Kernel,
     ScratchGram,
     assemble_gram,
     kernel_matrix,
+    line_table,
     mirror_upper,
 )
 
 JITTER_LADDER = (1e-14, 1e-12, 1e-10, 1e-8)
 
 # Grid scans (evaluation, Lebesgue functions) run in blocks of whole grid
-# lines of at most SCAN_ROWS rows, or EVAL_CHUNK rows of a longer line.
-SCAN_ROWS = 2048
+# lines whose kernel block takes at most SCAN_BYTES, or EVAL_CHUNK rows of a
+# longer line.
+SCAN_BYTES = 2 * 1024 * 1024
 EVAL_CHUNK = 8192
 
 
@@ -244,13 +247,16 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
     columns of the shared block, which are bit-identical to its own block,
     so no level's results depend on the others. An EvalGrid is scanned in
     blocks of whole lines (the len(axes[-1]) rows that share all other
-    coordinates), as many as fit in SCAN_ROWS rows and at least one, since
-    a GEMM's row bits depend on the block height: a 1-d grid stays one
-    block. An array counts as one line; a line longer than EVAL_CHUNK is
-    cut into EVAL_CHUNK-row pieces. The workspace is allocated once, here:
-    one block buffer, which `kernel_matrix` fills with each block of points
-    in turn, one flat product buffer of a block's rows by the widest C,
-    which every `cross @ C` is written into, and one block of Lebesgue sums.
+    coordinates), as many as keep the block buffer (rows x columns x 8 B)
+    within SCAN_BYTES and at least one, since a GEMM's row bits depend on
+    the block height: a 1-d grid stays one block. An array counts as one
+    line; a line longer than EVAL_CHUNK is cut into EVAL_CHUNK-row pieces.
+    The workspace is allocated once, here: one block buffer, which
+    `kernel_matrix` fills with each block in turn, one flat product buffer
+    of a block's rows by the widest C, which every `cross @ C` is written
+    into, one block of Lebesgue sums and, on a grid of 2 or more axes, the
+    table of squared last-axis differences that every block's `GridLines`
+    is filled from, in place of its points.
     """
     base = max((X for X, _, _ in levels), key=len).points
     parts, width, columns = [base], len(base), []
@@ -265,7 +271,11 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
     nodes = np.concatenate(parts) if len(parts) > 1 else base
     functions = functions or [None] * len(levels)
     line = len(points.axes[-1]) if isinstance(points, EvalGrid) else len(points)
-    step = line * max(1, SCAN_ROWS // line) if 0 < line <= EVAL_CHUNK else EVAL_CHUNK
+    step = (line * max(1, SCAN_BYTES // (8 * len(nodes) * line)) if 0 < line <= EVAL_CHUNK
+            else EVAL_CHUNK)
+    table = None  # formed once, for every block
+    if isinstance(points, EvalGrid) and len(points.axes) > 1:
+        table = line_table(points.axes[-1], nodes)
     height = min(step, len(points))
     buffer = np.empty((height, len(nodes)))
     product = np.empty(height * max((C.shape[1] for *_, C in levels if C is not None),
@@ -274,8 +284,8 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
     lmax = [None if C is None else 0.0 for _, _, C in levels]
     values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
     for start in range(0, len(points), step):
-        rows = slice(start, start + step)
-        chunk = points[rows]
+        rows = slice(start, min(start + step, len(points)))
+        chunk = GridLines(points.axes, rows, table) if table is not None else points[rows]
         cross = kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
         last = start + step >= len(points)
         # indexed, not zipped: a zip's tuple would keep level k's C alive

@@ -165,6 +165,25 @@ class ScratchGram(GramMatrix):
     `interpolation.factorize`); the holder must not read `entries` again."""
 
 
+@dataclass(frozen=True)
+class GridLines:
+    """Rows `rows` (start and stop given) of the lexicographic tensor grid of
+    `axes`, N >= 2, as `kernel_matrix` points, with `table`, the
+    `line_table` of the last axis and the nodes Y, formed once per scan."""
+
+    axes: tuple[np.ndarray, ...]
+    rows: slice
+    table: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rows.stop - self.rows.start
+
+
+def line_table(axis: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The squared last-axis differences (axis[i] - Y[j, -1])**2."""
+    return np.square(np.subtract.outer(axis, Y[:, -1]))
+
+
 def _as_points(x, dim: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[1] != dim:
@@ -185,20 +204,26 @@ def kernel_matrix(kernel: Kernel, X, Y, out: np.ndarray | None = None) -> np.nda
     row tiles the output is filled in (see `_run_tiles`) cannot change any
     bit. Squared distances are summed one axis at a time, in axis order, and
     the profile is applied in place, so no (len(X), len(Y), dim) tensor is
-    formed.
+    formed. X is an (m, N) array or a `GridLines` block, whose points on one
+    line of the last axis get their leading-axis sum, a len(Y) vector, plus
+    their rows of the table: the same sums, so the same bits.
 
     `out`, a float64 array of shape (len(X), len(Y)), receives the entries
     and is returned, with the same bits as a fresh result; a grid scan
     passes a view of the one buffer it reuses for every block.
     """
-    X = _as_points(X, kernel.dim)
     Y = _as_points(Y, kernel.dim)
+    if not isinstance(X, GridLines):
+        X = _as_points(X, kernel.dim)
+    elif not 2 <= len(X.axes) == kernel.dim or X.table.shape != (len(X.axes[-1]), len(Y)):
+        raise DimensionMismatchError("grid lines need 2+ axes, one per kernel dimension, "
+                                     "and a table row per point of the last one")
     if kernel.family == INTERVAL_W21:
         a, b = kernel.interval
         xv, yv = X[:, 0], Y[:, 0]
         if np.any(xv < a) or np.any(xv > b) or np.any(yv < a) or np.any(yv > b):
             raise DomainError(f"w21 kernel arguments must lie in [{a}, {b}]")
-    shape = (X.shape[0], Y.shape[0])
+    shape = (len(X), Y.shape[0])
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
@@ -213,25 +238,28 @@ def _fill_rows(kernel: Kernel, X: np.ndarray, Y: np.ndarray, out: np.ndarray,
     """Write k(X[rows], Y) into out[rows], with the out-of-place formula's
     ufuncs applied in the same order to every entry."""
     r = out[rows]
-    x = X[rows]
     if kernel.family == INTERVAL_W21:
         a, b = kernel.interval
+        x = X[rows, 0]
         # cosh(b - max(x, y)) * cosh(min(x, y) - a) / sinh(b - a)
-        np.maximum.outer(x[:, 0], Y[:, 0], out=r)
+        np.maximum.outer(x, Y[:, 0], out=r)
         np.subtract(b, r, out=r)
         np.cosh(r, out=r)
-        lo = np.minimum.outer(x[:, 0], Y[:, 0])
+        lo = np.minimum.outer(x, Y[:, 0])
         lo -= a
         np.cosh(lo, out=lo)
         r *= lo
         r /= np.sinh(b - a)
         return
-    np.subtract.outer(x[:, 0], Y[:, 0], out=r)
-    r *= r
-    for k in range(1, kernel.dim):
-        d = np.subtract.outer(x[:, k], Y[:, k])
-        d *= d
-        r += d
+    if isinstance(X, GridLines):
+        _line_distances(X, Y, r, X.rows.start + rows.start)
+    else:
+        np.subtract.outer(X[rows, 0], Y[:, 0], out=r)
+        r *= r
+        for k in range(1, kernel.dim):
+            d = np.subtract.outer(X[rows, k], Y[:, k])
+            d *= d
+            r += d
     np.sqrt(r, out=r)
     r *= kernel.gamma
     if kernel.family == GAUSSIAN:
@@ -251,6 +279,19 @@ def _fill_rows(kernel: Kernel, X: np.ndarray, Y: np.ndarray, out: np.ndarray,
         return
     np.negative(r, out=r)
     np.exp(r, out=r)
+
+
+def _line_distances(X: GridLines, Y: np.ndarray, r: np.ndarray, first: int) -> None:
+    """Squared distances of the grid rows first, first + 1, ... of X to Y
+    into r, line by line: a line's leading-axis sum, in axis order, plus its
+    rows of the table. 0 + d^2 is d^2, so the sums are the array path's."""
+    shape, width = [len(ax) for ax in X.axes[:-1]], len(X.axes[-1])
+    for i in range(-(first % width), len(r), width):  # the lines' first rows
+        lead = 0.0
+        for k, at in enumerate(np.unravel_index((first + i) // width, shape)):
+            lead = lead + np.square(X.axes[k][at] - Y[:, k])
+        line, skip = r[max(i, 0):i + width], max(-i, 0)
+        np.add(lead, X.table[skip:skip + len(line)], out=line)
 
 
 def _usable_cpus() -> int:

@@ -32,7 +32,7 @@ from kinterp.geometry import (
 )
 from kinterp.interpolation import (
     EVAL_CHUNK,
-    SCAN_ROWS,
+    SCAN_BYTES,
     evaluate,
     fit,
     lagrange_coefficients,
@@ -100,6 +100,36 @@ def test_degenerate_grid_axes_raise_instead_of_wrong_numbers():
     # a one-point grid still scans, and a one-point tensor pool still forms
     assert lebesgue_constant(M32, design.master, point) >= 1.0
     assert generate_candidates(UNIT, 1, "tensor_grid").points.tolist() == [[0.5]]
+
+
+def test_quad_weights_reject_a_non_uniform_axis():
+    # the uniform rule gave [0.25, 0.5, 0.25] on [0, 0.1, 1], whose
+    # trapezoid weights are [0.05, 0.5, 0.45]: a wrong L2 error, unflagged
+    for axes in [(np.array([0.0, 0.1, 1.0]),),
+                 (np.linspace(-1.0, 2.0, 5), np.array([0.0, 0.1, 1.0]))]:
+        with pytest.raises(GeometryError, match="equispaced"):
+            EvalGrid(axes).quad_weights
+
+
+def test_quad_weights_reject_a_descending_axis():
+    # [1, 0.5, 0] gave the weights [-0.25, -0.5, -0.25], and l2_error nan
+    grid = EvalGrid((np.array([1.0, 0.5, 0.0]),))
+    with pytest.raises(GeometryError, match="ascending"):
+        grid.quad_weights
+    s = fit(M32, equispaced_interval(0, 1, 4), np.arange(4.0))
+    target = make_target("constant", {"value": 1.0}, M32, UNIT)
+    with pytest.raises(GeometryError, match="ascending"):
+        l2_error(target, s, grid)
+
+
+def test_quad_weights_of_a_linspace_axis_far_from_the_origin():
+    # spacings of about 1.5e-5 at 1e6, where one ulp is 1.2e-10: inside the
+    # relative 1e-6, with the uniform rule's bits
+    ax = np.linspace(1e6, 1e6 + 1.0, 65537)
+    h = (ax[-1] - ax[0]) / (len(ax) - 1)
+    expected = np.full(len(ax), h)
+    expected[0] = expected[-1] = 0.5 * h
+    assert EvalGrid((ax,)).quad_weights.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("has_grid, has_target, quantities", [
@@ -504,12 +534,17 @@ def _unnested_interval_levels():
     return M32, UNIT, 9000, [equispaced_interval(0, 1, n) for n in (5, 11, 23)]
 
 
-def _scan_height(grid):
-    """Rows of a full scan block of `grid` under the block rule: as many
-    whole lines of its last axis as fit in SCAN_ROWS, and at least one; a
-    line longer than EVAL_CHUNK is cut into EVAL_CHUNK-row pieces."""
+def _scan_height(grid, level_sets):
+    """Rows of a full scan block of `grid` for `level_sets` under the block
+    rule: as many whole lines of its last axis as keep the block, rows by
+    the scan's node columns (the largest level, plus every level that is not
+    a prefix of it) by 8 B, within SCAN_BYTES, and at least one; a line
+    longer than EVAL_CHUNK is cut into EVAL_CHUNK-row pieces."""
+    base = max(level_sets, key=len).points
+    width = len(base) + sum(len(X) for X in level_sets
+                            if not np.array_equal(X.points, base[:len(X)]))
     line = len(grid.axes[-1])
-    return EVAL_CHUNK if line > EVAL_CHUNK else line * max(1, SCAN_ROWS // line)
+    return EVAL_CHUNK if line > EVAL_CHUNK else line * max(1, SCAN_BYTES // (8 * width * line))
 
 
 @pytest.mark.parametrize("levels", [_square_levels, _interval_levels,
@@ -528,7 +563,7 @@ def test_shared_scan_equals_per_level_functions(levels):
         s = fit(kernel, X, target(X.points))
         assert row["lebesgue_constant"] == lebesgue_max_from_coefficients(kernel, X, C, grid)
         # the independent oracle: each scan block's own cross block and product
-        step = _scan_height(grid)
+        step = _scan_height(grid, level_sets)
         assert row["lebesgue_constant"] == max(
             np.abs(kernel_matrix(kernel, grid[:][i:i + step], X.points) @ C).sum(axis=1).max()
             for i in range(0, len(grid), step))
@@ -685,19 +720,28 @@ def test_grid_scan_fills_one_workspace(monkeypatch):
 # ------------------------------------------------------- scan block rule
 
 
-def _scan_blocks(monkeypatch, points):
+def _scan_blocks(monkeypatch, points, nodes=8):
     """The point blocks that `_scan_levels` hands `kernel_matrix` while it
-    evaluates one fit of 8 nodes at `points`, an (m, N) array or an EvalGrid."""
+    evaluates one fit of `nodes` nodes at `points`, an (m, N) array or an
+    EvalGrid, each block as its (m, N) points. A block of a grid of 2 or
+    more axes is a `GridLines`, and every one holds the same table."""
     dim = len(points.axes) if isinstance(points, EvalGrid) else points.shape[1]
-    X = generate_candidates(Box.unit_cube(dim), 8, "low_discrepancy")
-    fill, blocks = interpolation.kernel_matrix, []
+    X = generate_candidates(Box.unit_cube(dim), nodes, "low_discrepancy")
+    fill, blocks, tables = interpolation.kernel_matrix, [], []
 
     def recording_fill(kernel, points, nodes, out=None):
-        blocks.append(points)
+        if isinstance(points, kernels.GridLines):
+            tables.append(points.table)
+            blocks.append(EvalGrid(points.axes)[points.rows])
+        else:
+            blocks.append(points)
         return fill(kernel, points, nodes, out=out)
 
     monkeypatch.setattr(interpolation, "kernel_matrix", recording_fill)
     interpolation._scan_levels(matern(1.5, dim=dim), [(X, np.ones(len(X)), None)], points)
+    tabled = isinstance(points, EvalGrid) and dim > 1
+    assert len(tables) == (len(blocks) if tabled else 0)
+    assert all(t is tables[0] for t in tables)
     return blocks
 
 
@@ -708,8 +752,13 @@ def _scan_blocks(monkeypatch, points):
     (grid1d(9000), [EVAL_CHUNK, 808]),
     # an (m, N) array counts as one line
     (EvalGrid.tensor(Box.unit_cube(2), 129)[:], [EVAL_CHUNK, EVAL_CHUNK, 257]),
-    # 3 lines of 513 fit in SCAN_ROWS rows
-    (EvalGrid.tensor(Box.unit_cube(2), 513), [3 * 513] * 171),
+    # SCAN_BYTES holds 32768 rows of 8 node columns: 63 lines of 513, and
+    # the last 9 lines make the last block
+    (EvalGrid.tensor(Box.unit_cube(2), 513), [63 * 513] * 8 + [9 * 513]),
+    # a 2-d grid whose lines are longer than EVAL_CHUNK: EVAL_CHUNK-row
+    # pieces, filled from the table across the line ends
+    (EvalGrid((np.linspace(-1.0, 0.5, 3), np.linspace(0.0, 2.0, 9000))),
+     [EVAL_CHUNK] * 3 + [27000 - 3 * EVAL_CHUNK]),
 ])
 def test_scan_block_heights(monkeypatch, points, heights):
     blocks = _scan_blocks(monkeypatch, points)
@@ -717,13 +766,24 @@ def test_scan_block_heights(monkeypatch, points, heights):
     assert np.array_equal(np.concatenate(blocks), points[:])
 
 
+def test_square_workload_scans_one_line_per_block(monkeypatch):
+    # the square workload's top level: SCAN_BYTES holds 655 rows of 400
+    # node columns, one line of 513
+    grid = EvalGrid.tensor(Box.unit_cube(2), 513)
+    blocks = _scan_blocks(monkeypatch, grid, 400)
+    assert [len(b) for b in blocks] == [513] * 513
+    assert np.array_equal(np.concatenate(blocks), grid[:])
+
+
 @pytest.mark.parametrize("per_axis", [(9, 11, 250), (3, 2, 3000)])
 def test_scan_blocks_of_a_3d_grid_are_whole_lines(monkeypatch, per_axis):
-    # 8 lines of 250 per block, the 99 lines ending in a 3-line block; and
-    # lines longer than SCAN_ROWS, one per block
+    # SCAN_BYTES holds 2048 rows of 128 node columns: 8 lines of 250 per
+    # block, the 99 lines ending in a 3-line block; and lines longer than
+    # that, one per block
+    assert SCAN_BYTES // (8 * 128) == 2048
     axes = tuple(np.linspace(0.0, 1.0, m) for m in per_axis)
     grid = EvalGrid(axes)
-    blocks = _scan_blocks(monkeypatch, grid)
+    blocks = _scan_blocks(monkeypatch, grid, 128)
     line = per_axis[-1]
     starts = np.cumsum([0] + [len(b) for b in blocks])
     assert len(blocks) > 2 and starts[-1] == len(grid)
@@ -736,20 +796,23 @@ def test_scan_blocks_of_a_3d_grid_are_whole_lines(monkeypatch, per_axis):
 
 def test_square_lebesgue_scan_holds_one_block_of_whole_lines(tile_workers):
     # one Lebesgue level at n = 400 on the 513^2 grid of the square configs.
-    # A block is 3 lines, 1539 rows, so the scan's workspace is its cross
-    # block and product, 2 * 1539 * 400 * 8 B = 9.85 MB, and 1539 sums; with
-    # the tile temporaries and the block's points the bound is 12.2 MB.
-    # 8192-row blocks took 2 * 8192 * 400 * 8 B = 52.4 MB.
+    # SCAN_BYTES holds 655 rows of 400 columns, so a block is one line, 513
+    # rows, and the scan's workspace is its cross block, product and table of
+    # squared last-axis differences, 3 * 513 * 400 * 8 B = 4.92 MB, and 513
+    # sums; with two tile temporaries and two line vectors (a line's
+    # leading-axis sum and one axis term) on each of two workers the bound is
+    # 7.04 MB. 3-line blocks of points took 2 * 1539 * 400 * 8 B = 9.85 MB
+    # for the cross block and product alone, and 8192-row blocks 52.4 MB.
     tile_workers(2)
     box = Box.unit_cube(2)
     kernel = matern(1.5, gamma=5.0, dim=2)
     X = generate_candidates(box, 400, "low_discrepancy")
     C, _ = lagrange_coefficients(kernel, X)
     grid = EvalGrid.tensor(box, 513)
-    height, n = 3 * 513, len(X)
-    bound = (8 * (2 * height * n + height)  # the cross block, the product, the sums
+    height, n = 513, len(X)
+    bound = (8 * (3 * height * n + height)  # the cross block, product and table, the sums
              + 2 * 2 * kernels.TILE_BYTES  # two tile temporaries on each worker
-             + 16 * 8 * height)  # the block's points and their grid indices
+             + 2 * 2 * 8 * n)  # two line vectors on each worker
     lmax, peak = traced_peak(lebesgue_max_from_coefficients, kernel, X, C, grid)
     assert np.isfinite(lmax) and lmax >= 1.0
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
@@ -788,9 +851,9 @@ def test_one_block_scan_frees_each_cardinal_matrix_before_the_next_level(monkeyp
 
 
 def test_multi_block_scan_keeps_each_cardinal_matrix_until_its_last_block(monkeypatch):
-    kernel, box, m, level_sets = _square_levels()  # 129^2 points: 9 blocks of up to 15 lines
+    kernel, box, m, level_sets = _square_levels()  # 129^2 points: 4 blocks of up to 33 lines
     grid = EvalGrid.tensor(box, m)
-    blocks = -(-len(grid) // _scan_height(grid))
+    blocks = -(-len(grid) // _scan_height(grid, level_sets))
     refs, alive = _recording_cardinal_sums(monkeypatch)
     measure_levels(kernel, level_sets, grid, lebesgue=True)
     count = len(level_sets)

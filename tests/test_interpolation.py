@@ -778,20 +778,22 @@ def test_only_kernels_drives_the_tile_pool(monkeypatch, tile_workers):
                         if attr in vars(module)]
     assert binders == []
 
-    # 129^2 points in 8 blocks of 15 lines and one of 9 lines (1161 rows);
-    # at n >= 60 every product, fitted-value block and fill spans 2+ tiles
+    # 100 node columns: SCAN_BYTES holds 20 lines of 129, so 129^2 points
+    # make 6 blocks of 20 lines and one of 9 lines (1161 rows); at n >= 60
+    # every product, fitted-value block and fill spans 2+ tiles
     box = Box.unit_cube(2)
     kernel = matern(1.5, gamma=5.0, dim=2)
-    design = geometric_greedy(generate_candidates(box, 400, "low_discrepancy"), 120, 0,
-                              (60, 90, 120))
+    design = geometric_greedy(generate_candidates(box, 400, "low_discrepancy"), 100, 0,
+                              (60, 80, 100))
     sets = [design.level_points(k) for k in range(3)]
     levels = [(X, None, lagrange_coefficients(kernel, X)[0]) for X in sets]
     top = sets[-1]
     levels.append((top, fit(kernel, top, np.sin(3 * top.points[:, 0])).coefficients, None))
     grid = EvalGrid.tensor(box, 129)
+    assert interpolation.SCAN_BYTES // (8 * 100 * 129) == 20
     assert 1161 * 60 * 8 > kernels.TILE_BYTES
     tile_workers(2)
     pool, rounds = kernels._tile_pool, []
     monkeypatch.setattr(kernels, "_tile_pool", lambda: rounds.append(1) or pool())
     interpolation._scan_levels(kernel, levels, grid)
-    assert len(rounds) == -(-len(grid) // (15 * 129)) == 9
+    assert len(rounds) == -(-len(grid) // (20 * 129)) == 7

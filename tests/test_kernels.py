@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinterp import kernels
-from kinterp.geometry import Box, PointSet
+from kinterp.geometry import Box, EvalGrid, PointSet
+from kinterp.interpolation import EVAL_CHUNK
 from kinterp.kernels import (
     DomainError,
     DimensionMismatchError,
     DuplicateNodesError,
+    GridLines,
     assemble_gram,
     gaussian,
     interval_sobolev,
     kernel_matrix,
+    line_table,
     matern,
     mirror_upper,
 )
@@ -538,6 +541,74 @@ def test_kernel_matrix_rejects_a_mismatched_out():
     for out in (np.empty((4, 4)), np.empty((3, 3)), np.empty((4, 3), np.float32)):
         with pytest.raises(ValueError, match="need \\(4, 3\\) float64"):
             kernel_matrix(k, X, Y, out=out)
+
+
+# ---------------------------------------------------------- grid lines
+
+
+_LINE_KERNELS = {"matern12": lambda d: matern(0.5, gamma=3.0, dim=d),
+                 "matern32": lambda d: matern(1.5, gamma=3.0, dim=d),
+                 "matern52": lambda d: matern(2.5, gamma=3.0, dim=d),
+                 "gaussian": lambda d: gaussian(3.0, dim=d)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("per_axis", [(7, 11), (5, 6, 9)])
+@pytest.mark.parametrize("name", list(_LINE_KERNELS))
+def test_grid_lines_fill_bit_equal_to_the_fill_of_their_points(
+        name, per_axis, workers, tile_workers, monkeypatch):
+    tile_workers(workers)
+    dim = len(per_axis)
+    k = _LINE_KERNELS[name](dim)
+    # unequal axes on a box with negative coordinates
+    axes = tuple(np.linspace(-1.5 - j, 0.25 + 0.5 * j, m) for j, m in enumerate(per_axis))
+    grid, line = EvalGrid(axes), per_axis[-1]
+    rng = np.random.default_rng(dim)
+    # 5 nodes on grid points (distance 0), the others off the grid
+    Y = np.vstack([grid[:][rng.choice(len(grid), 5, replace=False)],
+                   rng.uniform(-2.5, 1.0, size=(35, dim))])
+    # 4-row tiles, which end inside lines
+    monkeypatch.setattr(kernels, "TILE_BYTES", 4 * 8 * len(Y))
+    for nodes in (Y, Y[:1], Y[5:6]):  # one node on the grid, one off it
+        table = line_table(axes[-1], nodes)
+        buffer = np.empty((len(grid), len(nodes)))
+        # blocks of 1 and 3 whole lines, as a scan cuts them, the last one
+        # partial, and one block that starts and stops inside lines
+        blocks = [(a, min(a + step, len(grid))) for step in (line, 3 * line)
+                  for a in range(0, len(grid), step)] + [(3, 5 * line - 2)]
+        for a, b in blocks:
+            got = kernel_matrix(k, GridLines(axes, slice(a, b), table), nodes,
+                                out=buffer[:b - a])
+            assert np.array_equal(got, kernel_matrix(k, grid[a:b], nodes)), (a, b)
+    assert (kernels._pool is not None) == (workers == 2)
+
+
+def test_grid_lines_fill_of_lines_longer_than_a_scan_chunk():
+    # EVAL_CHUNK-row pieces of a 2-d grid whose lines are longer: the
+    # second piece starts in the first line and ends in the second
+    k = matern(1.5, gamma=3.0, dim=2)
+    axes = (np.array([-0.5, 0.25, 1.0]), np.linspace(-1.0, 2.0, EVAL_CHUNK + 808))
+    grid = EvalGrid(axes)
+    Y = np.random.default_rng(5).uniform(-1.0, 2.0, size=(12, 2))
+    table = line_table(axes[-1], Y)
+    for a in range(0, len(grid), EVAL_CHUNK):
+        rows = slice(a, min(a + EVAL_CHUNK, len(grid)))
+        assert np.array_equal(kernel_matrix(k, GridLines(axes, rows, table), Y),
+                              kernel_matrix(k, grid[rows], Y))
+
+
+def test_grid_lines_need_two_axes_and_a_table_of_their_nodes():
+    axes = (np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 5))
+    Y = np.full((3, 2), 0.5)
+    lines = GridLines(axes, slice(0, 20), line_table(axes[-1], Y))
+    assert kernel_matrix(matern(1.5, dim=2), lines, Y).shape == (20, 3)
+    with pytest.raises(DimensionMismatchError):
+        kernel_matrix(matern(1.5, dim=2), lines, Y[:2])
+    with pytest.raises(DimensionMismatchError):
+        kernel_matrix(matern(1.5, dim=3), lines, np.full((3, 3), 0.5))
+    line = GridLines(axes[1:], slice(0, 5), line_table(axes[-1], Y))
+    with pytest.raises(DimensionMismatchError):
+        kernel_matrix(matern(1.5), line, Y[:, :1])
 
 
 def test_concurrent_callers_get_their_own_blocks(monkeypatch):
