@@ -239,13 +239,8 @@ def read_report_csv(path) -> tuple[list[dict], dict]:
     rdr = csv.reader(body)
     header = next(rdr)
     for rec in rdr:
-        row = {}
-        for col, val in zip(header, rec):
-            if col in ("jitter_flag", "sampling_condition"):
-                row[col] = val
-            else:
-                row[col] = float(val)
-        rows.append(row)
+        rows.append({col: val if col in ("jitter_flag", "sampling_condition") else float(val)
+                     for col, val in zip(header, rec)})
     return rows, meta
 
 
@@ -329,9 +324,7 @@ def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tupl
             continue
         step = fact.jitter_step
         row["jitter_flag"] = "none" if step == 0.0 else f"{step:.0e}"
-        alpha = C = None
-        if lebesgue:
-            C = fact.inverse()
+        alpha, C = None, fact.inverse() if lebesgue else None
         if target is not None:
             s = fit(kernel, X, target(X.points), factorization=fact)
             row["native_norm"] = native_norm(s)

@@ -157,6 +157,8 @@ class EvalGrid:
         return math.prod(len(ax) for ax in self.axes)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
+        if not isinstance(rows, slice):
+            raise TypeError(f"grid rows are selected by a slice, grid[a:b], not {rows!r}")
         r = range(len(self))[rows]
         index = np.unravel_index(np.arange(r.start, r.stop, r.step),
                                  tuple(len(ax) for ax in self.axes))

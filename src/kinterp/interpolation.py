@@ -38,10 +38,10 @@ from .kernels import (
 JITTER_LADDER = (1e-14, 1e-12, 1e-10, 1e-8)
 
 # Grid scans (evaluation, Lebesgue functions) run in blocks of whole grid
-# lines whose kernel block takes at most SCAN_BYTES, or EVAL_CHUNK rows of a
-# longer line.
+# lines whose kernel block takes at most SCAN_BYTES; a line longer than
+# EVAL_CHUNK rows is cut into the fewest equal pieces of at most EVAL_CHUNK.
 SCAN_BYTES = 2 * 1024 * 1024
-EVAL_CHUNK = 8192
+EVAL_CHUNK = 2048
 
 
 class FactorizationError(RuntimeError):
@@ -249,8 +249,10 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
     blocks of whole lines (the len(axes[-1]) rows that share all other
     coordinates), as many as keep the block buffer (rows x columns x 8 B)
     within SCAN_BYTES and at least one, since a GEMM's row bits depend on
-    the block height: a 1-d grid stays one block. An array counts as one
-    line; a line longer than EVAL_CHUNK is cut into EVAL_CHUNK-row pieces.
+    the block height. An array counts as one line. A line longer than
+    EVAL_CHUNK is cut into the fewest equal pieces of at most EVAL_CHUNK
+    rows, the first line % pieces of them one row longer, so no piece is a
+    sliver: a 4097-point 1-d grid scans in 1366, 1366 and 1365 rows.
     The workspace is allocated once, here: one block buffer, which
     `kernel_matrix` fills with each block in turn, one flat product buffer
     of a block's rows by the widest C, which every `cross @ C` is written
@@ -270,24 +272,26 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
             width += n
     nodes = np.concatenate(parts) if len(parts) > 1 else base
     functions = functions or [None] * len(levels)
-    line = len(points.axes[-1]) if isinstance(points, EvalGrid) else len(points)
-    step = (line * max(1, SCAN_BYTES // (8 * len(nodes) * line)) if 0 < line <= EVAL_CHUNK
-            else EVAL_CHUNK)
+    line = max(1, len(points.axes[-1]) if isinstance(points, EvalGrid) else len(points))
+    pieces = -(-line // EVAL_CHUNK)  # of a line, 1 unless it is longer than EVAL_CHUNK
+    q, r = divmod(line, pieces)
+    step = line * (max(1, SCAN_BYTES // (8 * len(nodes) * line)) if pieces == 1 else 1)
+    starts = [a + i * q + min(i, r) for a in range(0, len(points), step) for i in range(pieces)]
+    blocks = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(points)])]
     table = None  # formed once, for every block
     if isinstance(points, EvalGrid) and len(points.axes) > 1:
         table = line_table(points.axes[-1], nodes)
-    height = min(step, len(points))
+    height = max((b.stop - b.start for b in blocks), default=0)
     buffer = np.empty((height, len(nodes)))
     product = np.empty(height * max((C.shape[1] for *_, C in levels if C is not None),
                                     default=0))
     sums = np.empty(height)
     lmax = [None if C is None else 0.0 for _, _, C in levels]
     values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
-    for start in range(0, len(points), step):
-        rows = slice(start, min(start + step, len(points)))
+    for rows in blocks:
         chunk = GridLines(points.axes, rows, table) if table is not None else points[rows]
         cross = kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
-        last = start + step >= len(points)
+        last = rows.stop == len(points)
         # indexed, not zipped: a zip's tuple would keep level k's C alive
         # through level k + 1
         for k in range(len(levels)):

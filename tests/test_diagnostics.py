@@ -83,6 +83,15 @@ def test_grid_lexicographic_order():
     assert np.array_equal(order, np.arange(len(g)))
 
 
+def test_grid_rows_are_selected_by_a_slice():
+    # grid[4] raised "AttributeError: 'int' object has no attribute 'start'"
+    grid = EvalGrid.tensor(Box.unit_cube(2), 5)
+    for rows in (4, np.int64(4), [4, 5]):
+        with pytest.raises(TypeError, match="slice"):
+            grid[rows]
+    assert np.array_equal(grid[4:5], grid[:][4:5])
+
+
 def test_degenerate_grid_axes_raise_instead_of_wrong_numbers():
     # an empty axis made every Lebesgue constant 0.0 and a one-point axis
     # every L2 error nan; the scan's block rule also divides by the length
@@ -534,17 +543,25 @@ def _unnested_interval_levels():
     return M32, UNIT, 9000, [equispaced_interval(0, 1, n) for n in (5, 11, 23)]
 
 
-def _scan_height(grid, level_sets):
-    """Rows of a full scan block of `grid` for `level_sets` under the block
-    rule: as many whole lines of its last axis as keep the block, rows by
-    the scan's node columns (the largest level, plus every level that is not
-    a prefix of it) by 8 B, within SCAN_BYTES, and at least one; a line
-    longer than EVAL_CHUNK is cut into EVAL_CHUNK-row pieces."""
+def _scan_rows(grid, level_sets):
+    """The row slices of the scan blocks of `grid` for `level_sets` under
+    the block rule: as many whole lines of its last axis as keep the block,
+    rows by the scan's node columns (the largest level, plus every level
+    that is not a prefix of it) by 8 B, within SCAN_BYTES, and at least one;
+    a line longer than EVAL_CHUNK is cut into the fewest equal pieces of at
+    most EVAL_CHUNK rows, as np.array_split cuts it."""
     base = max(level_sets, key=len).points
     width = len(base) + sum(len(X) for X in level_sets
                             if not np.array_equal(X.points, base[:len(X)]))
     line = len(grid.axes[-1])
-    return EVAL_CHUNK if line > EVAL_CHUNK else line * max(1, SCAN_BYTES // (8 * width * line))
+    if line > EVAL_CHUNK:
+        pieces = np.array_split(np.arange(line), -(-line // EVAL_CHUNK))
+        heights = [len(p) for p in pieces] * (len(grid) // line)
+    else:
+        step = line * max(1, SCAN_BYTES // (8 * width * line))
+        heights = [min(step, len(grid) - a) for a in range(0, len(grid), step)]
+    stops = np.cumsum(heights)
+    return [slice(int(b) - h, int(b)) for b, h in zip(stops, heights)]
 
 
 @pytest.mark.parametrize("levels", [_square_levels, _interval_levels,
@@ -563,10 +580,9 @@ def test_shared_scan_equals_per_level_functions(levels):
         s = fit(kernel, X, target(X.points))
         assert row["lebesgue_constant"] == lebesgue_max_from_coefficients(kernel, X, C, grid)
         # the independent oracle: each scan block's own cross block and product
-        step = _scan_height(grid, level_sets)
         assert row["lebesgue_constant"] == max(
-            np.abs(kernel_matrix(kernel, grid[:][i:i + step], X.points) @ C).sum(axis=1).max()
-            for i in range(0, len(grid), step))
+            np.abs(kernel_matrix(kernel, grid[rows], X.points) @ C).sum(axis=1).max()
+            for rows in _scan_rows(grid, level_sets))
         assert row["sup_error"] == sup_error(target, s, grid)
         assert row["l2_error"] == l2_error(target, s, grid)
 
@@ -670,18 +686,18 @@ def test_measure_levels_independent_of_worker_count(levels, tile_workers):
 
 
 def test_lebesgue_function_bit_equal_to_one_pass_scan():
-    # more than one scan chunk, and many row tiles per chunk
+    # more than one scan piece (five of 1800 rows), and many row tiles per piece
     X = nested_equispaced_design(0, 1, 8, 4).master
     grid = grid1d(9000)
     C, _ = lagrange_coefficients(M32, X)
-    ref = np.concatenate([np.abs(kernel_matrix(M32, grid[:][s:s + 8192], X.points) @ C)
-                          .sum(axis=1) for s in range(0, len(grid), 8192)])
+    ref = np.concatenate([np.abs(kernel_matrix(M32, grid[s:s + 1800], X.points) @ C)
+                          .sum(axis=1) for s in range(0, len(grid), 1800)])
     assert np.array_equal(lebesgue_function(M32, X, grid), ref)
     assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref.max()
 
 
 def test_grid_scan_fills_one_workspace(monkeypatch):
-    # 129^2 = 16641 points: two full scan blocks and a 257-row last block
+    # 129^2 = 16641 points as one array, one line: nine equal pieces of 1849
     box = Box.unit_cube(2)
     kernel = matern(1.5, gamma=5.0, dim=2)
     X = geometric_greedy(generate_candidates(box, 400, "low_discrepancy"), 30, 0, (30,)).master
@@ -704,17 +720,17 @@ def test_grid_scan_fills_one_workspace(monkeypatch):
     monkeypatch.setattr(interpolation, "_cardinal_abs_sums", recording_sums)
     function = np.empty(len(grid))
     interpolation._scan_levels(kernel, [(X, None, C)], grid[:], [function])
-    assert [len(b) for b in blocks] == [EVAL_CHUNK, EVAL_CHUNK, 257]
+    assert [len(b) for b in blocks] == [1849] * 9
     assert all(np.shares_memory(out, outs[0]) for out in outs)
-    assert len(products) == 3 and all(p is products[0] for p in products)
-    assert products[0].shape == (EVAL_CHUNK * len(X),)
+    assert len(products) == 9 and all(p is products[0] for p in products)
+    assert products[0].shape == (1849 * len(X),)
     # the last product landed in the shared buffer, C being n x n
     landed = products[0][:blocks[-1].size].reshape(blocks[-1].shape)
     assert np.array_equal(landed, np.abs(blocks[-1] @ C))
-    for start, block in zip(range(0, len(grid), EVAL_CHUNK), blocks):
-        fresh = fill(kernel, grid[:][start:start + EVAL_CHUNK], X.points)
+    for start, block in zip(range(0, len(grid), 1849), blocks):
+        fresh = fill(kernel, grid[start:start + 1849], X.points)
         assert np.array_equal(block, fresh)
-        assert np.array_equal(function[start:start + EVAL_CHUNK], np.abs(fresh @ C).sum(1))
+        assert np.array_equal(function[start:start + 1849], np.abs(fresh @ C).sum(1))
 
 
 # ------------------------------------------------------- scan block rule
@@ -746,19 +762,23 @@ def _scan_blocks(monkeypatch, points, nodes=8):
 
 
 @pytest.mark.parametrize("points, heights", [
-    # a 1-d grid is one line: the escape workload's 4097 points stay one block
-    (grid1d(4097), [4097]),
-    # a line longer than EVAL_CHUNK is cut into EVAL_CHUNK-row pieces
-    (grid1d(9000), [EVAL_CHUNK, 808]),
+    # a 1-d grid is one line, and one longer than EVAL_CHUNK is cut into the
+    # fewest equal pieces of at most EVAL_CHUNK rows, the longer ones first,
+    # with no sliver at its end: the escape workload's 4097 points in three
+    (grid1d(4097), [1366, 1366, 1365]),
+    (grid1d(EVAL_CHUNK + 1), [1025, 1024]),
+    (grid1d(9000), [1800] * 5),
+    # a line of at most EVAL_CHUNK rows stays one block
+    (grid1d(EVAL_CHUNK), [EVAL_CHUNK]),
     # an (m, N) array counts as one line
-    (EvalGrid.tensor(Box.unit_cube(2), 129)[:], [EVAL_CHUNK, EVAL_CHUNK, 257]),
+    (EvalGrid.tensor(Box.unit_cube(2), 129)[:], [1849] * 9),
     # SCAN_BYTES holds 32768 rows of 8 node columns: 63 lines of 513, and
     # the last 9 lines make the last block
     (EvalGrid.tensor(Box.unit_cube(2), 513), [63 * 513] * 8 + [9 * 513]),
-    # a 2-d grid whose lines are longer than EVAL_CHUNK: EVAL_CHUNK-row
-    # pieces, filled from the table across the line ends
-    (EvalGrid((np.linspace(-1.0, 0.5, 3), np.linspace(0.0, 2.0, 9000))),
-     [EVAL_CHUNK] * 3 + [27000 - 3 * EVAL_CHUNK]),
+    # a 2-d grid whose lines are longer than EVAL_CHUNK: each line in its
+    # own equal pieces, filled from the table
+    (EvalGrid((np.linspace(-1.0, 0.5, 3), np.linspace(0.0, 2.0, 4097))),
+     [1366, 1366, 1365] * 3),
 ])
 def test_scan_block_heights(monkeypatch, points, heights):
     blocks = _scan_blocks(monkeypatch, points)
@@ -775,11 +795,11 @@ def test_square_workload_scans_one_line_per_block(monkeypatch):
     assert np.array_equal(np.concatenate(blocks), grid[:])
 
 
-@pytest.mark.parametrize("per_axis", [(9, 11, 250), (3, 2, 3000)])
+@pytest.mark.parametrize("per_axis", [(9, 11, 250), (3, 2, 2000)])
 def test_scan_blocks_of_a_3d_grid_are_whole_lines(monkeypatch, per_axis):
     # SCAN_BYTES holds 2048 rows of 128 node columns: 8 lines of 250 per
     # block, the 99 lines ending in a 3-line block; and lines longer than
-    # that, one per block
+    # half that, but not than EVAL_CHUNK, one per block
     assert SCAN_BYTES // (8 * 128) == 2048
     axes = tuple(np.linspace(0.0, 1.0, m) for m in per_axis)
     grid = EvalGrid(axes)
@@ -842,7 +862,7 @@ def _recording_cardinal_sums(monkeypatch):
 def test_one_block_scan_frees_each_cardinal_matrix_before_the_next_level(monkeypatch):
     level_sets = design_levels(nested_equispaced_design(0, 1, 8, 4))
     refs, alive = _recording_cardinal_sums(monkeypatch)
-    rows = measure_levels(M32, level_sets, grid1d(2049), lebesgue=True)
+    rows = measure_levels(M32, level_sets, grid1d(EVAL_CHUNK), lebesgue=True)
     assert len(refs) == len(level_sets)
     # level k's C is dead by the time level k + 1's product is formed
     assert alive == [[False] * k for k in range(len(level_sets))]
@@ -853,7 +873,7 @@ def test_one_block_scan_frees_each_cardinal_matrix_before_the_next_level(monkeyp
 def test_multi_block_scan_keeps_each_cardinal_matrix_until_its_last_block(monkeypatch):
     kernel, box, m, level_sets = _square_levels()  # 129^2 points: 4 blocks of up to 33 lines
     grid = EvalGrid.tensor(box, m)
-    blocks = -(-len(grid) // _scan_height(grid, level_sets))
+    blocks = len(_scan_rows(grid, level_sets))
     refs, alive = _recording_cardinal_sums(monkeypatch)
     measure_levels(kernel, level_sets, grid, lebesgue=True)
     count = len(level_sets)
@@ -872,8 +892,8 @@ def test_one_level_calls_keep_the_callers_arrays():
     grid = grid1d(9000)
     C, _ = lagrange_coefficients(M32, X)
     kept = C.copy()
-    ref = max(np.abs(kernel_matrix(M32, grid[:][i:i + EVAL_CHUNK], X.points) @ C)
-              .sum(axis=1).max() for i in range(0, len(grid), EVAL_CHUNK))
+    ref = max(np.abs(kernel_matrix(M32, grid[rows], X.points) @ C).sum(axis=1).max()
+              for rows in _scan_rows(grid, [X]))
     assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref
     assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref
     assert np.array_equal(C, kept)
@@ -893,7 +913,7 @@ def test_one_level_calls_keep_the_callers_arrays():
 
 def test_top_level_product_is_formed_beside_no_other_cardinal_matrix(monkeypatch,
                                                                       tile_workers):
-    # nested Matern 3/2 levels up to n = 1087 on a 2049-point grid, one scan
+    # nested Matern 3/2 levels up to n = 1087 on a 2048-point grid, one scan
     # block. From the top level's product on, the run holds its C, the cross
     # block and the product, plus row tiles and grid vectors: the smaller
     # levels' C are freed by then. (The peak of the whole run is earlier,
@@ -903,7 +923,7 @@ def test_top_level_product_is_formed_beside_no_other_cardinal_matrix(monkeypatch
 
     tile_workers(2)
     design = nested_equispaced_design(0, 1, 16, 7)
-    n, G = len(design.master), 2049
+    n, G = len(design.master), EVAL_CHUNK
     target = make_target("abs_power", {"power": 1.0 / 3.0}, M32, UNIT)
     bound = (8 * (n * n + 2 * G * n)  # C_top, the cross block and the product
              + 2 * 2 * kernels.TILE_BYTES  # two tile temporaries on each worker
@@ -924,4 +944,28 @@ def test_top_level_product_is_formed_beside_no_other_cardinal_matrix(monkeypatch
                                  target, lebesgue=True, errors=True)
     assert tops == [n] and rows[-1]["n"] == n
     assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
+def test_escape_scan_holds_one_piece_of_its_grid_line(tile_workers):
+    # the escape config's levels, n = 16 .. 1087, on its 4097-point grid:
+    # the one line scans in pieces of 1366, 1366 and 1365 rows, so beyond
+    # the Cs it is handed the scan holds one piece's cross block and
+    # product, 2 * 1366 * 1087 * 8 B = 23.8 MB, and its row vectors (the
+    # sums, each level's fitted values, the piece's points), plus two tile
+    # temporaries on each of two workers. One 4097-row block took
+    # 2 * 4097 * 1087 * 8 B = 71.3 MB.
+    tile_workers(2)
+    level_sets = design_levels(nested_equispaced_design(0, 1, 16, 7))
+    target = make_target("abs_power", {"power": 1.0 / 3.0}, M32, UNIT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the larger levels' residual warnings
+        levels = [(X, fit(M32, X, target(X.points)).coefficients,
+                   lagrange_coefficients(M32, X)[0]) for X in level_sets]
+    G, height, n = 4097, 1366, len(level_sets[-1])
+    bound = (8 * (2 * height * n  # the cross block and product
+                  + (len(levels) + 4) * G)  # row vectors
+             + 2 * 2 * kernels.TILE_BYTES)  # two tile temporaries on each worker
+    scanned, peak = traced_peak(interpolation._scan_levels, M32, levels, grid1d(G))
+    assert n == 1087 and all(lmax >= 1.0 for lmax, _ in scanned)
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"

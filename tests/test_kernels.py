@@ -584,15 +584,20 @@ def test_grid_lines_fill_bit_equal_to_the_fill_of_their_points(
 
 
 def test_grid_lines_fill_of_lines_longer_than_a_scan_chunk():
-    # EVAL_CHUNK-row pieces of a 2-d grid whose lines are longer: the
-    # second piece starts in the first line and ends in the second
+    # a 2-d grid whose lines are longer than EVAL_CHUNK, each line cut as a
+    # scan cuts it, into the fewest equal pieces of at most EVAL_CHUNK rows:
+    # two of 1429 and 1428, the second starting inside the line
     k = matern(1.5, gamma=3.0, dim=2)
-    axes = (np.array([-0.5, 0.25, 1.0]), np.linspace(-1.0, 2.0, EVAL_CHUNK + 808))
+    line = EVAL_CHUNK + 809
+    axes = (np.array([-0.5, 0.25, 1.0]), np.linspace(-1.0, 2.0, line))
     grid = EvalGrid(axes)
     Y = np.random.default_rng(5).uniform(-1.0, 2.0, size=(12, 2))
     table = line_table(axes[-1], Y)
-    for a in range(0, len(grid), EVAL_CHUNK):
-        rows = slice(a, min(a + EVAL_CHUNK, len(grid)))
+    pieces = [p for rows in np.split(np.arange(len(grid)), len(axes[0]))
+              for p in np.array_split(rows, 2)]
+    assert [len(p) for p in pieces] == [1429, 1428] * 3
+    for p in pieces:
+        rows = slice(p[0], p[-1] + 1)
         assert np.array_equal(kernel_matrix(k, GridLines(axes, rows, table), Y),
                               kernel_matrix(k, grid[rows], Y))
 
