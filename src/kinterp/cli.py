@@ -18,7 +18,7 @@ the OMP/OpenBLAS/MKL/numexpr thread settings inherited from the caller; the
 which every entry point (`python -m kinterp.cli`, the `kinterp` script)
 does before this module runs.
 
-Exit codes: 0 success, 1 config error, 2 every level failed numerically.
+Exit codes: 0 success, 1 config or file error, 2 every level failed numerically.
 """
 
 from __future__ import annotations
@@ -406,9 +406,10 @@ def plot(csv_path: str, spec: str) -> tuple[int, list[str]]:
         for row in rows:
             if xcol not in row or ycol not in row:
                 raise ConfigError(f"column {xcol!r} or {ycol!r} not in {csv_path}")
+            for col in (xcol, ycol):
+                if isinstance(row[col], str):
+                    raise ConfigError(f"column {col!r} is not numeric")
             xv, yv = row[xcol], row[ycol]
-            if isinstance(xv, str) or isinstance(yv, str):
-                raise ConfigError(f"column {xcol!r} or {ycol!r} is not numeric")
             if math.isfinite(xv) and math.isfinite(yv):
                 xs.append(xv)
                 ys.append(yv)
@@ -417,6 +418,7 @@ def plot(csv_path: str, spec: str) -> tuple[int, list[str]]:
                     xscale=opts.get("xscale", "linear"),
                     yscale=opts.get("yscale", "linear"),
                     title=opts.get("title", ""))
+    Path(opts["out"]).parent.mkdir(parents=True, exist_ok=True)
     try:
         emit_svg(series, axes, opts["out"])
     except SvgError as exc:
@@ -452,8 +454,9 @@ def main(argv=None) -> int:
         if code == 2:
             print("error: every level failed numerically", file=sys.stderr)
         return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError) as exc:  # OSError: an unreadable CSV or unwritable output
+        kind = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -260,9 +260,12 @@ def _bounded_fill_distance(nearest, axes) -> float:
         # nearest of the cell's 2^d corners, taken one axis at a time
         a = np.moveaxis(low, j, 0)
         low = np.moveaxis(np.minimum(a[:-1], a[1:]), 0, j)
+        del a  # the previous axis's minimum, which it views
         span = ax[c[1:]] - ax[c[:-1]]
         diag2 = diag2 + (span * span).reshape((-1,) + (1,) * (d - 1 - j))
-    bound = (low + np.sqrt(diag2)) * (1.0 + 1e-12)
+    bound = np.add(low, np.sqrt(diag2, out=diag2), out=low)  # in place: fresh arrays
+    bound *= 1.0 + 1e-12
+    del diag2
     live = np.argwhere(bound >= best)
     # a cell holds its lower faces; the last cell on an axis also its upper
     starts = [c[:-1] for c in cuts]
@@ -294,8 +297,10 @@ def _bounded_fill_distance(nearest, axes) -> float:
 def _nearest_in_batches(nearest, points) -> np.ndarray:
     """The `nearest` distance of every row of `points`, an array or an
     `EvalGrid`, queried _FILL_BATCH rows at a time."""
-    return np.concatenate([nearest(points[i:i + _FILL_BATCH])
-                           for i in range(0, len(points), _FILL_BATCH)])
+    out = np.empty(len(points))
+    for i in range(0, len(points), _FILL_BATCH):
+        out[i:i + _FILL_BATCH] = nearest(points[i:i + _FILL_BATCH])
+    return out
 
 
 def mesh_ratio(X: PointSet, h: float) -> float:

@@ -238,14 +238,19 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
 
     The list is handed over: right after the last block a level reads, its
     entry is set to None, so a C the caller holds no other reference to is
-    freed before the next level's product is formed. A caller that holds
-    its own reference to C, as the one-level public calls do, keeps it:
-    only the list entry is dropped.
+    freed then. A caller that holds its own reference to C, as the one-level
+    public calls do, keeps it: only the list entry is dropped.
 
     The scan's columns are the nodes of the largest level, plus the nodes of
-    every level that is not a prefix of them; each level reads its own
-    columns of the shared block, which are bit-identical to its own block,
-    so no level's results depend on the others. An EvalGrid is scanned in
+    every level that is not a prefix of them. If no C is wider than the
+    tallest block, each block is filled once with every column and each
+    level reads its own (shared order). Else a C outweighs the block, and
+    the grid is scanned once per level, each block filled with that level's
+    columns alone in the buffer's leading ones (level order), so each C is
+    freed before the next level's first product. Either way a level's block
+    is bit-identical to its own block, and the blocks, GEMM shapes and
+    reductions are the same, so no result depends on the other levels or on
+    the order. An EvalGrid is scanned in
     blocks of whole lines (the len(axes[-1]) rows that share all other
     coordinates), as many as keep the block buffer (rows x columns x 8 B)
     within SCAN_BYTES and at least one, since a GEMM's row bits depend on
@@ -282,28 +287,36 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
     if isinstance(points, EvalGrid) and len(points.axes) > 1:
         table = line_table(points.axes[-1], nodes)
     height = max((b.stop - b.start for b in blocks), default=0)
+    widest = max((C.shape[1] for *_, C in levels if C is not None), default=0)
     buffer = np.empty((height, len(nodes)))
-    product = np.empty(height * max((C.shape[1] for *_, C in levels if C is not None),
-                                    default=0))
+    product = np.empty(height * widest)
     sums = np.empty(height)
     lmax = [None if C is None else 0.0 for _, _, C in levels]
     values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
-    for rows in blocks:
-        chunk = GridLines(points.axes, rows, table) if table is not None else points[rows]
-        cross = kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
-        last = rows.stop == len(points)
-        # indexed, not zipped: a zip's tuple would keep level k's C alive
-        # through level k + 1
-        for k in range(len(levels)):
-            _, alpha, C = levels[k]
-            if last:
-                levels[k] = None
-            block = cross[:, columns[k]]
-            if C is not None:
-                out = sums[:len(block)] if functions[k] is None else functions[k][rows]
-                lmax[k] = max(lmax[k], float(_cardinal_abs_sums(block, C, out, product).max()))
-            if alpha is not None:
-                _weighted_row_sums(block, alpha, values[k][rows])
+    # a pass fills the node columns `span` into the buffer's leading columns,
+    # block after block, for the levels whose columns lie in it
+    passes = ([([k], columns[k]) for k in range(len(levels))] if widest > height
+              else [(range(len(levels)), slice(0, len(nodes)))])
+    for ks, span in passes:
+        lines = None if table is None else table[:, span]
+        for rows in blocks:
+            chunk = GridLines(points.axes, rows, lines) if lines is not None else points[rows]
+            cross = kernel_matrix(kernel, chunk, nodes[span],
+                                  out=buffer[:len(chunk), :span.stop - span.start])
+            last = rows.stop == len(points)
+            # indexed, not zipped: a zip's tuple would keep level k's C alive
+            # through level k + 1
+            for k in ks:
+                _, alpha, C = levels[k]
+                if last:
+                    levels[k] = None
+                block = cross[:, columns[k].start - span.start:columns[k].stop - span.start]
+                if C is not None:
+                    out = sums[:len(block)] if functions[k] is None else functions[k][rows]
+                    lmax[k] = max(lmax[k], float(_cardinal_abs_sums(block, C, out, product).max()))
+                if alpha is not None:
+                    _weighted_row_sums(block, alpha, values[k][rows])
+        alpha = C = None  # before the next pass fills its first block
     return list(zip(lmax, values))
 
 

@@ -284,6 +284,45 @@ def test_plot_unknown_column(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_plot_names_the_non_numeric_column(tmp_path, capsys):
+    cfg = base_cfg(tmp_path)
+    cli.main(["run", cfg])
+    spec = f"x=n,y=jitter_flag,out={tmp_path}/x.svg"
+    assert cli.main(["plot", str(tmp_path / "out" / "run.csv"), spec]) == 1
+    assert capsys.readouterr().err == "config error: column 'jitter_flag' is not numeric\n"
+
+
+def test_plot_of_a_missing_csv_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert cli.main(["plot", str(missing), f"x=n,y=h,out={tmp_path}/p.svg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+
+
+def test_plot_creates_the_directory_of_its_output(tmp_path):
+    cfg = base_cfg(tmp_path)
+    cli.main(["run", cfg])
+    out_svg = tmp_path / "charts" / "deeper" / "p.svg"
+    assert cli.main(["plot", str(tmp_path / "out" / "run.csv"), f"x=n,y=h,out={out_svg}"]) == 0
+    assert ET.fromstring(out_svg.read_bytes()).tag.endswith("svg")
+
+
+@pytest.mark.parametrize("command", ["run", "plot"])
+def test_output_directory_that_cannot_be_made_is_one_error_line(tmp_path, capsys, command):
+    # the output's parent would be a directory below a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command == "run":
+        argv = ["run", base_cfg(tmp_path, prefix=str(blocker / "sub" / "run"))]
+    else:
+        cli.main(["run", base_cfg(tmp_path)])
+        capsys.readouterr()
+        argv = ["plot", str(tmp_path / "out" / "run.csv"), f"x=n,y=h,out={blocker}/sub/p.svg"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err and err.count("\n") == 1
+
+
 def test_plot_bad_spec(tmp_path, capsys):
     cfg = base_cfg(tmp_path)
     cli.main(["run", cfg])

@@ -543,6 +543,26 @@ def _unnested_interval_levels():
     return M32, UNIT, 9000, [equispaced_interval(0, 1, n) for n in (5, 11, 23)]
 
 
+# Levels whose widest C is wider than a scan block, which the scan takes one
+# level at a time: 2049 points scan in pieces of 1025 and 1024 rows, and a
+# block of the 33^2 grid holds 13 lines, 429 rows, of 600 node columns.
+
+
+def _wide_interval_levels():
+    return M32, UNIT, EVAL_CHUNK + 1, design_levels(nested_equispaced_design(0, 1, 16, 7))
+
+
+def _wide_unnested_interval_levels():
+    return M32, UNIT, EVAL_CHUNK + 1, [equispaced_interval(0, 1, n) for n in (300, 1100)]
+
+
+def _wide_square_levels():
+    box = Box(lower=(0.0, 0.0), upper=(1.0, 1.0))
+    design = geometric_greedy(generate_candidates(box, 2000, "low_discrepancy"),
+                              600, 0, (150, 300, 600))
+    return matern(1.5, gamma=5.0, dim=2), box, 33, design_levels(design)
+
+
 def _scan_rows(grid, level_sets):
     """The row slices of the scan blocks of `grid` for `level_sets` under
     the block rule: as many whole lines of its last axis as keep the block,
@@ -565,15 +585,31 @@ def _scan_rows(grid, level_sets):
 
 
 @pytest.mark.parametrize("levels", [_square_levels, _interval_levels,
-                                    _unnested_interval_levels])
-def test_shared_scan_equals_per_level_functions(levels):
-    # grids of more than one scan block; the unnested levels get their own
-    # columns of the shared block
+                                    _unnested_interval_levels, _wide_square_levels,
+                                    _wide_interval_levels, _wide_unnested_interval_levels])
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the larger levels' residuals
+def test_shared_scan_equals_per_level_functions(monkeypatch, levels):
+    # grids of more than one scan block, scanned in the shared order or, the
+    # _wide levels, level by level; the unnested levels get their own columns
+    # of the shared block, and their own pass in the leading columns
     kernel, box, m, level_sets = levels()
     grid = EvalGrid.tensor(box, m)
     target = make_target("abs_power", {"power": 1.0 / 3.0}, kernel, box)
+    fill, fills = interpolation.kernel_matrix, []
+
+    def counting_fill(kernel, points, nodes, out=None):
+        fills.append(len(nodes))
+        return fill(kernel, points, nodes, out=out)
+
+    monkeypatch.setattr(interpolation, "kernel_matrix", counting_fill)
     rows = list(measure_levels(kernel, level_sets, grid, target,
                                lebesgue=True, errors=True))
+    monkeypatch.undo()
+    blocks = _scan_rows(grid, level_sets)
+    by_level = max(map(len, level_sets)) > max(b.stop - b.start for b in blocks)
+    assert by_level == levels.__name__.startswith("_wide")
+    assert fills == ([len(X) for X in level_sets for _ in blocks] if by_level
+                     else [fills[0]] * len(blocks))
     assert [row["n"] for row in rows] == [len(X) for X in level_sets]
     for row, X in zip(rows, level_sets):
         C, _ = lagrange_coefficients(kernel, X)
@@ -945,6 +981,90 @@ def test_top_level_product_is_formed_beside_no_other_cardinal_matrix(monkeypatch
     assert tops == [n] and rows[-1]["n"] == n
     assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
+def test_level_order_scan_frees_each_cardinal_matrix_before_the_next_level(monkeypatch):
+    # nested levels up to n = 1087 on 2049 points, which scan in two pieces
+    # of 1025 and 1024 rows: the widest C outweighs a piece, so the scan goes
+    # level by level, both pieces of a level before the next level's
+    level_sets = design_levels(nested_equispaced_design(0, 1, 16, 7))
+    refs, alive = _recording_cardinal_sums(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the larger levels' fit residual warnings
+        rows = measure_levels(M32, level_sets, grid1d(EVAL_CHUNK + 1), lebesgue=True)
+    count, pieces = len(level_sets), 2
+    assert len(refs) == count * pieces and len(level_sets[-1]) == 1087
+    # at each call only the current level's C is alive: by the widest
+    # level's first product every other level's C is dead
+    assert alive == [[j // pieces == call // pieces for j in range(call)]
+                     for call in range(count * pieces)]
+    assert alive[(count - 1) * pieces] == [False] * ((count - 1) * pieces)
+    assert all(ref() is None for ref in refs)
+    assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
+
+
+def test_level_order_scan_forms_the_widest_product_beside_no_other_cardinal_matrix(
+        monkeypatch, tile_workers):
+    # the levels above, n = 16 .. 1087, on 2049 points: from the widest
+    # level's first product on, the run holds its C, the cross block and
+    # the product (1025 rows by 1087 columns each), plus row tiles and grid
+    # vectors. In the shared order the six smaller Cs, 3.1 MB, were still
+    # alive there, and this bound failed.
+    import tracemalloc
+
+    tile_workers(2)
+    design = nested_equispaced_design(0, 1, 16, 7)
+    n, G, height = len(design.master), EVAL_CHUNK + 1, 1025
+    bound = (8 * (n * n + 2 * height * n)  # C_top, the cross block and the product
+             + 2 * 2 * kernels.TILE_BYTES  # two tile temporaries on each worker
+             + 16 * 8 * G)  # grid vectors
+    sums = interpolation._cardinal_abs_sums
+    tops = []
+
+    def top_resets_the_peak(cross, C, out, product):
+        if len(C) == n and not tops:
+            tops.append(len(cross))
+            tracemalloc.reset_peak()
+        return sums(cross, C, out, product)
+
+    monkeypatch.setattr(interpolation, "_cardinal_abs_sums", top_resets_the_peak)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the larger levels' fit residual warnings
+        rows, peak = traced_peak(measure_levels, M32, design_levels(design), grid1d(G),
+                                 lebesgue=True)
+    assert tops == [height] and rows[-1]["n"] == n
+    assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("box, m, sizes, fills", [
+    # interval_escape: the widest C, 2175 columns, outweighs a 1366-row
+    # piece of the 4097-point line, so each level fills the three pieces
+    # with its own node columns
+    (UNIT, 4097, (16, 33, 67, 135, 271, 543, 1087, 2175),
+     [(h, n) for n in (16, 33, 67, 135, 271, 543, 1087, 2175) for h in (1366, 1366, 1365)]),
+    # square_lebesgue: 400 columns, narrower than a one-line block of 513
+    # rows, so each block is filled once with every level's columns
+    (Box.unit_cube(2), 513, (25, 50, 100, 200, 400), [(513, 400)] * 513),
+], ids=["interval_escape", "square_lebesgue"])
+def test_workload_scan_order(monkeypatch, box, m, sizes, fills):
+    X = generate_candidates(box, sizes[-1], "low_discrepancy")
+    # stand-in Cs of the levels' shapes: only the fills are checked
+    levels = [(X.prefix(n), None, np.broadcast_to(0.0, (n, n))) for n in sizes]
+    fill, seen = interpolation.kernel_matrix, []
+
+    def recording_fill(kernel, points, nodes, out=None):
+        seen.append((len(points), len(nodes)))
+        return fill(kernel, points, nodes, out=out)
+
+    def no_sums(cross, C, out, product):
+        out.fill(1.0)
+        return out
+
+    monkeypatch.setattr(interpolation, "kernel_matrix", recording_fill)
+    monkeypatch.setattr(interpolation, "_cardinal_abs_sums", no_sums)
+    interpolation._scan_levels(matern(1.5, dim=box.dim), levels, EvalGrid.tensor(box, m))
+    assert seen == fills
 
 
 def test_escape_scan_holds_one_piece_of_its_grid_line(tile_workers):

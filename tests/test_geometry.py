@@ -24,6 +24,8 @@ from kinterp.geometry import (
 )
 from kinterp.kernels import DuplicateNodesError
 
+from conftest import traced_peak
+
 UNIT = Box.interval(0.0, 1.0)
 
 
@@ -208,6 +210,21 @@ def test_bounded_fill_search_on_square_design(pool, monkeypatch):
     # at n = 400 the bounded search queries a small part of the probe, so a
     # silent fallback to the full query fails here
     assert searched < 0.05 * len(probe)
+
+
+def test_3d_fill_search_holds_about_two_corner_grids():
+    # one level of the cube configs: the 1001^3 probe has 126^3 cell
+    # corners, 16 MB as one float64 array. The search holds the corner
+    # distances and, at the last axis, the cells' squared diagonals, and
+    # forms the bound in place of the first; the corner query fills one
+    # array. Its temporaries took 4 corner-grid arrays before.
+    box = Box.unit_cube(3)
+    X = geometric_greedy(generate_candidates(box, 2000, "low_discrepancy"), 8, 0).master
+    probe = EvalGrid.tensor(box, geo.DEFAULT_FILL_PROBE)
+    corners = -(-(geo.DEFAULT_FILL_PROBE - 1) // geo.FILL_CELL) + 1
+    h, peak = traced_peak(fill_distance_grid, X, probe)
+    assert corners == 126 and 0.0 < h < box.diameter
+    assert peak <= 2.2 * 8 * corners ** 3, f"peak {peak / 2**20:.1f} MiB"
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=2, max_size=12,
