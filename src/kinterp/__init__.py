@@ -8,11 +8,12 @@ native-norm growth, Lagrange-function decay, and error convergence.
 Importing the package first sets up the BLAS threads, ahead of the first
 numpy import, since OpenBLAS reads its settings once, when it loads:
 
-* KINTERP_THREADS, when set, replaces every inherited BLAS/OpenMP thread
-  count, so it pins the BLAS threads of every entry point (`import
-  kinterp`, `python -m kinterp.cli`, the `kinterp` script). In a process
-  that loaded numpy before kinterp it has no effect. A value above the
-  usable CPUs, where OpenBLAS takes fewer threads, is named on stderr.
+* KINTERP_THREADS, when set to a positive integer, replaces every
+  inherited BLAS/OpenMP thread count, so it pins the BLAS threads of every
+  entry point (`import kinterp`, `python -m kinterp.cli`, the `kinterp`
+  script). In a process that loaded numpy before kinterp it has no effect.
+  A value above the usable CPUs, where OpenBLAS takes fewer threads, is
+  named on stderr, and so is any other value, which changes nothing.
 * OPENBLAS_THREAD_TIMEOUT defaults to 4, so idle OpenBLAS workers sleep
   right after each call instead of spinning on a core the tile pool needs;
   a value the caller exported wins.
@@ -22,12 +23,15 @@ import os
 import sys
 
 _threads = os.environ.get("KINTERP_THREADS")
-if _threads:
+if _threads and not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
+    print(f"kinterp: KINTERP_THREADS={_threads} is not a positive integer; the inherited "
+          "BLAS thread counts stay", file=sys.stderr)
+elif _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS"):
         os.environ[_var] = _threads
     _cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
-    if _threads.isdigit() and int(_threads) > _cpus > 0:
+    if int(_threads) > _cpus > 0:
         print(f"kinterp: KINTERP_THREADS={_threads} exceeds the {_cpus} usable CPU(s); "
               "BLAS takes fewer threads, so output bytes may differ", file=sys.stderr)
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")

@@ -263,9 +263,9 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
     (`interpolation._scan_levels`), and the errors are reduced over the whole
     grid as `sup_error` and `l2_error` do, so every result equals theirs.
     The scan is handed the only reference to each level's cardinal matrix,
-    so each is freed after the last block that reads it: before the next
-    level's first product when the scan goes level by level, which it does
-    when the widest C outweighs a scan block, else at the last block.
+    so each is freed after the last block of its pass (see `_scan_levels`):
+    in the level order, taken when the widest C outweighs a scan block,
+    before the next level's first product.
     `lebesgue` or `errors` without a grid, and `errors` without a
     target, raise DiagnosticsError before any level is fitted. Unlike
     `lagrange_coefficients`, the Lebesgue path leaves the cardinal residual

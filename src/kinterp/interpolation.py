@@ -116,10 +116,10 @@ class Factorization:
 
     def _residual(self, Y: np.ndarray, R: np.ndarray | None = None) -> float:
         """max|K Y - R| against the kept, unjittered K, R the identity when
-        None, with a warning when it exceeds 1e-8 * ||R||_inf: the one
+        None, with a warning when it exceeds 1e-8 * ||R||_inf or is nan: the one
         residual rule of `fit` and `lagrange_coefficients`. K is read, never
-        written, one GRAM_ROW_BLOCK strip of rows at a time, as the sum of
-        three products: the columns left of the strip's diagonal tile (read
+        written, one GRAM_ROW_BLOCK strip of rows at a time, as the sum of three
+        products: the columns left of the strip's diagonal tile (read
         transposed), that tile made symmetric, and the columns right of it."""
         L, resid = self.lower, 0.0
         for i0 in range(0, self.order, GRAM_ROW_BLOCK):
@@ -130,11 +130,11 @@ class Factorization:
             strip += tile @ Y[rows]
             strip += L[rows, rows.stop:] @ Y[rows.stop:]
             strip -= np.eye(len(tile), self.order, i0) if R is None else R[rows]
-            resid = max(resid, float(np.max(np.abs(strip, out=strip))))
+            resid = float(np.maximum(resid, np.max(np.abs(strip, out=strip))))  # nan wins
             del tile, strip  # before the next strip's are formed
         name, rhs, scale = (("cardinal", "I", 1.0) if R is None else
                             ("interpolation", "r", float(np.max(np.abs(R)))))
-        if resid > 1e-8 * max(scale, 1e-300):
+        if not resid <= 1e-8 * max(scale, 1e-300):
             warnings.warn(f"{name} residual {resid:.3e} exceeds 1e-8 * ||{rhs}||_inf "
                           f"(jitter {self.jitter:.1e})", stacklevel=3)
         return resid
@@ -241,82 +241,71 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
     freed then. A caller that holds its own reference to C, as the one-level
     public calls do, keeps it: only the list entry is dropped.
 
-    The scan's columns are the nodes of the largest level, plus the nodes of
-    every level that is not a prefix of them. If no C is wider than the
-    tallest block, each block is filled once with every column and each
-    level reads its own (shared order). Else a C outweighs the block, and
-    the grid is scanned once per level, each block filled with that level's
-    columns alone in the buffer's leading ones (level order), so each C is
-    freed before the next level's first product. Either way a level's block
-    is bit-identical to its own block, and the blocks, GEMM shapes and
-    reductions are the same, so no result depends on the other levels or on
-    the order. An EvalGrid is scanned in
-    blocks of whole lines (the len(axes[-1]) rows that share all other
-    coordinates), as many as keep the block buffer (rows x columns x 8 B)
-    within SCAN_BYTES and at least one, since a GEMM's row bits depend on
-    the block height. An array counts as one line. A line longer than
-    EVAL_CHUNK is cut into the fewest equal pieces of at most EVAL_CHUNK
-    rows, the first line % pieces of them one row longer, so no piece is a
-    sliver: a 4097-point 1-d grid scans in 1366, 1366 and 1365 rows.
-    The workspace is allocated once, here: one block buffer, which
-    `kernel_matrix` fills with each block in turn, one flat product buffer
-    of a block's rows by the widest C, which every `cross @ C` is written
-    into, one block of Lebesgue sums and, on a grid of 2 or more axes, the
-    table of squared last-axis differences that every block's `GridLines`
-    is filled from, in place of its points.
+    Each pass of the scan fills one node array into the block buffer, block
+    after block, and each of its levels reads the leading columns,
+    cross[:, :n]. If no C is wider than the tallest block, the levels that
+    are prefixes of the largest share its pass (shared order). Every other
+    level gets a pass over its own nodes, and so does every level when a C
+    outweighs the block (level order), so each C is freed before the next
+    level's first product. Either way a level's block is bit-identical to
+    its own block, and the blocks, GEMM shapes and reductions are the same,
+    so no result depends on the other levels or on the pass. An EvalGrid is
+    scanned in blocks of whole lines (the len(axes[-1]) rows that share all
+    other coordinates), as many as keep the block buffer (rows x the largest
+    level's columns x 8 B) within SCAN_BYTES and at least one, since a
+    GEMM's row bits depend on the block height. An array counts as one line.
+    A line longer than EVAL_CHUNK is cut into the fewest equal pieces of at
+    most EVAL_CHUNK rows, the first line % pieces of them one row longer, so
+    no piece is a sliver: a 4097-point 1-d grid scans in 1366, 1366 and 1365
+    rows. The workspace is allocated once, here: one block buffer as wide as
+    the largest level, which `kernel_matrix` fills with each block in turn,
+    one flat product buffer of a block's rows by the widest C, which every
+    `cross @ C` is written into, and one block of Lebesgue sums. On a grid
+    of 2 or more axes, each pass forms the table of squared last-axis
+    differences of its nodes, which every block's `GridLines` is filled
+    from, in place of its points.
     """
     base = max((X for X, _, _ in levels), key=len).points
-    parts, width, columns = [base], len(base), []
-    for X, _, _ in levels:
-        n = len(X)
-        if np.array_equal(X.points, base[:n]):
-            columns.append(slice(0, n))
-        else:
-            parts.append(X.points)
-            columns.append(slice(width, width + n))
-            width += n
-    nodes = np.concatenate(parts) if len(parts) > 1 else base
     functions = functions or [None] * len(levels)
     line = max(1, len(points.axes[-1]) if isinstance(points, EvalGrid) else len(points))
     pieces = -(-line // EVAL_CHUNK)  # of a line, 1 unless it is longer than EVAL_CHUNK
     q, r = divmod(line, pieces)
-    step = line * (max(1, SCAN_BYTES // (8 * len(nodes) * line)) if pieces == 1 else 1)
+    step = line * (max(1, SCAN_BYTES // (8 * len(base) * line)) if pieces == 1 else 1)
     starts = [a + i * q + min(i, r) for a in range(0, len(points), step) for i in range(pieces)]
     blocks = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(points)])]
-    table = None  # formed once, for every block
-    if isinstance(points, EvalGrid) and len(points.axes) > 1:
-        table = line_table(points.axes[-1], nodes)
+    tabled = isinstance(points, EvalGrid) and len(points.axes) > 1
     height = max((b.stop - b.start for b in blocks), default=0)
     widest = max((C.shape[1] for *_, C in levels if C is not None), default=0)
-    buffer = np.empty((height, len(nodes)))
+    buffer = np.empty((height, len(base)))
     product = np.empty(height * widest)
     sums = np.empty(height)
     lmax = [None if C is None else 0.0 for _, _, C in levels]
     values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
-    # a pass fills the node columns `span` into the buffer's leading columns,
-    # block after block, for the levels whose columns lie in it
-    passes = ([([k], columns[k]) for k in range(len(levels))] if widest > height
-              else [(range(len(levels)), slice(0, len(nodes)))])
-    for ks, span in passes:
-        lines = None if table is None else table[:, span]
+    # the prefixes of the largest level share its pass unless a C outweighs
+    # a block; every other level gets a pass of its own
+    shared = [k for k, (X, _, _) in enumerate(levels)
+              if widest <= height and np.array_equal(X.points, base[:len(X)])]
+    passes = [(base, shared)] if shared else []
+    passes += [(X.points, [k]) for k, (X, _, _) in enumerate(levels) if k not in shared]
+    for nodes, ks in passes:
+        table = line_table(points.axes[-1], nodes) if tabled else None
         for rows in blocks:
-            chunk = GridLines(points.axes, rows, lines) if lines is not None else points[rows]
-            cross = kernel_matrix(kernel, chunk, nodes[span],
-                                  out=buffer[:len(chunk), :span.stop - span.start])
+            chunk = GridLines(points.axes, rows, table) if tabled else points[rows]
+            cross = kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk), :len(nodes)])
             last = rows.stop == len(points)
             # indexed, not zipped: a zip's tuple would keep level k's C alive
             # through level k + 1
             for k in ks:
-                _, alpha, C = levels[k]
+                X, alpha, C = levels[k]
                 if last:
                     levels[k] = None
-                block = cross[:, columns[k].start - span.start:columns[k].stop - span.start]
+                block = cross[:, :len(X)]
                 if C is not None:
                     out = sums[:len(block)] if functions[k] is None else functions[k][rows]
                     lmax[k] = max(lmax[k], float(_cardinal_abs_sums(block, C, out, product).max()))
                 if alpha is not None:
                     _weighted_row_sums(block, alpha, values[k][rows])
-        alpha = C = None  # before the next pass fills its first block
+        alpha = C = table = None  # before the next pass begins
     return list(zip(lmax, values))
 
 

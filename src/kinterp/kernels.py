@@ -169,7 +169,7 @@ class ScratchGram(GramMatrix):
 class GridLines:
     """Rows `rows` (start and stop given) of the lexicographic tensor grid of
     `axes`, N >= 2, as `kernel_matrix` points, with `table`, the
-    `line_table` of the last axis and the nodes Y, formed once per scan."""
+    `line_table` of the last axis and the nodes Y, formed once per scan pass."""
 
     axes: tuple[np.ndarray, ...]
     rows: slice

@@ -52,14 +52,18 @@ _PARAMETERS = {"constant": ("value",), "abs_power": ("center", "power"),
 
 
 def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box) -> Target:
-    """Build a named target. An unknown name, or a parameter the target
-    does not read, raises with the offending field."""
+    """Build a named target. An unknown name, a parameter the target does
+    not read, a non-finite parameter, or a negative abs_power power raises
+    with the offending field."""
     p = dict(params or {})
     dim = domain.dim
     if name not in _PARAMETERS:
         raise TargetError(f"unknown target name {name!r}")
     if stray := sorted(p.keys() - set(_PARAMETERS[name])):
         raise TargetError(f"{name} reads no parameter {', '.join(stray)}")
+    for key, value in p.items():
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise TargetError(f"{name} {key} must be finite")
 
     if name == "constant":
         v = float(p.get("value", 1.0))
@@ -67,6 +71,8 @@ def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box) -> 
     elif name == "abs_power":
         center = _centers_array(p, dim, "center")
         power = float(p.get("power", 1.0))
+        if power < 0:  # unbounded at the center, so not a continuous function
+            raise TargetError("abs_power power must be nonnegative")
         def fn(x, c=center, q=power):
             d = np.sqrt(np.sum((x - c) ** 2, axis=1))
             return d ** q

@@ -380,6 +380,28 @@ def test_kinterp_threads_pins_every_openblas_at_import():
     assert threads == dict.fromkeys(threads, 1)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the libraries mapped into the process")
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_invalid_kinterp_threads_leaves_the_inherited_counts(value):
+    # one BLAS thread exported by the caller stays one: an invalid
+    # KINTERP_THREADS is named on stderr and overrides nothing
+    import json
+
+    env = {k: v for k, v in os.environ.items() if k not in ("MKL_NUM_THREADS",
+                                                          "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", KINTERP_THREADS=value)
+    proc = subprocess.run([sys.executable, "-c", _OPENBLAS_THREADS],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stderr == (f"kinterp: KINTERP_THREADS={value} is not a positive integer; "
+                           "the inherited BLAS thread counts stay\n")
+    threads = json.loads(proc.stdout)
+    if not threads:
+        pytest.skip("no OpenBLAS mapped into the process")
+    assert threads == dict.fromkeys(threads, 1)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="sets the child's CPU affinity")
 def test_kinterp_threads_above_the_usable_cpus_is_named_on_stderr():
@@ -555,6 +577,12 @@ _RUN_WOULD_FAIL = [
     ("unknown-target", MINIMAL_1D, {"target.name": "nosuch"}, "[target]"),
     ("translate-combo-without-centers", MINIMAL_1D,
      {"target.name": "translate_combo"}, "centers"),
+    # a nan target, or one unbounded at a node, gave nan norms and errors
+    ("nan-target-value", MINIMAL_1D,
+     {"target.name": "constant", "target.value": "nan"}, "value must be finite"),
+    ("negative-abs-power", MINIMAL_1D,
+     {"experiment.kind": "convergence", "target.name": "abs_power", "target.power": "-0.5"},
+     "power must be nonnegative"),
     ("negative-seed", MINIMAL_2D,
      {"design.scheme": "greedy_uniform_random", "design.seed": "-3"}, "design.seed"),
     ("decay-with-gaussian", MINIMAL_1D,

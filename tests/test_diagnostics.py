@@ -543,6 +543,16 @@ def _unnested_interval_levels():
     return M32, UNIT, 9000, [equispaced_interval(0, 1, n) for n in (5, 11, 23)]
 
 
+def _unnested_square_levels():
+    # two greedy designs from other first candidates: the 20-node level is a
+    # prefix of the 60-node one, the 30-node level of the other design is not
+    box = Box(lower=(0.0, 0.0), upper=(1.0, 1.0))
+    candidates = generate_candidates(box, 800, "low_discrepancy")
+    small, large = design_levels(geometric_greedy(candidates, 60, 0, (20, 60)))
+    (other,) = design_levels(geometric_greedy(candidates, 30, 7, (30,)))
+    return matern(1.5, gamma=5.0, dim=2), box, 129, [small, other, large]
+
+
 # Levels whose widest C is wider than a scan block, which the scan takes one
 # level at a time: 2049 points scan in pieces of 1025 and 1024 rows, and a
 # block of the 33^2 grid holds 13 lines, 429 rows, of 600 node columns.
@@ -566,13 +576,10 @@ def _wide_square_levels():
 def _scan_rows(grid, level_sets):
     """The row slices of the scan blocks of `grid` for `level_sets` under
     the block rule: as many whole lines of its last axis as keep the block,
-    rows by the scan's node columns (the largest level, plus every level
-    that is not a prefix of it) by 8 B, within SCAN_BYTES, and at least one;
-    a line longer than EVAL_CHUNK is cut into the fewest equal pieces of at
-    most EVAL_CHUNK rows, as np.array_split cuts it."""
-    base = max(level_sets, key=len).points
-    width = len(base) + sum(len(X) for X in level_sets
-                            if not np.array_equal(X.points, base[:len(X)]))
+    rows by the largest level's node columns by 8 B, within SCAN_BYTES, and
+    at least one; a line longer than EVAL_CHUNK is cut into the fewest equal
+    pieces of at most EVAL_CHUNK rows, as np.array_split cuts it."""
+    width = max(map(len, level_sets))
     line = len(grid.axes[-1])
     if line > EVAL_CHUNK:
         pieces = np.array_split(np.arange(line), -(-line // EVAL_CHUNK))
@@ -585,20 +592,22 @@ def _scan_rows(grid, level_sets):
 
 
 @pytest.mark.parametrize("levels", [_square_levels, _interval_levels,
-                                    _unnested_interval_levels, _wide_square_levels,
-                                    _wide_interval_levels, _wide_unnested_interval_levels])
+                                    _unnested_interval_levels, _unnested_square_levels,
+                                    _wide_square_levels, _wide_interval_levels,
+                                    _wide_unnested_interval_levels])
 @pytest.mark.filterwarnings("ignore::UserWarning")  # the larger levels' residuals
 def test_shared_scan_equals_per_level_functions(monkeypatch, levels):
     # grids of more than one scan block, scanned in the shared order or, the
-    # _wide levels, level by level; the unnested levels get their own columns
-    # of the shared block, and their own pass in the leading columns
+    # _wide levels, level by level; a level that is not a prefix of the
+    # largest gets a pass of its own in either order
     kernel, box, m, level_sets = levels()
     grid = EvalGrid.tensor(box, m)
     target = make_target("abs_power", {"power": 1.0 / 3.0}, kernel, box)
-    fill, fills = interpolation.kernel_matrix, []
+    fill, fills, widths = interpolation.kernel_matrix, [], set()
 
     def counting_fill(kernel, points, nodes, out=None):
         fills.append(len(nodes))
+        widths.add(out.base.shape[1])  # the one block buffer the fill lands in
         return fill(kernel, points, nodes, out=out)
 
     monkeypatch.setattr(interpolation, "kernel_matrix", counting_fill)
@@ -606,10 +615,16 @@ def test_shared_scan_equals_per_level_functions(monkeypatch, levels):
                                lebesgue=True, errors=True))
     monkeypatch.undo()
     blocks = _scan_rows(grid, level_sets)
-    by_level = max(map(len, level_sets)) > max(b.stop - b.start for b in blocks)
+    base = max(level_sets, key=len).points
+    by_level = len(base) > max(b.stop - b.start for b in blocks)
     assert by_level == levels.__name__.startswith("_wide")
-    assert fills == ([len(X) for X in level_sets for _ in blocks] if by_level
-                     else [fills[0]] * len(blocks))
+    # the shared pass of the largest level's columns first, then one pass per
+    # level that does not share it
+    alone = [len(X) for X in level_sets
+             if by_level or not np.array_equal(X.points, base[:len(X)])]
+    assert fills == [len(base)] * len(blocks) * (not by_level) + [
+        n for n in alone for _ in blocks]
+    assert widths == {len(base)}
     assert [row["n"] for row in rows] == [len(X) for X in level_sets]
     for row, X in zip(rows, level_sets):
         C, _ = lagrange_coefficients(kernel, X)

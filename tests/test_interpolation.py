@@ -503,6 +503,17 @@ def test_fit_residual_invariant():
     assert s.residual_inf <= 1e-8 * np.max(np.abs(r))
 
 
+def test_non_finite_data_give_a_nan_residual_and_a_warning():
+    # |x - 0.5|^-0.5 is infinite at the middle node: every coefficient is
+    # nan, and so is the residual, which a strip-wise max must not drop
+    X = equispaced_interval(0, 1, 9)
+    with np.errstate(divide="ignore"):
+        r = np.abs(X.points[:, 0] - 0.5) ** -0.5
+    with pytest.warns(UserWarning, match="interpolation residual nan"):
+        s = fit(matern(1.5), X, r)
+    assert np.isnan(s.coefficients).all() and np.isnan(s.residual_inf)
+
+
 def test_fit_wrong_length_rejected():
     with pytest.raises(ValueError):
         fit(matern(0.5), two_nodes(), [1.0])

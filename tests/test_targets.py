@@ -86,6 +86,25 @@ def test_parameter_the_target_does_not_read():
     make_target("trig", {"freq": 2.0, "amplitude": 0.5}, M32, UNIT)
 
 
+@pytest.mark.parametrize("name, params, key", [
+    ("constant", {"value": float("nan")}, "value"),
+    ("trig", {"freq": float("inf")}, "freq"),
+    ("translate_combo", {"centers": ((0.2,), (0.7,)), "weights": (1.0, float("nan"))},
+     "weights"),
+])
+def test_non_finite_parameter_is_rejected(name, params, key):
+    with pytest.raises(TargetError, match=f"^{name} {key} must be finite$"):
+        make_target(name, params, M32, UNIT)
+
+
+def test_negative_abs_power_is_rejected():
+    # unbounded at its center, so not a continuous target; power 0 is the constant 1
+    with pytest.raises(TargetError, match="^abs_power power must be nonnegative$"):
+        make_target("abs_power", {"power": -0.5}, M32, UNIT)
+    t = make_target("abs_power", {"power": 0.0}, M32, UNIT)
+    assert np.array_equal(t([[0.5], [0.9]]), [1.0, 1.0])
+
+
 @pytest.mark.parametrize("name", ["constant", "abs_power", "trig"])
 def test_flat_array_is_not_read_as_one_point(name):
     # five 1-d points given flat would be one 5-d point
