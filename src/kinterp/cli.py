@@ -150,8 +150,10 @@ def _validate(cp: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("domain.lower and domain.upper must have equal length")
     if len(lower) != dim:
         raise ConfigError(f"domain has dimension {len(lower)}, kernel.dim is {dim}")
-    if any(a >= b for a, b in zip(lower, upper)):
-        raise ConfigError("domain.lower must be strictly below domain.upper")
+    try:
+        domain = Box(lower=lower, upper=upper)
+    except geometry.GeometryError as exc:
+        raise ConfigError(f"domain.lower, domain.upper: {exc}") from exc
     if family == "w21" and dim != 1:
         raise ConfigError("kernel.family w21 requires kernel.dim = 1")
     try:
@@ -202,7 +204,7 @@ def _validate(cp: configparser.ConfigParser) -> ExperimentConfig:
     cfg["target.params"] = params
     if name is not None:
         try:
-            make_target(name, params, kernel, Box(lower=lower, upper=upper))
+            make_target(name, params, kernel, domain)
         except ValueError as exc:  # TargetError, or a parameter of the wrong shape
             raise ConfigError(f"[target] {exc}") from exc
     return cfg

@@ -258,14 +258,14 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
     the fit, `errors` the sup and L2 errors over `grid`, and `lebesgue` the
     Lebesgue constant over `grid`; quantities not asked for stay nan. A
     level whose factorization fails gives a "failed" row carrying the error
-    text under "error", and the next level is still measured. The grid
-    quantities of all levels come from one scan of the grid
-    (`interpolation._scan_levels`), and the errors are reduced over the whole
-    grid as `sup_error` and `l2_error` do, so every result equals theirs.
-    The scan is handed the only reference to each level's cardinal matrix,
-    so each is freed after the last block of its pass (see `_scan_levels`):
-    in the level order, taken when the widest C outweighs a scan block,
-    before the next level's first product.
+    text under "error", and the next level is still measured. Levels are
+    fitted and scanned one pass at a time, largest level first, so a pass's
+    cardinal matrices are freed before the next pass is fitted; the passes
+    (`interpolation._scan_plan`) follow from sizes: one of nested levels, or
+    one per level when the largest C outweighs a scan block or nothing is
+    scanned. A pass's grid quantities come from one `_scan_levels` call, and
+    the errors are reduced over the whole grid as `sup_error` and `l2_error`
+    do, so every result equals theirs and each row a one-level call's.
     `lebesgue` or `errors` without a grid, and `errors` without a
     target, raise DiagnosticsError before any level is fitted. Unlike
     `lagrange_coefficients`, the Lebesgue path leaves the cardinal residual
@@ -274,66 +274,60 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
     """
     if (grid is None and (lebesgue or errors)) or (errors and target is None):
         raise DiagnosticsError("lebesgue and errors need a grid, and errors a target")
-    fitted = _fit_levels(kernel, level_sets, target, lebesgue)
-    rows = [row for row, *_ in fitted]
-    ok = _successful(rows)
-    levels = [(X, alpha if errors else None, C)
-              for _, X, alpha, C in _successful(fitted, row=lambda f: f[0])]
-    del fitted  # the scan list now holds the only reference to each C
-    if ok and (lebesgue or errors):
-        scanned = _scan_levels(kernel, levels, grid)
-        exact = target(grid[:]) if errors else None
-        for row, (lmax, values) in zip(ok, scanned):
-            if lebesgue:
-                row["lebesgue_constant"] = lmax
-            if errors:
-                d = exact - values
-                row["sup_error"] = _sup_norm(d)
-                row["l2_error"] = _l2_norm(d, grid)
+    passes, blocks = interpolation._scan_plan(
+        level_sets, grid if lebesgue or errors else None, lebesgue)
+    rows, exact = [None] * len(level_sets), None
+    for ks in passes:
+        levels = []  # the scan entry of each fitted level: the only reference to its C
+        for k in ks:
+            rows[k] = _fit_level(kernel, level_sets[k], target, lebesgue, errors, levels)
+        ok = _successful([rows[k] for k in ks])
+        if ok and (lebesgue or errors):
+            scanned = _scan_levels(kernel, levels, grid, blocks=blocks)
+            exact = target(grid[:]) if errors and exact is None else exact
+            for row, (lmax, values) in zip(ok, scanned):
+                if lebesgue:
+                    row["lebesgue_constant"] = lmax
+                if errors:
+                    d = exact - values
+                    row["sup_error"] = _sup_norm(d)
+                    row["l2_error"] = _l2_norm(d, grid)
     return rows
 
 
-def _fit_levels(kernel: Kernel, level_sets, target, lebesgue: bool) -> list[tuple]:
-    """(row, X, alpha, C) for each level: the row with every quantity but
-    the grid ones, the fit coefficients (None without a target) and the
-    cardinal coefficient matrix (None unless `lebesgue`). The Gram is handed
-    over to `factorize` (a ScratchGram), so its one buffer becomes the
-    factor, which keeps K for the fit's residual. A level holds one n x n
-    array, two with `lebesgue`."""
-    tau = kernel.sobolev_order_tau
-    fill_probe = None
-    fitted = []
-    for X in level_sets:
-        n, dom = len(X), X.domain
-        if dom.dim == 1:
-            h = fill_distance_interval(X, dom.lower[0], dom.upper[0])
-        else:
-            if fill_probe is None:
-                fill_probe = EvalGrid.tensor(dom, DEFAULT_FILL_PROBE)
-            h = fill_distance_grid(X, fill_probe)
-        row = dict.fromkeys(REPORT_COLUMNS, float("nan"))
-        row.update(n=n, h=h, jitter_flag="failed", sampling_condition="n/a")
-        if n >= 2:
-            q = separation_distance(X)
-            row.update(q=q, rho=h / q)  # mesh_ratio(X, h) without a second distance search
-        if dom.dim == 1 and np.isfinite(tau):
-            row["sampling_condition"] = sampling_condition(h, tau, dom.lower[0], dom.upper[0])
-        try:
-            fact = interpolation.factorize(ScratchGram(assemble_gram(kernel, X).entries))
-        except FactorizationError as exc:
-            row["error"] = str(exc)
-            fitted.append((row, X, None, None))
-            continue
-        step = fact.jitter_step
-        row["jitter_flag"] = "none" if step == 0.0 else f"{step:.0e}"
-        alpha, C = None, fact.inverse() if lebesgue else None
-        if target is not None:
-            s = fit(kernel, X, target(X.points), factorization=fact)
-            row["native_norm"] = native_norm(s)
-            alpha = s.coefficients
-        del fact
-        fitted.append((row, X, alpha, C))
-    return fitted
+def _fit_level(kernel: Kernel, X, target, lebesgue: bool, errors: bool, levels: list) -> dict:
+    """The level's row with every quantity but the grid ones; unless its
+    factorization fails, its scan entry (X, alpha, C) is appended to
+    `levels`, alpha None without `errors` and C None unless `lebesgue`. The
+    Gram is handed over to `factorize` (a ScratchGram), so its one buffer
+    becomes the factor, which keeps K for the fit's residual: a level holds
+    one n x n array, two with `lebesgue`, and from its return on only C."""
+    tau, n, dom = kernel.sobolev_order_tau, len(X), X.domain
+    if dom.dim == 1:
+        h = fill_distance_interval(X, dom.lower[0], dom.upper[0])
+    else:
+        h = fill_distance_grid(X, EvalGrid.tensor(dom, DEFAULT_FILL_PROBE))
+    row = dict.fromkeys(REPORT_COLUMNS, float("nan"))
+    row.update(n=n, h=h, jitter_flag="failed", sampling_condition="n/a")
+    if n >= 2:
+        q = separation_distance(X)
+        row.update(q=q, rho=h / q)  # mesh_ratio(X, h) without a second distance search
+    if dom.dim == 1 and np.isfinite(tau):
+        row["sampling_condition"] = sampling_condition(h, tau, dom.lower[0], dom.upper[0])
+    try:
+        fact = interpolation.factorize(ScratchGram(assemble_gram(kernel, X).entries))
+    except FactorizationError as exc:
+        row["error"] = str(exc)
+        return row
+    step = fact.jitter_step
+    row["jitter_flag"] = "none" if step == 0.0 else f"{step:.0e}"
+    alpha, C = None, fact.inverse() if lebesgue else None
+    if target is not None:
+        s = fit(kernel, X, target(X.points), factorization=fact)
+        row["native_norm"] = native_norm(s)
+        alpha = s.coefficients if errors else None
+    levels.append((X, alpha, C))
+    return row
 
 
 def error_slopes(rows) -> dict:
@@ -349,7 +343,7 @@ def error_slopes(rows) -> dict:
     }
 
 
-def _successful(items, row=lambda item: item) -> list:
-    """The items whose level was measured, `row(item)` being its row: the
-    one failed-level rule, of `measure_levels`' scan and the slope rules."""
-    return [item for item in items if row(item)["jitter_flag"] != "failed"]
+def _successful(rows) -> list:
+    """The rows whose level was measured: the one failed-level rule, of
+    `measure_levels`' scan and the slope rules."""
+    return [row for row in rows if row["jitter_flag"] != "failed"]

@@ -56,8 +56,8 @@ class Box:
         lo, up = np.asarray(self.lower, float), np.asarray(self.upper, float)
         if lo.shape != up.shape or lo.ndim != 1:
             raise GeometryError("box lower/upper must be equal-length vectors")
-        if not np.all(lo < up):
-            raise GeometryError("box must have lower < upper on every axis")
+        if not np.all((lo < up) & np.isfinite(lo) & np.isfinite(up)):
+            raise GeometryError("box must have finite lower < upper on every axis")
 
     @classmethod
     def interval(cls, a: float, b: float) -> "Box":

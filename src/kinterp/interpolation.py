@@ -41,7 +41,7 @@ JITTER_LADDER = (1e-14, 1e-12, 1e-10, 1e-8)
 # lines whose kernel block takes at most SCAN_BYTES; a line longer than
 # EVAL_CHUNK rows is cut into the fewest equal pieces of at most EVAL_CHUNK.
 SCAN_BYTES = 2 * 1024 * 1024
-EVAL_CHUNK = 2048
+EVAL_CHUNK = 1280
 
 
 class FactorizationError(RuntimeError):
@@ -227,85 +227,89 @@ def fit(kernel: Kernel, X: PointSet, values,
                        residual_inf=factorization._residual(alpha, r))
 
 
-def _scan_levels(kernel: Kernel, levels, points, functions=None) -> list[tuple]:
-    """The one grid scan. `levels` holds one (X, alpha, C) triple per level:
-    its nodes, fit coefficients and cardinal coefficient matrix, alpha or C
-    possibly None. `points` is an (m, N) array or a `geometry.EvalGrid`,
-    whose points are formed one block of rows at a time. Returns one
-    (max_x sum_i |l_i(x)|, values of the fit at `points`) pair per level,
-    each None when its C or alpha is; a level's whole Lebesgue function is
-    written only into a given functions[k].
+def _scan_plan(level_sets, points, cardinal: bool) -> tuple[list[list[int]], list[slice]]:
+    """The passes of a scan of `points` (an (m, N) array, an `EvalGrid`, or
+    None: no scan) over `level_sets`, decided from sizes before any level is
+    fitted, and the row blocks every pass scans. A pass is a list of level
+    indices; the passes come largest level first. The prefixes of the
+    largest level share its pass (shared order), unless `cardinal` and the
+    largest n exceeds the tallest block, or nothing is scanned: then every
+    level has a pass of its own (level order). Any other level always has
+    one. An EvalGrid is scanned in blocks of whole lines (the len(axes[-1])
+    rows that share all other coordinates), as many as keep rows x the
+    largest n x 8 B within SCAN_BYTES and at least one, since a GEMM's row
+    bits depend on the block height; an array counts as one line. A line
+    longer than EVAL_CHUNK is cut into the fewest equal pieces of at most
+    EVAL_CHUNK rows, the first line % pieces of them one row longer, so no
+    piece is a sliver: 4097 points scan in 1025, 1024, 1024 and 1024 rows."""
+    base = max(level_sets, key=len).points
+    blocks = []
+    if points is not None:
+        line = max(1, len(points.axes[-1]) if isinstance(points, EvalGrid) else len(points))
+        pieces = -(-line // EVAL_CHUNK)  # of a line, 1 unless it is longer than EVAL_CHUNK
+        q, r = divmod(line, pieces)
+        step = line * (max(1, SCAN_BYTES // (8 * len(base) * line)) if pieces == 1 else 1)
+        starts = [a + i * q + min(i, r) for a in range(0, len(points), step) for i in range(pieces)]
+        blocks = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(points)])]
+    shared = blocks and not (cardinal and len(base) > max(b.stop - b.start for b in blocks))
+    nested = [k for k, X in enumerate(level_sets)
+              if shared and np.array_equal(X.points, base[:len(X)])]
+    passes = [nested] * bool(nested) + [[k] for k in range(len(level_sets)) if k not in nested]
+    return sorted(passes, key=lambda ks: -max(len(level_sets[k]) for k in ks)), blocks
 
-    The list is handed over: right after the last block a level reads, its
-    entry is set to None, so a C the caller holds no other reference to is
-    freed then. A caller that holds its own reference to C, as the one-level
-    public calls do, keeps it: only the list entry is dropped.
 
-    Each pass of the scan fills one node array into the block buffer, block
-    after block, and each of its levels reads the leading columns,
-    cross[:, :n]. If no C is wider than the tallest block, the levels that
-    are prefixes of the largest share its pass (shared order). Every other
-    level gets a pass over its own nodes, and so does every level when a C
-    outweighs the block (level order), so each C is freed before the next
-    level's first product. Either way a level's block is bit-identical to
-    its own block, and the blocks, GEMM shapes and reductions are the same,
-    so no result depends on the other levels or on the pass. An EvalGrid is
-    scanned in blocks of whole lines (the len(axes[-1]) rows that share all
-    other coordinates), as many as keep the block buffer (rows x the largest
-    level's columns x 8 B) within SCAN_BYTES and at least one, since a
-    GEMM's row bits depend on the block height. An array counts as one line.
-    A line longer than EVAL_CHUNK is cut into the fewest equal pieces of at
-    most EVAL_CHUNK rows, the first line % pieces of them one row longer, so
-    no piece is a sliver: a 4097-point 1-d grid scans in 1366, 1366 and 1365
-    rows. The workspace is allocated once, here: one block buffer as wide as
-    the largest level, which `kernel_matrix` fills with each block in turn,
-    one flat product buffer of a block's rows by the widest C, which every
-    `cross @ C` is written into, and one block of Lebesgue sums. On a grid
-    of 2 or more axes, each pass forms the table of squared last-axis
-    differences of its nodes, which every block's `GridLines` is filled
-    from, in place of its points.
+def _scan_levels(kernel: Kernel, levels, points, functions=None, blocks=None) -> list[tuple]:
+    """The one grid scan, of one pass. `levels` holds one (X, alpha, C)
+    triple per level, its nodes, fit coefficients and cardinal coefficient
+    matrix, alpha or C possibly None, each X a prefix of the largest.
+    `points` is an (m, N) array or a `geometry.EvalGrid`, whose points are
+    formed one block at a time; `blocks` defaults to `_scan_plan`'s. Returns
+    one (max_x sum_i |l_i(x)|, values of the fit at `points`) pair per
+    level, each None when its C or alpha is; a level's whole Lebesgue
+    function is written only into a given functions[k].
+
+    The list is handed over: after the last block each entry is set to
+    None, so a C the caller holds no other reference to is freed then. A
+    caller that holds its own reference, as the one-level public calls do,
+    keeps it. The largest level's nodes fill the block buffer, block after
+    block, and each level reads cross[:, :n], bit-identical to its own
+    block, so no result depends on the other levels. On a grid of 2 or more
+    axes every block is a `GridLines` filled from one table of squared
+    last-axis differences of the nodes, formed first. Then the workspace is
+    allocated: one block buffer as wide as the largest level, one flat
+    product buffer of a block's rows by the widest C, which every
+    `cross @ C` is written into, and one block of Lebesgue sums.
     """
-    base = max((X for X, _, _ in levels), key=len).points
+    nodes = max((X for X, _, _ in levels), key=len).points
     functions = functions or [None] * len(levels)
-    line = max(1, len(points.axes[-1]) if isinstance(points, EvalGrid) else len(points))
-    pieces = -(-line // EVAL_CHUNK)  # of a line, 1 unless it is longer than EVAL_CHUNK
-    q, r = divmod(line, pieces)
-    step = line * (max(1, SCAN_BYTES // (8 * len(base) * line)) if pieces == 1 else 1)
-    starts = [a + i * q + min(i, r) for a in range(0, len(points), step) for i in range(pieces)]
-    blocks = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(points)])]
+    blocks = _scan_plan([X for X, _, _ in levels], points, False)[1] if blocks is None else blocks
+    if not all(np.array_equal(X.points, nodes[:len(X)]) for X, _, _ in levels):
+        raise ValueError("the levels of one scan pass must be prefixes of its largest")
     tabled = isinstance(points, EvalGrid) and len(points.axes) > 1
+    table = line_table(points.axes[-1], nodes) if tabled else None
     height = max((b.stop - b.start for b in blocks), default=0)
     widest = max((C.shape[1] for *_, C in levels if C is not None), default=0)
-    buffer = np.empty((height, len(base)))
+    buffer = np.empty((height, len(nodes)))
     product = np.empty(height * widest)
     sums = np.empty(height)
     lmax = [None if C is None else 0.0 for _, _, C in levels]
     values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
-    # the prefixes of the largest level share its pass unless a C outweighs
-    # a block; every other level gets a pass of its own
-    shared = [k for k, (X, _, _) in enumerate(levels)
-              if widest <= height and np.array_equal(X.points, base[:len(X)])]
-    passes = [(base, shared)] if shared else []
-    passes += [(X.points, [k]) for k, (X, _, _) in enumerate(levels) if k not in shared]
-    for nodes, ks in passes:
-        table = line_table(points.axes[-1], nodes) if tabled else None
-        for rows in blocks:
-            chunk = GridLines(points.axes, rows, table) if tabled else points[rows]
-            cross = kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk), :len(nodes)])
-            last = rows.stop == len(points)
-            # indexed, not zipped: a zip's tuple would keep level k's C alive
-            # through level k + 1
-            for k in ks:
-                X, alpha, C = levels[k]
-                if last:
-                    levels[k] = None
-                block = cross[:, :len(X)]
-                if C is not None:
-                    out = sums[:len(block)] if functions[k] is None else functions[k][rows]
-                    lmax[k] = max(lmax[k], float(_cardinal_abs_sums(block, C, out, product).max()))
-                if alpha is not None:
-                    _weighted_row_sums(block, alpha, values[k][rows])
-        alpha = C = table = None  # before the next pass begins
+    for rows in blocks:
+        chunk = GridLines(points.axes, rows, table) if tabled else points[rows]
+        cross = kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
+        last = rows.stop == len(points)
+        # indexed, not zipped: a zip's tuple would keep level k's C alive
+        # through level k + 1
+        for k in range(len(levels)):
+            X, alpha, C = levels[k]
+            if last:
+                levels[k] = None
+            block = cross[:, :len(X)]
+            if C is not None:
+                out = sums[:len(block)] if functions[k] is None else functions[k][rows]
+                lmax[k] = max(lmax[k], float(_cardinal_abs_sums(block, C, out, product).max()))
+            if alpha is not None:
+                _weighted_row_sums(block, alpha, values[k][rows])
     return list(zip(lmax, values))
 
 

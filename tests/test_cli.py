@@ -533,6 +533,13 @@ _BAD_CONFIGS = [
     ("domain-dimension-not-kernel-dim", MINIMAL_2D, {"kernel.dim": None}, "kernel.dim"),
     ("domain-bounds-reversed", MINIMAL_1D,
      {"domain.lower": "1.0", "domain.upper": "0.0"}, "domain.lower"),
+    # a target-free kind never built the Box: validate passed a nan bound,
+    # which `run` turned into a GeometryError traceback
+    ("domain-lower-nan", MINIMAL_1D, {"domain.lower": "nan"}, "domain.lower, domain.upper"),
+    ("domain-upper-inf", MINIMAL_2D, {"domain.upper": "1.0, inf"}, "domain.lower, domain.upper"),
+    ("domain-bounds-nan-with-target", MINIMAL_1D,
+     {"experiment.kind": "norm_growth", "target.name": "trig", "domain.upper": "nan"},
+     "domain.lower, domain.upper"),
     ("w21-in-2d", MINIMAL_2D, {"kernel.family": "w21"}, "kernel.dim"),
     ("greedy-pool-below-largest-level", MINIMAL_2D,
      {"design.candidates": "15"}, "design.candidates"),
@@ -583,6 +590,8 @@ _RUN_WOULD_FAIL = [
     ("negative-abs-power", MINIMAL_1D,
      {"experiment.kind": "convergence", "target.name": "abs_power", "target.power": "-0.5"},
      "power must be nonnegative"),
+    # an infinite bound ran to exit 0 with h = nan, q = inf and Lambda = 0.0
+    ("infinite-domain-bound", MINIMAL_2D, {"domain.upper": "1.0, inf"}, "domain.upper"),
     ("negative-seed", MINIMAL_2D,
      {"design.scheme": "greedy_uniform_random", "design.seed": "-3"}, "design.seed"),
     ("decay-with-gaussian", MINIMAL_1D,

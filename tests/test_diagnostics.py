@@ -559,11 +559,11 @@ def _unnested_square_levels():
 
 
 def _wide_interval_levels():
-    return M32, UNIT, EVAL_CHUNK + 1, design_levels(nested_equispaced_design(0, 1, 16, 7))
+    return M32, UNIT, 2049, design_levels(nested_equispaced_design(0, 1, 16, 7))
 
 
 def _wide_unnested_interval_levels():
-    return M32, UNIT, EVAL_CHUNK + 1, [equispaced_interval(0, 1, n) for n in (300, 1100)]
+    return M32, UNIT, 2049, [equispaced_interval(0, 1, n) for n in (300, 1100)]
 
 
 def _wide_square_levels():
@@ -607,7 +607,8 @@ def test_shared_scan_equals_per_level_functions(monkeypatch, levels):
 
     def counting_fill(kernel, points, nodes, out=None):
         fills.append(len(nodes))
-        widths.add(out.base.shape[1])  # the one block buffer the fill lands in
+        # the pass's one block buffer the fill lands in
+        widths.add((len(nodes), out.base.shape[1]))
         return fill(kernel, points, nodes, out=out)
 
     monkeypatch.setattr(interpolation, "kernel_matrix", counting_fill)
@@ -619,12 +620,13 @@ def test_shared_scan_equals_per_level_functions(monkeypatch, levels):
     by_level = len(base) > max(b.stop - b.start for b in blocks)
     assert by_level == levels.__name__.startswith("_wide")
     # the shared pass of the largest level's columns first, then one pass per
-    # level that does not share it
+    # level that does not share it, largest first
     alone = [len(X) for X in level_sets
              if by_level or not np.array_equal(X.points, base[:len(X)])]
     assert fills == [len(base)] * len(blocks) * (not by_level) + [
-        n for n in alone for _ in blocks]
-    assert widths == {len(base)}
+        n for n in sorted(alone, reverse=True) for _ in blocks]
+    # each pass's buffer is as wide as its nodes
+    assert widths == {(n, n) for n in fills}
     assert [row["n"] for row in rows] == [len(X) for X in level_sets]
     for row, X in zip(rows, level_sets):
         C, _ = lagrange_coefficients(kernel, X)
@@ -658,7 +660,13 @@ def test_scan_of_a_grid_equals_the_scan_of_its_points(levels):
     results = []
     for points in (grid, grid[:]):
         functions = [np.empty(len(grid)) for _ in fits]
-        scanned = interpolation._scan_levels(kernel, list(fits), points, functions)
+        scanned = [None] * len(fits)
+        # one scan per pass: unnested levels are not one pass
+        passes, blocks = interpolation._scan_plan([X for X, *_ in fits], points, True)
+        for ks in passes:
+            for k, result in zip(ks, interpolation._scan_levels(
+                    kernel, [fits[k] for k in ks], points, [functions[k] for k in ks], blocks)):
+                scanned[k] = result
         results.append((scanned, functions))
     (lazy, lazy_functions), (dense, dense_functions) = results
     for (lmax, values), (lmax_ref, values_ref) in zip(lazy, dense):
@@ -737,22 +745,22 @@ def test_measure_levels_independent_of_worker_count(levels, tile_workers):
 
 
 def test_lebesgue_function_bit_equal_to_one_pass_scan():
-    # more than one scan piece (five of 1800 rows), and many row tiles per piece
+    # more than one scan piece (eight of 1125 rows), and many row tiles per piece
     X = nested_equispaced_design(0, 1, 8, 4).master
     grid = grid1d(9000)
     C, _ = lagrange_coefficients(M32, X)
-    ref = np.concatenate([np.abs(kernel_matrix(M32, grid[s:s + 1800], X.points) @ C)
-                          .sum(axis=1) for s in range(0, len(grid), 1800)])
+    ref = np.concatenate([np.abs(kernel_matrix(M32, grid[s:s + 1125], X.points) @ C)
+                          .sum(axis=1) for s in range(0, len(grid), 1125)])
     assert np.array_equal(lebesgue_function(M32, X, grid), ref)
     assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref.max()
 
 
 def test_grid_scan_fills_one_workspace(monkeypatch):
-    # 129^2 = 16641 points as one array, one line: nine equal pieces of 1849
+    # 120^2 = 14400 points as one array, one line: twelve equal pieces of 1200
     box = Box.unit_cube(2)
     kernel = matern(1.5, gamma=5.0, dim=2)
     X = geometric_greedy(generate_candidates(box, 400, "low_discrepancy"), 30, 0, (30,)).master
-    grid = EvalGrid.tensor(box, 129)
+    grid = EvalGrid.tensor(box, 120)
     C, _ = lagrange_coefficients(kernel, X)
     fill, abs_sums = interpolation.kernel_matrix, interpolation._cardinal_abs_sums
     outs, blocks, products = [], [], []
@@ -771,17 +779,17 @@ def test_grid_scan_fills_one_workspace(monkeypatch):
     monkeypatch.setattr(interpolation, "_cardinal_abs_sums", recording_sums)
     function = np.empty(len(grid))
     interpolation._scan_levels(kernel, [(X, None, C)], grid[:], [function])
-    assert [len(b) for b in blocks] == [1849] * 9
+    assert [len(b) for b in blocks] == [1200] * 12
     assert all(np.shares_memory(out, outs[0]) for out in outs)
-    assert len(products) == 9 and all(p is products[0] for p in products)
-    assert products[0].shape == (1849 * len(X),)
+    assert len(products) == 12 and all(p is products[0] for p in products)
+    assert products[0].shape == (1200 * len(X),)
     # the last product landed in the shared buffer, C being n x n
     landed = products[0][:blocks[-1].size].reshape(blocks[-1].shape)
     assert np.array_equal(landed, np.abs(blocks[-1] @ C))
-    for start, block in zip(range(0, len(grid), 1849), blocks):
-        fresh = fill(kernel, grid[start:start + 1849], X.points)
+    for start, block in zip(range(0, len(grid), 1200), blocks):
+        fresh = fill(kernel, grid[start:start + 1200], X.points)
         assert np.array_equal(block, fresh)
-        assert np.array_equal(function[start:start + 1849], np.abs(fresh @ C).sum(1))
+        assert np.array_equal(function[start:start + 1200], np.abs(fresh @ C).sum(1))
 
 
 # ------------------------------------------------------- scan block rule
@@ -815,21 +823,21 @@ def _scan_blocks(monkeypatch, points, nodes=8):
 @pytest.mark.parametrize("points, heights", [
     # a 1-d grid is one line, and one longer than EVAL_CHUNK is cut into the
     # fewest equal pieces of at most EVAL_CHUNK rows, the longer ones first,
-    # with no sliver at its end: the escape workload's 4097 points in three
-    (grid1d(4097), [1366, 1366, 1365]),
-    (grid1d(EVAL_CHUNK + 1), [1025, 1024]),
-    (grid1d(9000), [1800] * 5),
+    # with no sliver at its end: the escape workload's 4097 points in four
+    (grid1d(4097), [1025, 1024, 1024, 1024]),
+    (grid1d(EVAL_CHUNK + 1), [641, 640]),
+    (grid1d(9000), [1125] * 8),
     # a line of at most EVAL_CHUNK rows stays one block
     (grid1d(EVAL_CHUNK), [EVAL_CHUNK]),
     # an (m, N) array counts as one line
-    (EvalGrid.tensor(Box.unit_cube(2), 129)[:], [1849] * 9),
+    (EvalGrid.tensor(Box.unit_cube(2), 129)[:], [1189] * 9 + [1188] * 5),
     # SCAN_BYTES holds 32768 rows of 8 node columns: 63 lines of 513, and
     # the last 9 lines make the last block
     (EvalGrid.tensor(Box.unit_cube(2), 513), [63 * 513] * 8 + [9 * 513]),
     # a 2-d grid whose lines are longer than EVAL_CHUNK: each line in its
     # own equal pieces, filled from the table
     (EvalGrid((np.linspace(-1.0, 0.5, 3), np.linspace(0.0, 2.0, 4097))),
-     [1366, 1366, 1365] * 3),
+     [1025, 1024, 1024, 1024] * 3),
 ])
 def test_scan_block_heights(monkeypatch, points, heights):
     blocks = _scan_blocks(monkeypatch, points)
@@ -846,7 +854,7 @@ def test_square_workload_scans_one_line_per_block(monkeypatch):
     assert np.array_equal(np.concatenate(blocks), grid[:])
 
 
-@pytest.mark.parametrize("per_axis", [(9, 11, 250), (3, 2, 2000)])
+@pytest.mark.parametrize("per_axis", [(9, 11, 250), (3, 2, 1200)])
 def test_scan_blocks_of_a_3d_grid_are_whole_lines(monkeypatch, per_axis):
     # SCAN_BYTES holds 2048 rows of 128 node columns: 8 lines of 250 per
     # block, the 99 lines ending in a 3-line block; and lines longer than
@@ -1006,7 +1014,7 @@ def test_level_order_scan_frees_each_cardinal_matrix_before_the_next_level(monke
     refs, alive = _recording_cardinal_sums(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the larger levels' fit residual warnings
-        rows = measure_levels(M32, level_sets, grid1d(EVAL_CHUNK + 1), lebesgue=True)
+        rows = measure_levels(M32, level_sets, grid1d(2049), lebesgue=True)
     count, pieces = len(level_sets), 2
     assert len(refs) == count * pieces and len(level_sets[-1]) == 1087
     # at each call only the current level's C is alive: by the widest
@@ -1029,7 +1037,7 @@ def test_level_order_scan_forms_the_widest_product_beside_no_other_cardinal_matr
 
     tile_workers(2)
     design = nested_equispaced_design(0, 1, 16, 7)
-    n, G, height = len(design.master), EVAL_CHUNK + 1, 1025
+    n, G, height = len(design.master), 2049, 1025
     bound = (8 * (n * n + 2 * height * n)  # C_top, the cross block and the product
              + 2 * 2 * kernels.TILE_BYTES  # two tile temporaries on each worker
              + 16 * 8 * G)  # grid vectors
@@ -1053,19 +1061,19 @@ def test_level_order_scan_forms_the_widest_product_beside_no_other_cardinal_matr
 
 
 @pytest.mark.parametrize("box, m, sizes, fills", [
-    # interval_escape: the widest C, 2175 columns, outweighs a 1366-row
-    # piece of the 4097-point line, so each level fills the three pieces
-    # with its own node columns
+    # interval_escape: the widest C, 2175 columns, outweighs a 1025-row
+    # piece of the 4097-point line, so each level, the largest first, fills
+    # the four pieces with its own node columns
     (UNIT, 4097, (16, 33, 67, 135, 271, 543, 1087, 2175),
-     [(h, n) for n in (16, 33, 67, 135, 271, 543, 1087, 2175) for h in (1366, 1366, 1365)]),
+     [(h, n) for n in (2175, 1087, 543, 271, 135, 67, 33, 16) for h in (1025, 1024, 1024, 1024)]),
     # square_lebesgue: 400 columns, narrower than a one-line block of 513
     # rows, so each block is filled once with every level's columns
     (Box.unit_cube(2), 513, (25, 50, 100, 200, 400), [(513, 400)] * 513),
 ], ids=["interval_escape", "square_lebesgue"])
 def test_workload_scan_order(monkeypatch, box, m, sizes, fills):
     X = generate_candidates(box, sizes[-1], "low_discrepancy")
-    # stand-in Cs of the levels' shapes: only the fills are checked
-    levels = [(X.prefix(n), None, np.broadcast_to(0.0, (n, n))) for n in sizes]
+    grid = EvalGrid.tensor(box, m)
+    passes, blocks = interpolation._scan_plan([X.prefix(n) for n in sizes], grid, True)
     fill, seen = interpolation.kernel_matrix, []
 
     def recording_fill(kernel, points, nodes, out=None):
@@ -1078,18 +1086,21 @@ def test_workload_scan_order(monkeypatch, box, m, sizes, fills):
 
     monkeypatch.setattr(interpolation, "kernel_matrix", recording_fill)
     monkeypatch.setattr(interpolation, "_cardinal_abs_sums", no_sums)
-    interpolation._scan_levels(matern(1.5, dim=box.dim), levels, EvalGrid.tensor(box, m))
+    for ks in passes:
+        # stand-in Cs of the levels' shapes: only the fills are checked
+        levels = [(X.prefix(sizes[k]), None, np.broadcast_to(0.0, (sizes[k],) * 2)) for k in ks]
+        interpolation._scan_levels(matern(1.5, dim=box.dim), levels, grid, blocks=blocks)
     assert seen == fills
 
 
 def test_escape_scan_holds_one_piece_of_its_grid_line(tile_workers):
     # the escape config's levels, n = 16 .. 1087, on its 4097-point grid:
-    # the one line scans in pieces of 1366, 1366 and 1365 rows, so beyond
-    # the Cs it is handed the scan holds one piece's cross block and
-    # product, 2 * 1366 * 1087 * 8 B = 23.8 MB, and its row vectors (the
+    # the one line scans in pieces of 1025, 1024, 1024 and 1024 rows, so
+    # beyond the Cs it is handed the scan holds one piece's cross block and
+    # product, 2 * 1025 * 1087 * 8 B = 17.8 MB, and its row vectors (the
     # sums, each level's fitted values, the piece's points), plus two tile
     # temporaries on each of two workers. One 4097-row block took
-    # 2 * 4097 * 1087 * 8 B = 71.3 MB.
+    # 2 * 4097 * 1087 * 8 B = 71.3 MB, and 1366-row pieces 23.8 MB.
     tile_workers(2)
     level_sets = design_levels(nested_equispaced_design(0, 1, 16, 7))
     target = make_target("abs_power", {"power": 1.0 / 3.0}, M32, UNIT)
@@ -1097,10 +1108,98 @@ def test_escape_scan_holds_one_piece_of_its_grid_line(tile_workers):
         warnings.simplefilter("ignore")  # the larger levels' residual warnings
         levels = [(X, fit(M32, X, target(X.points)).coefficients,
                    lagrange_coefficients(M32, X)[0]) for X in level_sets]
-    G, height, n = 4097, 1366, len(level_sets[-1])
+    G, height, n = 4097, 1025, len(level_sets[-1])
     bound = (8 * (2 * height * n  # the cross block and product
                   + (len(levels) + 4) * G)  # row vectors
              + 2 * 2 * kernels.TILE_BYTES)  # two tile temporaries on each worker
     scanned, peak = traced_peak(interpolation._scan_levels, M32, levels, grid1d(G))
     assert n == 1087 and all(lmax >= 1.0 for lmax, _ in scanned)
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
+
+
+def test_level_order_fits_the_largest_level_beside_no_other_cardinal_matrix(monkeypatch,
+                                                                            tile_workers):
+    # the escape config's levels, n = 16 .. 1087, on its 4097-point grid, in
+    # pieces of 1025 rows: the widest C outweighs a piece, so each level is
+    # fitted and scanned on its own, the largest first. Up to its scan the
+    # run holds the top level's factor and C, 2 * n^2 * 8 B, plus strips,
+    # tiles and row vectors, and from its scan on that C, the cross block and
+    # the product. Fitting every level before the scan held the six smaller
+    # Cs, 3.1 MB, beside the top level's factor and C, and this bound failed.
+    import tracemalloc
+
+    from kinterp import diagnostics
+
+    tile_workers(2)
+    level_sets = design_levels(nested_equispaced_design(0, 1, 16, 7))
+    target = make_target("abs_power", {"power": 1.0 / 3.0}, M32, UNIT)
+    n, G, height = len(level_sets[-1]), 4097, 1025
+    extra = 2 * 2 * kernels.TILE_BYTES + 16 * 8 * G  # tile temporaries, row vectors
+    scan, passes = diagnostics._scan_levels, []
+
+    def recording_scan(kernel, levels, points, functions=None, blocks=None):
+        # the peak of the pass's fit, then a fresh peak for its scan
+        passes.append(([len(X) for X, _, _ in levels], tracemalloc.get_traced_memory()[1]))
+        tracemalloc.reset_peak()
+        return scan(kernel, levels, points, functions, blocks)
+
+    monkeypatch.setattr(diagnostics, "_scan_levels", recording_scan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the larger levels' fit residual warnings
+        rows, last = traced_peak(measure_levels, M32, level_sets, grid1d(G), target,
+                                 lebesgue=True, errors=True)
+    assert [sizes for sizes, _ in passes] == [[len(X)] for X in reversed(level_sets)]
+    fit_bound = 8 * 2 * n * n + extra
+    scan_bound = 8 * (n * n + 2 * height * n) + extra
+    fit_peak = passes[0][1]
+    assert fit_peak <= fit_bound, f"fit {fit_peak / 2**20:.2f} > {fit_bound / 2**20:.2f} MiB"
+    peak = max(last, *(p for _, p in passes))
+    assert peak <= scan_bound, f"peak {peak / 2**20:.2f} > {scan_bound / 2**20:.2f} MiB"
+    assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
+
+
+def _fail_largest(level_sets):
+    """Levels whose largest Gram fails to factor: a `factorize` patch."""
+    order, factorize = max(map(len, level_sets)), interpolation.factorize
+
+    def failing(K):
+        if K.order == order:
+            raise interpolation.FactorizationError("forced by test")
+        return factorize(K)
+
+    return failing
+
+
+@pytest.mark.parametrize("levels, fail", [
+    (_interval_levels, False), (_wide_interval_levels, False),
+    (_unnested_interval_levels, False), (_wide_unnested_interval_levels, False),
+    (_square_levels, False), (_wide_square_levels, False),
+    (_square_levels, True), (_wide_interval_levels, True),
+], ids=["interval", "wide_interval", "equispaced_levels", "wide_equispaced_levels",
+        "square", "wide_square", "square_largest_fails", "wide_interval_largest_fails"])
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the larger levels' residuals
+def test_rows_equal_one_level_calls(monkeypatch, levels, fail):
+    # whatever the passes and their order, each row is the row the level
+    # gives on its own, to the last bit, and the rows come in level order
+    kernel, box, m, level_sets = levels()
+    grid = EvalGrid.tensor(box, m)
+    target = make_target("abs_power", {"power": 1.0 / 3.0}, kernel, box)
+    if fail:
+        monkeypatch.setattr(interpolation, "factorize", _fail_largest(level_sets))
+    rows = measure_levels(kernel, level_sets, grid, target, lebesgue=True, errors=True)
+    alone = [measure_levels(kernel, [X], grid, target, lebesgue=True, errors=True)[0]
+             for X in level_sets]
+    assert [row["jitter_flag"] == "failed" for row in rows] == [
+        fail and len(X) == len(level_sets[-1]) for X in level_sets]
+    assert _rows_key(rows) == _rows_key(alone)
+
+
+def test_one_scan_pass_takes_only_prefixes_of_its_largest_level():
+    # a pass fills the largest level's nodes, so a level that is not a prefix
+    # of them would read another design's columns: the scan refuses it
+    kernel, box, m, level_sets = _unnested_interval_levels()
+    fits = [(X, None, lagrange_coefficients(kernel, X)[0]) for X in level_sets]
+    with pytest.raises(ValueError, match="prefixes of its largest"):
+        interpolation._scan_levels(kernel, fits, grid1d(65))
+    passes, _ = interpolation._scan_plan(level_sets, grid1d(65), True)
+    assert passes == [[2], [1], [0]]  # one pass each, the largest first

@@ -444,6 +444,18 @@ def test_design_holds_only_points_and_levels():
     assert [f.name for f in dataclasses.fields(NestedDesign)] == ["master", "levels"]
 
 
+@pytest.mark.parametrize("lower, upper", [
+    ((float("nan"),), (1.0,)), ((0.0,), (float("inf"),)),
+    ((0.0, float("-inf")), (1.0, 1.0)), ((0.0, 0.0), (1.0, float("inf"))),
+    ((0.0, 0.0), (1.0, float("nan"))),
+])
+def test_box_rejects_non_finite_bounds(lower, upper):
+    # an infinite upper bound once gave a 2-d Lebesgue trace with h = nan,
+    # q = inf and Lambda = 0.0 under jitter flag none, and exit 0
+    with pytest.raises(GeometryError, match="finite"):
+        Box(lower=lower, upper=upper)
+
+
 def test_point_outside_box_rejected():
     with pytest.raises(GeometryError):
         PointSet(points=[[1.5]], domain=UNIT)

@@ -294,14 +294,16 @@ def test_lebesgue_level_holds_at_most_the_factor_and_one_dense_array():
     # one Lebesgue level with a target at n = 1087: the handed-over Gram is
     # factored in place, then the factor, which keeps K for the fit's
     # residual, and the cardinal matrix
-    from kinterp.diagnostics import _fit_levels
+    from kinterp.diagnostics import _fit_level
 
     X = nested_equispaced_design(0.0, 1.0, 16, 7).master
     dense = 8 * len(X) ** 2
+    levels = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the jittered fit's residual warning
-        ((row, _, _, C),), peak = traced_peak(_fit_levels, matern(2.5), [X],
-                                              lambda p: np.abs(p[:, 0] - 0.5), True)
+        row, peak = traced_peak(_fit_level, matern(2.5), X,
+                                lambda p: np.abs(p[:, 0] - 0.5), True, True, levels)
+    ((_, _, C),) = levels
     assert row["jitter_flag"] == "1e-12"
     assert C.shape == (len(X), len(X))
     assert peak <= 2.2 * dense
@@ -457,14 +459,16 @@ def test_norm_growth_level_holds_one_dense_array():
     # one norm-growth level at n = 1087 (no Lebesgue matrix): the Gram is
     # assembled in strips and factored in its own buffer, which keeps K for
     # the residual, with no second n x n array at any time
-    from kinterp.diagnostics import _fit_levels
+    from kinterp.diagnostics import _fit_level
 
     X = nested_equispaced_design(0.0, 1.0, 16, 7).master
     dense = 8 * len(X) ** 2
+    levels = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the jittered fit's residual warning
-        ((row, _, alpha, C),), peak = traced_peak(_fit_levels, matern(2.5), [X],
-                                                  lambda p: np.abs(p[:, 0] - 0.5), False)
+        row, peak = traced_peak(_fit_level, matern(2.5), X,
+                                lambda p: np.abs(p[:, 0] - 0.5), False, True, levels)
+    ((_, alpha, C),) = levels
     assert row["jitter_flag"] == "1e-12" and C is None and alpha.shape == (len(X),)
     assert peak <= 1.8 * dense, f"norm-growth level peak {peak / dense:.3f} > 1.8"
 
