@@ -14,6 +14,12 @@ numpy import, since OpenBLAS reads its settings once, when it loads:
   script). In a process that loaded numpy before kinterp it has no effect.
   A value above the usable CPUs, where OpenBLAS takes fewer threads, is
   named on stderr, and so is any other value, which changes nothing.
+* numpy is imported here with OPENBLAS_NUM_THREADS=1, and the variable is
+  then restored exactly (an unset one stays unset; an exported or
+  KINTERP_THREADS value comes back). So numpy's OpenBLAS, which serves
+  `np.matmul` and with it the grid scan's GEMMs, runs one thread in each
+  tile worker, while scipy's LAPACK (`potrf`, `trtrs`), a separate
+  OpenBLAS copy loaded later, keeps the count above.
 * OPENBLAS_THREAD_TIMEOUT defaults to 4, so idle OpenBLAS workers sleep
   right after each call instead of spinning on a core the tile pool needs;
   a value the caller exported wins.
@@ -35,6 +41,15 @@ elif _threads:
         print(f"kinterp: KINTERP_THREADS={_threads} exceeds the {_cpus} usable CPU(s); "
               "BLAS takes fewer threads, so output bytes may differ", file=sys.stderr)
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+_blas = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy  # noqa: E402,F401 - loads numpy's OpenBLAS with one thread
+finally:
+    if _blas is None:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = _blas
 
 from .geometry import (  # noqa: E402 - the BLAS settings must come first
     Box,

@@ -16,9 +16,14 @@ environment variable KINTERP_THREADS pins the BLAS thread count, overriding
 the OMP/OpenBLAS/MKL/numexpr thread settings inherited from the caller; the
 `kinterp` package applies it when it is first imported, before numpy loads,
 which every entry point (`python -m kinterp.cli`, the `kinterp` script)
-does before this module runs.
+does before this module runs. It reaches scipy's LAPACK (the factor and
+the solves); numpy's OpenBLAS, which forms the grid scan's GEMMs on the
+tile workers, always runs one thread. A level that a log axis cannot show
+(zero or negative) keeps its CSV row, is left out of the SVG and is named
+on stderr.
 
-Exit codes: 0 success, 1 config or file error, 2 every level failed numerically.
+Exit codes: 0 success (some level was measured), 1 config or file error,
+2 every level failed numerically.
 """
 
 from __future__ import annotations
@@ -363,14 +368,22 @@ def run(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     written = [csv_path]
     # a level counts as measured when its charted values are finite (failed ones hold nan)
     good = [r for r in rows if all(math.isfinite(r[y]) for _, _, y in kind.series)]
-    if cfg["output.svg"] and good:
+    xscale = "log" if kind.log_log else cfg["output.xscale"]
+    yscale = "log" if kind.log_log else cfg["output.yscale"]
+    # a log axis cannot show a zero or negative value: such a level is not charted
+    logged = [col for _, x, y in kind.series for col, scale in ((x, xscale), (y, yscale))
+              if scale == "log"]
+    shown = [r for r in good if all(r[col] > 0 for col in logged)]
+    if cfg["output.svg"] and len(shown) < len(good):
+        dropped = ", ".join(str(r["n"]) for r in good if r not in shown)
+        print(f"note: the chart leaves out n = {dropped}, zero or negative on a log axis"
+              + ("" if shown else "; no SVG written"), file=sys.stderr)
+    if cfg["output.svg"] and shown:
         svg_path = str(out_prefix) + ".svg"
-        emit_svg([Series(label, tuple(r[x] for r in good), tuple(r[y] for r in good))
+        emit_svg([Series(label, tuple(r[x] for r in shown), tuple(r[y] for r in shown))
                   for label, x, y in kind.series],
-                 AxesSpec(xlabel=kind.xlabel, ylabel=kind.ylabel,
-                          xscale="log" if kind.log_log else cfg["output.xscale"],
-                          yscale="log" if kind.log_log else cfg["output.yscale"],
-                          title=kind.title.format(*extra.values())), svg_path)
+                 AxesSpec(xlabel=kind.xlabel, ylabel=kind.ylabel, xscale=xscale,
+                          yscale=yscale, title=kind.title.format(*extra.values())), svg_path)
         written.append(svg_path)
     return (2 if not good else 0), written
 

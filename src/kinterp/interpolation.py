@@ -16,6 +16,7 @@ import csv
 import importlib.machinery
 import importlib.util
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -29,8 +30,9 @@ from .kernels import (
     GridLines,
     Kernel,
     ScratchGram,
+    _fill,
+    _run_tasks,
     assemble_gram,
-    kernel_matrix,
     line_table,
     mirror_upper,
 )
@@ -39,9 +41,10 @@ JITTER_LADDER = (1e-14, 1e-12, 1e-10, 1e-8)
 
 # Grid scans (evaluation, Lebesgue functions) run in blocks of whole grid
 # lines whose kernel block takes at most SCAN_BYTES; a line longer than
-# EVAL_CHUNK rows is cut into the fewest equal pieces of at most EVAL_CHUNK.
-SCAN_BYTES = 2 * 1024 * 1024
-EVAL_CHUNK = 1280
+# EVAL_CHUNK rows, or a line of a grid of 2+ axes whose block would take
+# more than SCAN_BYTES, is cut into the fewest equal pieces within both.
+SCAN_BYTES = 1024 * 1024
+EVAL_CHUNK = 576
 
 
 class FactorizationError(RuntimeError):
@@ -233,25 +236,32 @@ def _scan_plan(level_sets, points, cardinal: bool) -> tuple[list[list[int]], lis
     fitted, and the row blocks every pass scans. A pass is a list of level
     indices; the passes come largest level first. The prefixes of the
     largest level share its pass (shared order), unless `cardinal` and the
-    largest n exceeds the tallest block, or nothing is scanned: then every
-    level has a pass of its own (level order). Any other level always has
-    one. An EvalGrid is scanned in blocks of whole lines (the len(axes[-1])
-    rows that share all other coordinates), as many as keep rows x the
-    largest n x 8 B within SCAN_BYTES and at least one, since a GEMM's row
-    bits depend on the block height; an array counts as one line. A line
-    longer than EVAL_CHUNK is cut into the fewest equal pieces of at most
-    EVAL_CHUNK rows, the first line % pieces of them one row longer, so no
-    piece is a sliver: 4097 points scan in 1025, 1024, 1024 and 1024 rows."""
+    largest C outweighs a block's workspace, its cross block and product
+    (the largest n exceeds twice the tallest block), or nothing is scanned:
+    then every level has a pass of its own (level order). Any other level
+    always has one. An EvalGrid is scanned in blocks of whole lines (the
+    len(axes[-1]) rows that share all other coordinates), as many as keep
+    rows x the largest n x 8 B within SCAN_BYTES and at least one, since a
+    GEMM's row bits depend on the block height; an array counts as one
+    line. A line longer than EVAL_CHUNK, or on a grid of 2 or more axes one
+    whose block alone exceeds SCAN_BYTES, is cut into the fewest equal
+    pieces within both, the first line % pieces of them one row longer, so
+    no piece is a sliver: 4097 points scan in 513 rows and then seven
+    pieces of 512, and a 513-point line at n = 400 in 257 and 256 rows.
+    No block depends on the worker count."""
     base = max(level_sets, key=len).points
     blocks = []
     if points is not None:
         line = max(1, len(points.axes[-1]) if isinstance(points, EvalGrid) else len(points))
-        pieces = -(-line // EVAL_CHUNK)  # of a line, 1 unless it is longer than EVAL_CHUNK
+        rows = max(1, SCAN_BYTES // (8 * len(base)))  # within the budget
+        pieces = -(-line // EVAL_CHUNK)
+        if isinstance(points, EvalGrid) and len(points.axes) > 1:
+            pieces = max(pieces, -(-line // rows))
         q, r = divmod(line, pieces)
-        step = line * (max(1, SCAN_BYTES // (8 * len(base) * line)) if pieces == 1 else 1)
+        step = line * (max(1, rows // line) if pieces == 1 else 1)
         starts = [a + i * q + min(i, r) for a in range(0, len(points), step) for i in range(pieces)]
         blocks = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(points)])]
-    shared = blocks and not (cardinal and len(base) > max(b.stop - b.start for b in blocks))
+    shared = blocks and not (cardinal and len(base) > 2 * max(b.stop - b.start for b in blocks))
     nested = [k for k, X in enumerate(level_sets)
               if shared and np.array_equal(X.points, base[:len(X)])]
     passes = [nested] * bool(nested) + [[k] for k in range(len(level_sets)) if k not in nested]
@@ -268,17 +278,26 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None, blocks=None) ->
     level, each None when its C or alpha is; a level's whole Lebesgue
     function is written only into a given functions[k].
 
-    The list is handed over: after the last block each entry is set to
-    None, so a C the caller holds no other reference to is freed then. A
-    caller that holds its own reference, as the one-level public calls do,
-    keeps it. The largest level's nodes fill the block buffer, block after
-    block, and each level reads cross[:, :n], bit-identical to its own
-    block, so no result depends on the other levels. On a grid of 2 or more
-    axes every block is a `GridLines` filled from one table of squared
-    last-axis differences of the nodes, formed first. Then the workspace is
-    allocated: one block buffer as wide as the largest level, one flat
-    product buffer of a block's rows by the widest C, which every
-    `cross @ C` is written into, and one block of Lebesgue sums.
+    The blocks are the tasks of the tile pool (`kernels._run_tasks`), so
+    the caller and one helper per other usable CPU each scan whole blocks.
+    Before its first block a worker makes its workspace: a block buffer as
+    wide as the largest level, a flat product buffer of a block's rows by
+    the widest C, which takes every `cross @ C`, a block of Lebesgue sums,
+    and its own Lebesgue maxima, merged after the join; a max ignores
+    order, so no result depends on which worker took which block. A worker
+    fills its block in its own row tiles (`kernels._fill`, with
+    `kernel_matrix`'s checks) and calls no public function, since the
+    benchmark's tracer keeps one span stack and is not thread-safe; its
+    GEMMs run numpy's OpenBLAS, loaded with one thread. Each level reads
+    cross[:, :n], bit-identical to its own block, so no result depends on
+    the other levels. On a grid of 2 or more axes every block is a
+    `GridLines` filled from one table of squared last-axis differences of
+    the nodes, formed before any workspace.
+
+    The list is handed over: the worker that reads an entry last, after the
+    last block, sets it to None, so a C the caller holds no other reference
+    to is freed then. A caller that holds its own reference, as the
+    one-level public calls do, keeps it.
     """
     nodes = max((X for X, _, _ in levels), key=len).points
     functions = functions or [None] * len(levels)
@@ -289,27 +308,36 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None, blocks=None) ->
     table = line_table(points.axes[-1], nodes) if tabled else None
     height = max((b.stop - b.start for b in blocks), default=0)
     widest = max((C.shape[1] for *_, C in levels if C is not None), default=0)
-    buffer = np.empty((height, len(nodes)))
-    product = np.empty(height * widest)
-    sums = np.empty(height)
-    lmax = [None if C is None else 0.0 for _, _, C in levels]
     values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
-    for rows in blocks:
+    cardinal = [C is not None for *_, C in levels]
+    unread, lock = [len(blocks)] * len(levels), threading.Lock()
+
+    def workspace():
+        lmax = [0.0] * len(levels)
+        return np.empty((height, len(nodes))), np.empty(height * widest), np.empty(height), lmax
+
+    def scan(rows, space):
+        buffer, product, sums, lmax = space
         chunk = GridLines(points.axes, rows, table) if tabled else points[rows]
-        cross = kernel_matrix(kernel, chunk, nodes, out=buffer[:len(chunk)])
-        last = rows.stop == len(points)
+        cross = _fill(kernel, chunk, nodes, buffer[:len(chunk)], pooled=False)
         # indexed, not zipped: a zip's tuple would keep level k's C alive
         # through level k + 1
         for k in range(len(levels)):
             X, alpha, C = levels[k]
-            if last:
-                levels[k] = None
             block = cross[:, :len(X)]
             if C is not None:
                 out = sums[:len(block)] if functions[k] is None else functions[k][rows]
                 lmax[k] = max(lmax[k], float(_cardinal_abs_sums(block, C, out, product).max()))
             if alpha is not None:
                 _weighted_row_sums(block, alpha, values[k][rows])
+            with lock:
+                unread[k] -= 1
+                if not unread[k]:
+                    levels[k] = None
+
+    maxima = [space[3] for space in _run_tasks(scan, blocks, workspace)]
+    lmax = [max((m[k] for m in maxima), default=0.0) if cardinal[k] else None
+            for k in range(len(levels))]
     return list(zip(lmax, values))
 
 

@@ -19,8 +19,9 @@ Three families are supported:
 All evaluation goes through one vectorized routine, so scalar and batch
 calls produce bit-identical values. Blocks larger than one row tile are
 filled, and Grams of more than one tile mirrored, on a process-wide thread
-pool that nothing outside this module uses; every entry keeps the bits of
-a one-pass evaluation. Everything here is pure and safe to call from threads.
+pool that only this module holds, whose one drain loop (`_run_tasks`) also
+runs the grid scan's blocks; every entry keeps the bits of a one-pass
+evaluation. Everything here is pure and safe to call from threads.
 
 Minimum pairwise distances (the duplicate-node check) and nearest-node
 distances come from one exact numpy sweep over the points sorted on one
@@ -201,7 +202,7 @@ def kernel_matrix(kernel: Kernel, X, Y, out: np.ndarray | None = None) -> np.nda
 
     Each entry depends only on its own pair of points, so a column slice of
     a wider block is bit-identical to the block of the sliced nodes, and the
-    row tiles the output is filled in (see `_run_tiles`) cannot change any
+    row tiles the output is filled in (see `_run_tasks`) cannot change any
     bit. Squared distances are summed one axis at a time, in axis order, and
     the profile is applied in place, so no (len(X), len(Y), dim) tensor is
     formed. X is an (m, N) array or a `GridLines` block, whose points on one
@@ -209,9 +210,15 @@ def kernel_matrix(kernel: Kernel, X, Y, out: np.ndarray | None = None) -> np.nda
     their rows of the table: the same sums, so the same bits.
 
     `out`, a float64 array of shape (len(X), len(Y)), receives the entries
-    and is returned, with the same bits as a fresh result; a grid scan
-    passes a view of the one buffer it reuses for every block.
+    and is returned, with the same bits as a fresh result.
     """
+    return _fill(kernel, X, Y, out, pooled=True)
+
+
+def _fill(kernel: Kernel, X, Y, out: np.ndarray | None, pooled: bool) -> np.ndarray:
+    """`kernel_matrix`, with its checks, its tiles run on the tile pool when
+    `pooled`, else in the caller: a grid scan's tile worker fills its block
+    buffer this way, through no public function."""
     Y = _as_points(Y, kernel.dim)
     if not isinstance(X, GridLines):
         X = _as_points(X, kernel.dim)
@@ -229,7 +236,12 @@ def kernel_matrix(kernel: Kernel, X, Y, out: np.ndarray | None = None) -> np.nda
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
                          f"need {shape} float64")
-    _run_tiles(partial(_fill_rows, kernel, X, Y, out), out.shape[0], out[:1].nbytes)
+    work, tiles = partial(_fill_rows, kernel, X, Y, out), _tiles(shape[0], out[:1].nbytes)
+    if pooled:
+        _run_tasks(work, tiles)
+    else:
+        for rows in tiles:
+            work(rows)
     return out
 
 
@@ -326,44 +338,56 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_tiles(work, n_rows: int, row_bytes: int) -> None:
-    """Call `work(rows)` on row slices of about TILE_BYTES that cover
-    range(n_rows).
-
-    The caller takes tiles itself while up to one helper per other usable
-    CPU takes tiles from the same queue on the tile pool, so a short call
-    does not wait for pool threads to wake. Each tile must write only its
-    own rows and touch no shared state, so the result does not depend on the
-    split or on the worker count. An input of one tile, or a process with
-    one usable CPU, runs inline in the caller.
-    """
+def _tiles(n_rows: int, row_bytes: int) -> list[slice]:
+    """Row slices of about TILE_BYTES that cover range(n_rows)."""
     step = max(1, TILE_BYTES // max(row_bytes, 1))
-    n_tiles = -(-n_rows // step)
-    helpers = min(_usable_cpus(), n_tiles) - 1 if n_tiles > 1 else 0
-    starts = iter(range(0, n_rows, step))
-    if helpers <= 0:
-        for i in starts:
-            work(slice(i, i + step))
-        return
-    lock = threading.Lock()
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _run_tasks(work, tasks: list, state=None) -> list:
+    """Call `work(task)` on every task of `tasks`, or, given a `state`
+    factory, `work(task, s)`, s = state() being made once by each drainer
+    before its first task; returns the states made.
+
+    The caller drains the list itself while up to one helper per other
+    usable CPU drains the same list on the tile pool, so a short call does
+    not wait for pool threads to wake. Each task must write only its own
+    output and touch no shared state but its drainer's, so a result that
+    merges the states order-free does not depend on the split or on the
+    worker count. A list of one task, or a process with one usable CPU,
+    runs in the caller alone.
+    """
+    helpers = min(_usable_cpus(), len(tasks)) - 1
+    queue, lock, states = iter(tasks), threading.Lock(), []
+
+    def take():
+        with lock:
+            return next(queue, None)
 
     def drain():
-        while True:
-            with lock:
-                i = next(starts, None)
-            if i is None:
-                return
-            work(slice(i, i + step))
+        own = None
+        for task in iter(take, None):
+            if state is None:
+                work(task)
+                continue
+            if own is None:
+                own = state()
+                states.append(own)
+            work(task, own)
 
+    if helpers <= 0:
+        drain()
+        return states
     pool = _tile_pool()
     futures = [pool.submit(drain) for _ in range(helpers)]
     try:
         drain()
     finally:
-        # a helper that has not started finds no tiles left: drop it
+        # a helper that has not started finds no tasks left: drop it
         for f in futures:
             if not f.cancel():
                 f.result()
+    return states
 
 
 def eval(kernel: Kernel, x, y) -> float:  # noqa: A001 - spec-level operation name
@@ -508,7 +532,7 @@ def mirror_upper(A: np.ndarray) -> None:
     numpy's copy of a strip whose transpose overlaps it on the diagonal
     tile; a diagonal tile is mirrored in panels of 32 columns, as only a
     panel's top square overlaps its source. Each tile pair is one task of
-    `_run_tiles`: a task writes only its lower tile and reads only its upper
+    `_run_tasks`: a task writes only its lower tile and reads only its upper
     one, which no task writes, so the bits do not depend on the order or the
     worker count.
     """
@@ -516,17 +540,17 @@ def mirror_upper(A: np.ndarray) -> None:
     starts = range(0, n, GRAM_ROW_BLOCK)
     pairs = [(i0, j0) for j0 in starts for i0 in starts if i0 >= j0]
 
-    def mirror(tasks):
-        for i0, j0 in pairs[tasks]:
-            rows = slice(i0, i0 + GRAM_ROW_BLOCK)
-            cols = slice(j0, j0 + GRAM_ROW_BLOCK)
-            if i0 != j0:
-                A[rows, cols] = A[cols, rows].T
-                continue
-            tile = A[cols, cols]
-            for k in range(0, len(tile), 32):
-                top = tile[k:k + 32, k:k + 32]
-                np.copyto(top, top.T, where=np.tri(len(top), k=-1, dtype=bool))
-                tile[k + 32:, k:k + 32] = tile[k:k + 32, k + 32:].T
+    def mirror(pair):
+        i0, j0 = pair
+        rows = slice(i0, i0 + GRAM_ROW_BLOCK)
+        cols = slice(j0, j0 + GRAM_ROW_BLOCK)
+        if i0 != j0:
+            A[rows, cols] = A[cols, rows].T
+            return
+        tile = A[cols, cols]
+        for k in range(0, len(tile), 32):
+            top = tile[k:k + 32, k:k + 32]
+            np.copyto(top, top.T, where=np.tri(len(top), k=-1, dtype=bool))
+            tile[k + 32:, k:k + 32] = tile[k:k + 32, k + 32:].T
 
-    _run_tiles(mirror, len(pairs), 8 * GRAM_ROW_BLOCK ** 2)
+    _run_tasks(mirror, pairs)

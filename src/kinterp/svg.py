@@ -45,9 +45,12 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _check_positive(series: Series, values, axis: str) -> None:
+def _check_values(series: Series, values, axis: str, log: bool) -> None:
     for idx, v in enumerate(values):
-        if v <= 0:
+        if not math.isfinite(v):
+            raise SvgError(f"series {series.name!r} point {idx}: non-finite value {v!r} "
+                           f"on the {axis}-axis")
+        if log and v <= 0:
             raise SvgError(
                 f"series {series.name!r} point {idx}: non-positive value {v!r} "
                 f"on log {axis}-axis"
@@ -82,17 +85,16 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
 
 
 def emit_svg(series: list[Series], axes: AxesSpec, path) -> None:
-    """Write a standalone SVG line chart. Errors on empty input and on
-    non-positive values under a log axis (naming the offending index)."""
+    """Write a standalone SVG line chart. Errors on empty input, on nan and
+    infinite values, and on non-positive values under a log axis, naming
+    the series and the offending index."""
     if not series or all(len(s.x) == 0 for s in series):
         raise SvgError("cannot plot an empty series list")
     for s in series:
         if len(s.x) != len(s.y):
             raise SvgError(f"series {s.name!r} has mismatched x/y lengths")
-        if axes.xscale == "log":
-            _check_positive(s, s.x, "x")
-        if axes.yscale == "log":
-            _check_positive(s, s.y, "y")
+        _check_values(s, s.x, "x", axes.xscale == "log")
+        _check_values(s, s.y, "y", axes.yscale == "log")
 
     all_x = [v for s in series for v in s.x]
     all_y = [v for s in series for v in s.y]

@@ -227,6 +227,64 @@ def test_exit_2_when_every_level_fails(tmp_path, monkeypatch):
     assert all(r["jitter_flag"] == "failed" for r in rows)
 
 
+TARGET_ZERO = """
+[target]
+name = constant
+value = 0.0
+"""
+
+
+def _with_output(cfg, lines):
+    path = Path(cfg)
+    path.write_text(path.read_text().replace("[output]\n", "[output]\n" + lines))
+    return cfg
+
+
+@pytest.mark.parametrize("kind, scale", [("convergence", ""), ("norm_growth", "yscale = log\n")])
+def test_levels_a_log_axis_cannot_show_are_left_out_of_the_chart(tmp_path, capsys, kind,
+                                                                   scale):
+    # the zero target is reproduced exactly: every sup error (on the log-log
+    # convergence chart) and every native norm is 0.0, which no log axis can
+    # show. The run still writes its CSV, with the bytes of a run without
+    # the chart, names the levels on one stderr line and exits 0.
+    cfg = _with_output(base_cfg(tmp_path, kind=kind, extra_target=TARGET_ZERO, svg="true"),
+                       scale)
+    assert cli.main(["run", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"wrote {tmp_path / 'out' / 'run.csv'}\n"
+    assert err == "note: the chart leaves out n = 4, 9, 19, zero or negative on a log axis; " \
+                  "no SVG written\n"
+    assert not (tmp_path / "out" / "run.svg").exists()
+    csv = (tmp_path / "out" / "run.csv").read_text()
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    cfg = _with_output(base_cfg(plain, kind=kind, extra_target=TARGET_ZERO, svg="false",
+                                prefix=str(tmp_path / "out" / "run")), scale)
+    assert cli.main(["run", cfg]) == 0
+    assert (tmp_path / "out" / "run.csv").read_text() == csv.replace(
+        "# output.svg = true", "# output.svg = false")
+    column = "sup_error" if kind == "convergence" else "native_norm"
+    assert [row[column] for row in read_report_csv(tmp_path / "out" / "run.csv")[0]] == [0.0] * 3
+
+
+def test_chart_keeps_the_levels_a_log_axis_can_show(tmp_path, capsys, monkeypatch):
+    measure = cli.dg.measure_levels
+
+    def zero_second_norm(*args, **kwargs):
+        rows = measure(*args, **kwargs)
+        rows[1]["native_norm"] = 0.0
+        return rows
+
+    monkeypatch.setattr(cli.dg, "measure_levels", zero_second_norm)
+    cfg = _with_output(base_cfg(tmp_path, kind="norm_growth", extra_target=TARGET_ABS,
+                                svg="true"), "yscale = log\n")
+    assert cli.main(["run", cfg]) == 0
+    assert capsys.readouterr().err == (
+        "note: the chart leaves out n = 9, zero or negative on a log axis\n")
+    root = ET.fromstring((tmp_path / "out" / "run.svg").read_bytes())
+    assert sum(el.tag.endswith("circle") for el in root.iter()) == 2
+
+
 @pytest.mark.parametrize("kind,scheme", [("convergence", "equispaced_nested"),
                                          ("convergence", "equispaced_levels"),
                                          ("norm_growth", "equispaced_nested")])
@@ -342,6 +400,10 @@ def test_subprocess_entry_point_with_thread_env(tmp_path):
 
 # Run in a fresh interpreter: prints {library file: thread count} for every
 # OpenBLAS mapped into the process once kinterp is imported.
+# Prints the thread count of each OpenBLAS mapped into the process after
+# `import kinterp`, keyed by the directory it was loaded from (numpy's wheel
+# ships its copy in numpy.libs, scipy's in scipy.libs), and the
+# OPENBLAS_NUM_THREADS the process sees then.
 _OPENBLAS_THREADS = """
 import ctypes, json, os
 import kinterp
@@ -354,10 +416,29 @@ for path in paths:
     for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
         if hasattr(lib, symbol):
-            threads[os.path.basename(path)] = getattr(lib, symbol)()
+            threads[os.path.basename(os.path.dirname(path))] = getattr(lib, symbol)()
             break
-print(json.dumps(threads))
+print(json.dumps({"threads": threads, "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
+
+
+def _blas_threads(**env_vars):
+    """(threads by library directory, OPENBLAS_NUM_THREADS after import) of
+    a fresh interpreter that imports kinterp; a variable given as None is
+    removed from the environment, and so are the OMP/MKL/numexpr counts."""
+    import json
+
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    for key, value in env_vars.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    proc = subprocess.run([sys.executable, "-c", _OPENBLAS_THREADS],
+                          capture_output=True, text=True, env=env, check=True)
+    result = json.loads(proc.stdout)
+    return result["threads"], result["env"]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
@@ -365,19 +446,31 @@ print(json.dumps(threads))
 def test_kinterp_threads_pins_every_openblas_at_import():
     # KINTERP_THREADS wins over a BLAS thread count the caller exported,
     # because kinterp applies it before numpy loads OpenBLAS
-    import json
-
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env["OPENBLAS_NUM_THREADS"] = "3"
-    env["KINTERP_THREADS"] = "1"
-    proc = subprocess.run([sys.executable, "-c", _OPENBLAS_THREADS],
-                          capture_output=True, text=True, env=env, check=True)
-    threads = json.loads(proc.stdout)
+    threads, env = _blas_threads(OPENBLAS_NUM_THREADS="3", KINTERP_THREADS="1")
     if not threads:
         pytest.skip("no OpenBLAS mapped into the process")
     assert threads == dict.fromkeys(threads, 1)
+    assert env == "1"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the libraries mapped into the process")
+@pytest.mark.parametrize("exported, kinterp_threads, env", [
+    (None, "2", "2"), ("3", "2", "2"), (None, None, None), ("1", None, "1"), ("2", None, "2")])
+def test_numpy_blas_takes_one_thread_and_scipy_lapack_the_pinned_count(
+        exported, kinterp_threads, env):
+    # numpy is loaded with OPENBLAS_NUM_THREADS=1, so its OpenBLAS (the scan's
+    # GEMMs, one per tile worker) takes one thread, and the variable is then
+    # restored exactly: scipy's OpenBLAS (potrf, trtrs), loaded after it,
+    # takes the pinned or inherited count, and so does any later child
+    threads, seen = _blas_threads(OPENBLAS_NUM_THREADS=exported,
+                                  KINTERP_THREADS=kinterp_threads)
+    assert seen == env
+    if set(threads) != {"numpy.libs", "scipy.libs"}:
+        pytest.skip(f"not one OpenBLAS each from the numpy and scipy wheels: {threads}")
+    assert threads["numpy.libs"] == 1
+    if env is not None and len(os.sched_getaffinity(0)) >= int(env):
+        assert threads["scipy.libs"] == int(env)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
@@ -396,7 +489,7 @@ def test_invalid_kinterp_threads_leaves_the_inherited_counts(value):
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stderr == (f"kinterp: KINTERP_THREADS={value} is not a positive integer; "
                            "the inherited BLAS thread counts stay\n")
-    threads = json.loads(proc.stdout)
+    threads = json.loads(proc.stdout)["threads"]
     if not threads:
         pytest.skip("no OpenBLAS mapped into the process")
     assert threads == dict.fromkeys(threads, 1)

@@ -37,7 +37,14 @@ from kinterp.interpolation import (
     fit,
     lagrange_coefficients,
 )
-from kinterp.kernels import assemble_gram, kernel_matrix, matern
+from kinterp.kernels import (
+    DimensionMismatchError,
+    DomainError,
+    assemble_gram,
+    interval_sobolev,
+    kernel_matrix,
+    matern,
+)
 from kinterp.targets import make_target
 
 from conftest import traced_peak
@@ -577,15 +584,18 @@ def _scan_rows(grid, level_sets):
     """The row slices of the scan blocks of `grid` for `level_sets` under
     the block rule: as many whole lines of its last axis as keep the block,
     rows by the largest level's node columns by 8 B, within SCAN_BYTES, and
-    at least one; a line longer than EVAL_CHUNK is cut into the fewest equal
-    pieces of at most EVAL_CHUNK rows, as np.array_split cuts it."""
+    at least one; a line longer than EVAL_CHUNK, or on a grid of 2+ axes one
+    whose rows alone take more than SCAN_BYTES, is cut into the fewest
+    equal pieces within both, as np.array_split cuts it."""
     width = max(map(len, level_sets))
     line = len(grid.axes[-1])
-    if line > EVAL_CHUNK:
-        pieces = np.array_split(np.arange(line), -(-line // EVAL_CHUNK))
+    budget = max(1, SCAN_BYTES // (8 * width))  # rows
+    cap = EVAL_CHUNK if len(grid.axes) == 1 else min(EVAL_CHUNK, budget)
+    if line > cap:
+        pieces = np.array_split(np.arange(line), -(-line // cap))
         heights = [len(p) for p in pieces] * (len(grid) // line)
     else:
-        step = line * max(1, SCAN_BYTES // (8 * width * line))
+        step = line * max(1, budget // line)
         heights = [min(step, len(grid) - a) for a in range(0, len(grid), step)]
     stops = np.cumsum(heights)
     return [slice(int(b) - h, int(b)) for b, h in zip(stops, heights)]
@@ -603,29 +613,29 @@ def test_shared_scan_equals_per_level_functions(monkeypatch, levels):
     kernel, box, m, level_sets = levels()
     grid = EvalGrid.tensor(box, m)
     target = make_target("abs_power", {"power": 1.0 / 3.0}, kernel, box)
-    fill, fills, widths = interpolation.kernel_matrix, [], set()
+    fill, fills, widths = interpolation._fill, [], set()
 
-    def counting_fill(kernel, points, nodes, out=None):
+    def counting_fill(kernel, points, nodes, out, pooled):
         fills.append(len(nodes))
-        # the pass's one block buffer the fill lands in
+        # the worker's one block buffer of the pass the fill lands in
         widths.add((len(nodes), out.base.shape[1]))
-        return fill(kernel, points, nodes, out=out)
+        return fill(kernel, points, nodes, out, pooled)
 
-    monkeypatch.setattr(interpolation, "kernel_matrix", counting_fill)
+    monkeypatch.setattr(interpolation, "_fill", counting_fill)
     rows = list(measure_levels(kernel, level_sets, grid, target,
                                lebesgue=True, errors=True))
     monkeypatch.undo()
     blocks = _scan_rows(grid, level_sets)
     base = max(level_sets, key=len).points
-    by_level = len(base) > max(b.stop - b.start for b in blocks)
+    by_level = len(base) > 2 * max(b.stop - b.start for b in blocks)
     assert by_level == levels.__name__.startswith("_wide")
     # the shared pass of the largest level's columns first, then one pass per
-    # level that does not share it, largest first
+    # level that does not share it, largest first; each worker's buffer is
+    # as wide as its pass's nodes
     alone = [len(X) for X in level_sets
              if by_level or not np.array_equal(X.points, base[:len(X)])]
     assert fills == [len(base)] * len(blocks) * (not by_level) + [
         n for n in sorted(alone, reverse=True) for _ in blocks]
-    # each pass's buffer is as wide as its nodes
     assert widths == {(n, n) for n in fills}
     assert [row["n"] for row in rows] == [len(X) for X in level_sets]
     for row, X in zip(rows, level_sets):
@@ -744,29 +754,125 @@ def test_measure_levels_independent_of_worker_count(levels, tile_workers):
     assert _rows_key(runs[0]) == _rows_key(runs[1])
 
 
+def _worker_case_1d():
+    # nested levels up to n = 57 on 2049 points: four pieces of the one line
+    return M32, design_levels(nested_equispaced_design(0, 1, 8, 4)), grid1d(2049)
+
+
+def _worker_case_2d():
+    # nested greedy levels up to n = 60 on 65^2 points, with a scan budget of
+    # 40 rows of 60 columns: each 65-point line is cut into 33 and 32 rows
+    box = Box.unit_cube(2)
+    design = geometric_greedy(generate_candidates(box, 800, "low_discrepancy"),
+                              60, 0, (15, 30, 60))
+    return matern(1.5, gamma=5.0, dim=2), design_levels(design), EvalGrid.tensor(box, 65)
+
+
+@pytest.mark.parametrize("case", [_worker_case_1d, _worker_case_2d])
+def test_scan_bits_do_not_depend_on_the_worker_count(monkeypatch, tile_workers, case):
+    # also with more workers than cores and frequent thread switches: a
+    # block lost or scanned twice, a maximum not merged, or a level dropped
+    # before its last reader, changes a bit or raises
+    import os
+    import sys
+
+    kernel, level_sets, grid = case()
+    if len(grid.axes) > 1:
+        monkeypatch.setattr(interpolation, "SCAN_BYTES", 40 * 60 * 8)
+    fits = [(X, fit(kernel, X, np.sin(3 * X.points[:, 0])).coefficients,
+             lagrange_coefficients(kernel, X)[0]) for X in level_sets]
+    blocks = interpolation._scan_plan(level_sets, grid, True)[1]
+    heights = [b.stop - b.start for b in blocks]
+    assert len(blocks) > 1
+    if len(grid.axes) > 1:
+        assert heights[:2] == [33, 32] and len(blocks) == 2 * 65
+    fill, runs = interpolation._fill, []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, (os.cpu_count() or 1) + 2):
+            tile_workers(workers)
+            buffers = set()
+
+            def recording_fill(kernel, points, nodes, out, pooled):
+                buffers.add(id(out.base))  # the worker's block buffer
+                return fill(kernel, points, nodes, out, pooled)
+
+            monkeypatch.setattr(interpolation, "_fill", recording_fill)
+            functions = [np.empty(len(grid)) for _ in fits]
+            levels = list(fits)
+            scanned = interpolation._scan_levels(kernel, levels, grid, functions, blocks)
+            assert 1 <= len(buffers) <= workers
+            assert levels == [None] * len(fits)
+            runs.append((scanned, functions))
+            assert (kernels._pool is not None) == (workers > 1)
+    finally:
+        sys.setswitchinterval(interval)
+    (one, one_functions), *others = runs
+    for k, (X, alpha, C) in enumerate(fits):
+        for other, other_functions in others:
+            assert one[k][0] == other[k][0]
+            assert one[k][1].tobytes() == other[k][1].tobytes()
+            assert one_functions[k].tobytes() == other_functions[k].tobytes()
+        # the oracle: each block's own cross block, product and weighted sums
+        crosses = [kernel_matrix(kernel, grid[rows], X.points) for rows in blocks]
+        function = np.concatenate([np.abs(K @ C).sum(axis=1) for K in crosses])
+        values = np.concatenate([np.sum(K * alpha, axis=1) for K in crosses])
+        assert one_functions[k].tobytes() == function.tobytes()
+        assert one[k][0] == function.max()
+        assert one[k][1].tobytes() == values.tobytes()
+
+
+def test_scan_keeps_the_kernel_checks():
+    # a scan block is filled on a tile worker, through no public function,
+    # but with every check of kernel_matrix
+    w21 = interval_sobolev(0.0, 1.0)
+    X = equispaced_interval(0.0, 1.0, 9)
+    s = fit(w21, X, np.cos(X.points[:, 0]))
+    wide = EvalGrid.tensor(Box.interval(-0.5, 1.0), 2049)  # four pieces
+    with pytest.raises(DomainError):
+        evaluate(s, wide[:])
+    with pytest.raises(DomainError):
+        evaluate(s, [[1.25]])
+    with pytest.raises(DomainError):
+        lebesgue_function(w21, X, wide)
+    Y = equispaced_interval(0.0, 1.0, 12)
+    m32 = fit(M32, Y, np.sin(Y.points[:, 0]))
+    with pytest.raises(DimensionMismatchError):
+        evaluate(m32, np.full((2000, 2), 0.5))
+    with pytest.raises(DimensionMismatchError):
+        lebesgue_function(M32, Y, EvalGrid.tensor(Box.unit_cube(2), 65))
+
+
 def test_lebesgue_function_bit_equal_to_one_pass_scan():
-    # more than one scan piece (eight of 1125 rows), and many row tiles per piece
+    # more than one scan piece (sixteen of 563 and 562 rows), and many row
+    # tiles per piece
     X = nested_equispaced_design(0, 1, 8, 4).master
     grid = grid1d(9000)
     C, _ = lagrange_coefficients(M32, X)
-    ref = np.concatenate([np.abs(kernel_matrix(M32, grid[s:s + 1125], X.points) @ C)
-                          .sum(axis=1) for s in range(0, len(grid), 1125)])
+    pieces = _scan_rows(grid, [X])
+    assert [s.stop - s.start for s in pieces] == [563] * 8 + [562] * 8
+    ref = np.concatenate([np.abs(kernel_matrix(M32, grid[s], X.points) @ C).sum(axis=1)
+                          for s in pieces])
     assert np.array_equal(lebesgue_function(M32, X, grid), ref)
     assert lebesgue_max_from_coefficients(M32, X, C, grid) == ref.max()
 
 
-def test_grid_scan_fills_one_workspace(monkeypatch):
-    # 120^2 = 14400 points as one array, one line: twelve equal pieces of 1200
+def test_grid_scan_fills_one_workspace(monkeypatch, tile_workers):
+    # 120^2 = 14400 points as one array, one line: 25 equal pieces of 576,
+    # on one worker (test_scan_bits_do_not_depend_on_the_worker_count checks
+    # one workspace on each of two)
+    tile_workers(1)
     box = Box.unit_cube(2)
     kernel = matern(1.5, gamma=5.0, dim=2)
     X = geometric_greedy(generate_candidates(box, 400, "low_discrepancy"), 30, 0, (30,)).master
     grid = EvalGrid.tensor(box, 120)
     C, _ = lagrange_coefficients(kernel, X)
-    fill, abs_sums = interpolation.kernel_matrix, interpolation._cardinal_abs_sums
+    fill, abs_sums = interpolation._fill, interpolation._cardinal_abs_sums
     outs, blocks, products = [], [], []
 
-    def recording_fill(kernel, points, nodes, out=None):
-        result = fill(kernel, points, nodes, out=out)
+    def recording_fill(kernel, points, nodes, out, pooled):
+        result = fill(kernel, points, nodes, out, pooled)
         outs.append(out)
         blocks.append(result.copy())  # the buffer is reused: keep this block's bits
         return result
@@ -775,44 +881,45 @@ def test_grid_scan_fills_one_workspace(monkeypatch):
         products.append(product)
         return abs_sums(cross, C, out, product)
 
-    monkeypatch.setattr(interpolation, "kernel_matrix", recording_fill)
+    monkeypatch.setattr(interpolation, "_fill", recording_fill)
     monkeypatch.setattr(interpolation, "_cardinal_abs_sums", recording_sums)
     function = np.empty(len(grid))
     interpolation._scan_levels(kernel, [(X, None, C)], grid[:], [function])
-    assert [len(b) for b in blocks] == [1200] * 12
+    assert [len(b) for b in blocks] == [576] * 25
     assert all(np.shares_memory(out, outs[0]) for out in outs)
-    assert len(products) == 12 and all(p is products[0] for p in products)
-    assert products[0].shape == (1200 * len(X),)
+    assert len(products) == 25 and all(p is products[0] for p in products)
+    assert products[0].shape == (576 * len(X),)
     # the last product landed in the shared buffer, C being n x n
     landed = products[0][:blocks[-1].size].reshape(blocks[-1].shape)
     assert np.array_equal(landed, np.abs(blocks[-1] @ C))
-    for start, block in zip(range(0, len(grid), 1200), blocks):
-        fresh = fill(kernel, grid[start:start + 1200], X.points)
+    for start, block in zip(range(0, len(grid), 576), blocks):
+        fresh = kernel_matrix(kernel, grid[start:start + 576], X.points)
         assert np.array_equal(block, fresh)
-        assert np.array_equal(function[start:start + 1200], np.abs(fresh @ C).sum(1))
+        assert np.array_equal(function[start:start + 576], np.abs(fresh @ C).sum(1))
 
 
 # ------------------------------------------------------- scan block rule
 
 
 def _scan_blocks(monkeypatch, points, nodes=8):
-    """The point blocks that `_scan_levels` hands `kernel_matrix` while it
-    evaluates one fit of `nodes` nodes at `points`, an (m, N) array or an
-    EvalGrid, each block as its (m, N) points. A block of a grid of 2 or
-    more axes is a `GridLines`, and every one holds the same table."""
+    """The point blocks that `_scan_levels` fills while it evaluates one fit
+    of `nodes` nodes at `points`, an (m, N) array or an EvalGrid, each block
+    as its (m, N) points, in plan order (one worker). A block of a grid of
+    2 or more axes is a `GridLines`, and every one holds the same table."""
     dim = len(points.axes) if isinstance(points, EvalGrid) else points.shape[1]
     X = generate_candidates(Box.unit_cube(dim), nodes, "low_discrepancy")
-    fill, blocks, tables = interpolation.kernel_matrix, [], []
+    fill, blocks, tables = interpolation._fill, [], []
 
-    def recording_fill(kernel, points, nodes, out=None):
+    def recording_fill(kernel, points, nodes, out, pooled):
         if isinstance(points, kernels.GridLines):
             tables.append(points.table)
             blocks.append(EvalGrid(points.axes)[points.rows])
         else:
             blocks.append(points)
-        return fill(kernel, points, nodes, out=out)
+        return fill(kernel, points, nodes, out, pooled)
 
-    monkeypatch.setattr(interpolation, "kernel_matrix", recording_fill)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(interpolation, "_fill", recording_fill)
     interpolation._scan_levels(matern(1.5, dim=dim), [(X, np.ones(len(X)), None)], points)
     tabled = isinstance(points, EvalGrid) and dim > 1
     assert len(tables) == (len(blocks) if tabled else 0)
@@ -823,21 +930,21 @@ def _scan_blocks(monkeypatch, points, nodes=8):
 @pytest.mark.parametrize("points, heights", [
     # a 1-d grid is one line, and one longer than EVAL_CHUNK is cut into the
     # fewest equal pieces of at most EVAL_CHUNK rows, the longer ones first,
-    # with no sliver at its end: the escape workload's 4097 points in four
-    (grid1d(4097), [1025, 1024, 1024, 1024]),
-    (grid1d(EVAL_CHUNK + 1), [641, 640]),
-    (grid1d(9000), [1125] * 8),
+    # with no sliver at its end: the escape workload's 4097 points in eight
+    (grid1d(4097), [513] + [512] * 7),
+    (grid1d(EVAL_CHUNK + 1), [289, 288]),
+    (grid1d(9000), [563] * 8 + [562] * 8),
     # a line of at most EVAL_CHUNK rows stays one block
     (grid1d(EVAL_CHUNK), [EVAL_CHUNK]),
     # an (m, N) array counts as one line
-    (EvalGrid.tensor(Box.unit_cube(2), 129)[:], [1189] * 9 + [1188] * 5),
-    # SCAN_BYTES holds 32768 rows of 8 node columns: 63 lines of 513, and
-    # the last 9 lines make the last block
-    (EvalGrid.tensor(Box.unit_cube(2), 513), [63 * 513] * 8 + [9 * 513]),
+    (EvalGrid.tensor(Box.unit_cube(2), 129)[:], [574] * 24 + [573] * 5),
+    # SCAN_BYTES holds 16384 rows of 8 node columns: 31 lines of 513, and
+    # the last 17 lines make the last block
+    (EvalGrid.tensor(Box.unit_cube(2), 513), [31 * 513] * 16 + [17 * 513]),
     # a 2-d grid whose lines are longer than EVAL_CHUNK: each line in its
     # own equal pieces, filled from the table
     (EvalGrid((np.linspace(-1.0, 0.5, 3), np.linspace(0.0, 2.0, 4097))),
-     [1025, 1024, 1024, 1024] * 3),
+     ([513] + [512] * 7) * 3),
 ])
 def test_scan_block_heights(monkeypatch, points, heights):
     blocks = _scan_blocks(monkeypatch, points)
@@ -845,21 +952,22 @@ def test_scan_block_heights(monkeypatch, points, heights):
     assert np.array_equal(np.concatenate(blocks), points[:])
 
 
-def test_square_workload_scans_one_line_per_block(monkeypatch):
-    # the square workload's top level: SCAN_BYTES holds 655 rows of 400
-    # node columns, one line of 513
+def test_square_workload_scans_each_line_in_two_pieces(monkeypatch):
+    # the square workload's top level: SCAN_BYTES holds 327 rows of 400
+    # node columns, less than a line of 513, so each line is cut into the
+    # fewest equal pieces within the budget, 257 and 256 rows
     grid = EvalGrid.tensor(Box.unit_cube(2), 513)
     blocks = _scan_blocks(monkeypatch, grid, 400)
-    assert [len(b) for b in blocks] == [513] * 513
+    assert [len(b) for b in blocks] == [257, 256] * 513
     assert np.array_equal(np.concatenate(blocks), grid[:])
 
 
-@pytest.mark.parametrize("per_axis", [(9, 11, 250), (3, 2, 1200)])
+@pytest.mark.parametrize("per_axis", [(9, 11, 250), (3, 2, 550)])
 def test_scan_blocks_of_a_3d_grid_are_whole_lines(monkeypatch, per_axis):
-    # SCAN_BYTES holds 2048 rows of 128 node columns: 8 lines of 250 per
+    # SCAN_BYTES holds 1024 rows of 128 node columns: 4 lines of 250 per
     # block, the 99 lines ending in a 3-line block; and lines longer than
     # half that, but not than EVAL_CHUNK, one per block
-    assert SCAN_BYTES // (8 * 128) == 2048
+    assert SCAN_BYTES // (8 * 128) == 1024
     axes = tuple(np.linspace(0.0, 1.0, m) for m in per_axis)
     grid = EvalGrid(axes)
     blocks = _scan_blocks(monkeypatch, grid, 128)
@@ -873,15 +981,19 @@ def test_scan_blocks_of_a_3d_grid_are_whole_lines(monkeypatch, per_axis):
         assert np.array_equal(block, grid[start:start + len(block)])
 
 
-def test_square_lebesgue_scan_holds_one_block_of_whole_lines(tile_workers):
+def test_square_lebesgue_scan_holds_one_line_across_its_workers(tile_workers):
     # one Lebesgue level at n = 400 on the 513^2 grid of the square configs.
-    # SCAN_BYTES holds 655 rows of 400 columns, so a block is one line, 513
-    # rows, and the scan's workspace is its cross block, product and table of
-    # squared last-axis differences, 3 * 513 * 400 * 8 B = 4.92 MB, and 513
-    # sums; with two tile temporaries and two line vectors (a line's
-    # leading-axis sum and one axis term) on each of two workers the bound is
-    # 7.04 MB. 3-line blocks of points took 2 * 1539 * 400 * 8 B = 9.85 MB
-    # for the cross block and product alone, and 8192-row blocks 52.4 MB.
+    # SCAN_BYTES holds 327 rows of 400 columns, so each line is cut into
+    # pieces of 257 and 256 rows, and each of the two workers holds one
+    # piece's cross block and product: with the table of squared last-axis
+    # differences, (2 * 2 * 257 + 513) * 400 * 8 B = 4.93 MB, and 2 * 257
+    # sums. The bound still counts one 513-row line's workspace, as when one
+    # worker scanned whole lines, 3 * 513 * 400 * 8 B = 4.92 MB and 513 sums
+    # (the 2 rows more fit in the tile allowance); with two tile temporaries
+    # and two line vectors (a line's leading-axis sum and one axis term) on
+    # each of two workers it is 7.04 MB. 3-line blocks of points took
+    # 2 * 1539 * 400 * 8 B = 9.85 MB for the cross block and product alone,
+    # and 8192-row blocks 52.4 MB.
     tile_workers(2)
     box = Box.unit_cube(2)
     kernel = matern(1.5, gamma=5.0, dim=2)
@@ -889,7 +1001,7 @@ def test_square_lebesgue_scan_holds_one_block_of_whole_lines(tile_workers):
     C, _ = lagrange_coefficients(kernel, X)
     grid = EvalGrid.tensor(box, 513)
     height, n = 513, len(X)
-    bound = (8 * (3 * height * n + height)  # the cross block, product and table, the sums
+    bound = (8 * (3 * height * n + height)  # the cross blocks, products and table, the sums
              + 2 * 2 * kernels.TILE_BYTES  # two tile temporaries on each worker
              + 2 * 2 * 8 * n)  # two line vectors on each worker
     lmax, peak = traced_peak(lebesgue_max_from_coefficients, kernel, X, C, grid)
@@ -929,8 +1041,11 @@ def test_one_block_scan_frees_each_cardinal_matrix_before_the_next_level(monkeyp
     assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
 
 
-def test_multi_block_scan_keeps_each_cardinal_matrix_until_its_last_block(monkeypatch):
-    kernel, box, m, level_sets = _square_levels()  # 129^2 points: 4 blocks of up to 33 lines
+def test_multi_block_scan_keeps_each_cardinal_matrix_until_its_last_block(monkeypatch,
+                                                                          tile_workers):
+    # 129^2 points: 9 blocks of up to 16 lines, scanned in plan order by one worker
+    tile_workers(1)
+    kernel, box, m, level_sets = _square_levels()
     grid = EvalGrid.tensor(box, m)
     blocks = len(_scan_rows(grid, level_sets))
     refs, alive = _recording_cardinal_sums(monkeypatch)
@@ -1007,15 +1122,16 @@ def test_top_level_product_is_formed_beside_no_other_cardinal_matrix(monkeypatch
 
 
 def test_level_order_scan_frees_each_cardinal_matrix_before_the_next_level(monkeypatch):
-    # nested levels up to n = 1087 on 2049 points, which scan in two pieces
-    # of 1025 and 1024 rows: the widest C outweighs a piece, so the scan goes
-    # level by level, both pieces of a level before the next level's
+    # nested levels up to n = 1087 on 2049 points, which scan in four pieces
+    # of 513, 512, 512 and 512 rows: the widest C outweighs a piece's cross
+    # block and product, so the scan goes level by level, every piece of a
+    # level, on whichever worker, before the next level's
     level_sets = design_levels(nested_equispaced_design(0, 1, 16, 7))
     refs, alive = _recording_cardinal_sums(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the larger levels' fit residual warnings
         rows = measure_levels(M32, level_sets, grid1d(2049), lebesgue=True)
-    count, pieces = len(level_sets), 2
+    count, pieces = len(level_sets), 4
     assert len(refs) == count * pieces and len(level_sets[-1]) == 1087
     # at each call only the current level's C is alive: by the widest
     # level's first product every other level's C is dead
@@ -1029,16 +1145,18 @@ def test_level_order_scan_frees_each_cardinal_matrix_before_the_next_level(monke
 def test_level_order_scan_forms_the_widest_product_beside_no_other_cardinal_matrix(
         monkeypatch, tile_workers):
     # the levels above, n = 16 .. 1087, on 2049 points: from the widest
-    # level's first product on, the run holds its C, the cross block and
-    # the product (1025 rows by 1087 columns each), plus row tiles and grid
-    # vectors. In the shared order the six smaller Cs, 3.1 MB, were still
-    # alive there, and this bound failed.
+    # level's first product on, the run holds its C and, on each of the two
+    # workers, a cross block and a product (at most 513 rows by 1087 columns
+    # each; the bound still counts one 1025-row piece, as before the pieces
+    # were halved, and the 2 rows more fit in the tile allowance), plus row
+    # tiles and grid vectors. In the shared order the six smaller Cs,
+    # 3.1 MB, were still alive there, and this bound failed.
     import tracemalloc
 
     tile_workers(2)
     design = nested_equispaced_design(0, 1, 16, 7)
-    n, G, height = len(design.master), 2049, 1025
-    bound = (8 * (n * n + 2 * height * n)  # C_top, the cross block and the product
+    n, G, height = len(design.master), 2049, 513
+    bound = (8 * (n * n + 2 * 1025 * n)  # C_top, the workers' cross blocks and products
              + 2 * 2 * kernels.TILE_BYTES  # two tile temporaries on each worker
              + 16 * 8 * G)  # grid vectors
     sums = interpolation._cardinal_abs_sums
@@ -1055,36 +1173,38 @@ def test_level_order_scan_forms_the_widest_product_beside_no_other_cardinal_matr
         warnings.simplefilter("ignore")  # the larger levels' fit residual warnings
         rows, peak = traced_peak(measure_levels, M32, design_levels(design), grid1d(G),
                                  lebesgue=True)
-    assert tops == [height] and rows[-1]["n"] == n
+    assert len(tops) == 1 and tops[0] <= height and rows[-1]["n"] == n
     assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("box, m, sizes, fills", [
-    # interval_escape: the widest C, 2175 columns, outweighs a 1025-row
-    # piece of the 4097-point line, so each level, the largest first, fills
-    # the four pieces with its own node columns
+    # interval_escape: the widest C, 2175 columns, outweighs a 513-row piece
+    # of the 4097-point line with its product, so each level, the largest
+    # first, fills the eight pieces with its own node columns
     (UNIT, 4097, (16, 33, 67, 135, 271, 543, 1087, 2175),
-     [(h, n) for n in (2175, 1087, 543, 271, 135, 67, 33, 16) for h in (1025, 1024, 1024, 1024)]),
-    # square_lebesgue: 400 columns, narrower than a one-line block of 513
-    # rows, so each block is filled once with every level's columns
-    (Box.unit_cube(2), 513, (25, 50, 100, 200, 400), [(513, 400)] * 513),
+     [(h, n) for n in (2175, 1087, 543, 271, 135, 67, 33, 16) for h in (513,) + (512,) * 7]),
+    # square_lebesgue: 400 columns, narrower than two pieces of 257 and 256
+    # rows of a 513-point line, so each piece is filled once with every
+    # level's columns
+    (Box.unit_cube(2), 513, (25, 50, 100, 200, 400), [(257, 400), (256, 400)] * 513),
 ], ids=["interval_escape", "square_lebesgue"])
-def test_workload_scan_order(monkeypatch, box, m, sizes, fills):
+def test_workload_scan_order(monkeypatch, tile_workers, box, m, sizes, fills):
+    tile_workers(1)  # the fills in plan order
     X = generate_candidates(box, sizes[-1], "low_discrepancy")
     grid = EvalGrid.tensor(box, m)
     passes, blocks = interpolation._scan_plan([X.prefix(n) for n in sizes], grid, True)
-    fill, seen = interpolation.kernel_matrix, []
+    fill, seen = interpolation._fill, []
 
-    def recording_fill(kernel, points, nodes, out=None):
+    def recording_fill(kernel, points, nodes, out, pooled):
         seen.append((len(points), len(nodes)))
-        return fill(kernel, points, nodes, out=out)
+        return fill(kernel, points, nodes, out, pooled)
 
     def no_sums(cross, C, out, product):
         out.fill(1.0)
         return out
 
-    monkeypatch.setattr(interpolation, "kernel_matrix", recording_fill)
+    monkeypatch.setattr(interpolation, "_fill", recording_fill)
     monkeypatch.setattr(interpolation, "_cardinal_abs_sums", no_sums)
     for ks in passes:
         # stand-in Cs of the levels' shapes: only the fills are checked
@@ -1095,12 +1215,14 @@ def test_workload_scan_order(monkeypatch, box, m, sizes, fills):
 
 def test_escape_scan_holds_one_piece_of_its_grid_line(tile_workers):
     # the escape config's levels, n = 16 .. 1087, on its 4097-point grid:
-    # the one line scans in pieces of 1025, 1024, 1024 and 1024 rows, so
-    # beyond the Cs it is handed the scan holds one piece's cross block and
-    # product, 2 * 1025 * 1087 * 8 B = 17.8 MB, and its row vectors (the
-    # sums, each level's fitted values, the piece's points), plus two tile
-    # temporaries on each of two workers. One 4097-row block took
-    # 2 * 4097 * 1087 * 8 B = 71.3 MB, and 1366-row pieces 23.8 MB.
+    # the one line scans in pieces of 513 and 512 rows, so beyond the Cs it
+    # is handed each of the two workers holds one piece's cross block and
+    # product, together 2 * 2 * 513 * 1087 * 8 B = 17.8 MB (the bound counts
+    # one 1025-row piece, as before the pieces were halved; the 2 rows more
+    # fit in the tile allowance), and the row vectors (the sums, each
+    # level's fitted values, the pieces' points), plus two tile temporaries
+    # on each worker. One 4097-row block took 2 * 4097 * 1087 * 8 B =
+    # 71.3 MB, and 1366-row pieces 23.8 MB.
     tile_workers(2)
     level_sets = design_levels(nested_equispaced_design(0, 1, 16, 7))
     target = make_target("abs_power", {"power": 1.0 / 3.0}, M32, UNIT)
@@ -1108,8 +1230,8 @@ def test_escape_scan_holds_one_piece_of_its_grid_line(tile_workers):
         warnings.simplefilter("ignore")  # the larger levels' residual warnings
         levels = [(X, fit(M32, X, target(X.points)).coefficients,
                    lagrange_coefficients(M32, X)[0]) for X in level_sets]
-    G, height, n = 4097, 1025, len(level_sets[-1])
-    bound = (8 * (2 * height * n  # the cross block and product
+    G, n = 4097, len(level_sets[-1])
+    bound = (8 * (2 * 1025 * n  # the workers' cross blocks and products
                   + (len(levels) + 4) * G)  # row vectors
              + 2 * 2 * kernels.TILE_BYTES)  # two tile temporaries on each worker
     scanned, peak = traced_peak(interpolation._scan_levels, M32, levels, grid1d(G))
@@ -1120,11 +1242,13 @@ def test_escape_scan_holds_one_piece_of_its_grid_line(tile_workers):
 def test_level_order_fits_the_largest_level_beside_no_other_cardinal_matrix(monkeypatch,
                                                                             tile_workers):
     # the escape config's levels, n = 16 .. 1087, on its 4097-point grid, in
-    # pieces of 1025 rows: the widest C outweighs a piece, so each level is
-    # fitted and scanned on its own, the largest first. Up to its scan the
-    # run holds the top level's factor and C, 2 * n^2 * 8 B, plus strips,
-    # tiles and row vectors, and from its scan on that C, the cross block and
-    # the product. Fitting every level before the scan held the six smaller
+    # pieces of 513 and 512 rows: the widest C outweighs a piece's cross block
+    # and product, so each level is fitted and scanned on its own, the
+    # largest first. Up to its scan the run holds the top level's factor and
+    # C, 2 * n^2 * 8 B, plus strips, tiles and row vectors, and from its scan
+    # on that C and each of the two workers' cross block and product (the
+    # bound counts one 1025-row piece, as before the pieces were halved; the
+    # 2 rows more fit in the tile allowance). Fitting every level before the scan held the six smaller
     # Cs, 3.1 MB, beside the top level's factor and C, and this bound failed.
     import tracemalloc
 
@@ -1133,7 +1257,7 @@ def test_level_order_fits_the_largest_level_beside_no_other_cardinal_matrix(monk
     tile_workers(2)
     level_sets = design_levels(nested_equispaced_design(0, 1, 16, 7))
     target = make_target("abs_power", {"power": 1.0 / 3.0}, M32, UNIT)
-    n, G, height = len(level_sets[-1]), 4097, 1025
+    n, G, height = len(level_sets[-1]), 4097, 1025  # two workers' pieces: 2 * 513 rows
     extra = 2 * 2 * kernels.TILE_BYTES + 16 * 8 * G  # tile temporaries, row vectors
     scan, passes = diagnostics._scan_levels, []
 

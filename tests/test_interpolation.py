@@ -775,9 +775,10 @@ def test_no_traced_public_function_is_a_generator():
 
 
 def test_only_kernels_drives_the_tile_pool(monkeypatch, tile_workers):
-    # The grid scan's cardinal and fitted-value sums run in the caller: each
-    # scan block makes one pool round, its kernel fill, however many levels
-    # read the block.
+    # The grid scan's blocks are the tasks of one pool round: each worker
+    # fills its own blocks in its own tiles and forms their cardinal and
+    # fitted-value sums, so the scan makes one round however many blocks
+    # and levels it has.
     import importlib
     import pkgutil
 
@@ -789,12 +790,12 @@ def test_only_kernels_drives_the_tile_pool(monkeypatch, tile_workers):
     for info in pkgutil.iter_modules(kinterp.__path__):
         module = importlib.import_module(f"kinterp.{info.name}")
         if info.name != "kernels":
-            binders += [f"{info.name}.{attr}" for attr in ("_run_tiles", "_tile_pool")
+            binders += [f"{info.name}.{attr}" for attr in ("_pool", "_tile_pool")
                         if attr in vars(module)]
     assert binders == []
 
-    # 100 node columns: SCAN_BYTES holds 20 lines of 129, so 129^2 points
-    # make 6 blocks of 20 lines and one of 9 lines (1161 rows); at n >= 60
+    # 100 node columns: SCAN_BYTES holds 10 lines of 129, so 129^2 points
+    # make 12 blocks of 10 lines and one of 9 lines (1161 rows); at n >= 60
     # every product, fitted-value block and fill spans 2+ tiles
     box = Box.unit_cube(2)
     kernel = matern(1.5, gamma=5.0, dim=2)
@@ -805,10 +806,14 @@ def test_only_kernels_drives_the_tile_pool(monkeypatch, tile_workers):
     top = sets[-1]
     levels.append((top, fit(kernel, top, np.sin(3 * top.points[:, 0])).coefficients, None))
     grid = EvalGrid.tensor(box, 129)
-    assert interpolation.SCAN_BYTES // (8 * 100 * 129) == 20
+    assert interpolation.SCAN_BYTES // (8 * 100 * 129) == 10
     assert 1161 * 60 * 8 > kernels.TILE_BYTES
     tile_workers(2)
-    pool, rounds = kernels._tile_pool, []
+    pool, rounds, fills = kernels._tile_pool, [], []
+    fill = interpolation._fill
     monkeypatch.setattr(kernels, "_tile_pool", lambda: rounds.append(1) or pool())
+    monkeypatch.setattr(interpolation, "_fill",
+                        lambda *args, pooled: fills.append(pooled) or fill(*args, pooled=pooled))
     interpolation._scan_levels(kernel, levels, grid)
-    assert len(rounds) == -(-len(grid) // (20 * 129)) == 7
+    assert len(rounds) == 1
+    assert fills == [False] * -(-len(grid) // (10 * 129)) == [False] * 13

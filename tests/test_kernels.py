@@ -586,16 +586,16 @@ def test_grid_lines_fill_bit_equal_to_the_fill_of_their_points(
 def test_grid_lines_fill_of_lines_longer_than_a_scan_chunk():
     # a 2-d grid whose lines are longer than EVAL_CHUNK, each line cut as a
     # scan cuts it, into the fewest equal pieces of at most EVAL_CHUNK rows:
-    # two of 1045 and 1044, the second starting inside the line
+    # two of 545 and 544, the second starting inside the line
     k = matern(1.5, gamma=3.0, dim=2)
-    line = EVAL_CHUNK + 809
+    line = 2 * EVAL_CHUNK - 63
     axes = (np.array([-0.5, 0.25, 1.0]), np.linspace(-1.0, 2.0, line))
     grid = EvalGrid(axes)
     Y = np.random.default_rng(5).uniform(-1.0, 2.0, size=(12, 2))
     table = line_table(axes[-1], Y)
     pieces = [p for rows in np.split(np.arange(len(grid)), len(axes[0]))
               for p in np.array_split(rows, 2)]
-    assert [len(p) for p in pieces] == [1045, 1044] * 3
+    assert [len(p) for p in pieces] == [545, 544] * 3
     for p in pieces:
         rows = slice(p[0], p[-1] + 1)
         assert np.array_equal(kernel_matrix(k, GridLines(axes, rows, table), Y),

@@ -35,6 +35,24 @@ def test_log_scale_rejects_nonpositive_with_index(tmp_path):
                  AxesSpec(yscale="log"), tmp_path / "bad.svg")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("index", [0, 2])
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("scale", ["linear", "log"])
+def test_non_finite_values_rejected_with_series_and_index(tmp_path, bad, index, axis, scale):
+    # a nan first or later, or an inf, on either axis under either scale:
+    # an SvgError naming the series and the point, and no file
+    values = [1.0, 2.0, 3.0]
+    values[index] = bad
+    xs, ys = (values, [1.0, 2.0, 4.0]) if axis == "x" else ([1.0, 2.0, 4.0], values)
+    path = tmp_path / "bad.svg"
+    with pytest.raises(SvgError, match=f"^series 'bad' point {index}: "
+                                       f"non-finite value {bad!r} on the {axis}-axis$"):
+        emit_svg([Series("ok", (1.0,), (1.0,)), Series("bad", tuple(xs), tuple(ys))],
+                 AxesSpec(xscale=scale, yscale=scale), path)
+    assert not path.exists()
+
+
 def test_empty_series_rejected(tmp_path):
     with pytest.raises(SvgError):
         emit_svg([], AxesSpec(), tmp_path / "x.svg")
