@@ -19,7 +19,10 @@ numpy import, since OpenBLAS reads its settings once, when it loads:
   KINTERP_THREADS value comes back). So numpy's OpenBLAS, which serves
   `np.matmul` and with it the grid scan's GEMMs, runs one thread in each
   tile worker, while scipy's LAPACK (`potrf`, `trtrs`), a separate
-  OpenBLAS copy loaded later, keeps the count above.
+  OpenBLAS copy loaded later, keeps the count above. This holds only when
+  kinterp is imported before numpy: otherwise each tile worker's GEMM
+  takes numpy's inherited thread count, about twice the scan time on 2
+  cores; import kinterp first or export OPENBLAS_NUM_THREADS=1.
 * OPENBLAS_THREAD_TIMEOUT defaults to 4, so idle OpenBLAS workers sleep
   right after each call instead of spinning on a core the tile pool needs;
   a value the caller exported wins.

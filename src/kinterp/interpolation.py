@@ -16,7 +16,6 @@ import csv
 import importlib.machinery
 import importlib.util
 import sys
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -294,10 +293,8 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None, blocks=None) ->
     `GridLines` filled from one table of squared last-axis differences of
     the nodes, formed before any workspace.
 
-    The list is handed over: the worker that reads an entry last, after the
-    last block, sets it to None, so a C the caller holds no other reference
-    to is freed then. A caller that holds its own reference, as the
-    one-level public calls do, keeps it.
+    The scan reads `levels` and writes nothing into it, so its workers share
+    only the block queue; a C lives as long as the caller's list holds it.
     """
     nodes = max((X for X, _, _ in levels), key=len).points
     functions = functions or [None] * len(levels)
@@ -309,8 +306,6 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None, blocks=None) ->
     height = max((b.stop - b.start for b in blocks), default=0)
     widest = max((C.shape[1] for *_, C in levels if C is not None), default=0)
     values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
-    cardinal = [C is not None for *_, C in levels]
-    unread, lock = [len(blocks)] * len(levels), threading.Lock()
 
     def workspace():
         lmax = [0.0] * len(levels)
@@ -320,24 +315,17 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None, blocks=None) ->
         buffer, product, sums, lmax = space
         chunk = GridLines(points.axes, rows, table) if tabled else points[rows]
         cross = _fill(kernel, chunk, nodes, buffer[:len(chunk)], pooled=False)
-        # indexed, not zipped: a zip's tuple would keep level k's C alive
-        # through level k + 1
-        for k in range(len(levels)):
-            X, alpha, C = levels[k]
+        for k, (X, alpha, C) in enumerate(levels):
             block = cross[:, :len(X)]
             if C is not None:
                 out = sums[:len(block)] if functions[k] is None else functions[k][rows]
                 lmax[k] = max(lmax[k], float(_cardinal_abs_sums(block, C, out, product).max()))
             if alpha is not None:
                 _weighted_row_sums(block, alpha, values[k][rows])
-            with lock:
-                unread[k] -= 1
-                if not unread[k]:
-                    levels[k] = None
 
     maxima = [space[3] for space in _run_tasks(scan, blocks, workspace)]
-    lmax = [max((m[k] for m in maxima), default=0.0) if cardinal[k] else None
-            for k in range(len(levels))]
+    lmax = [None if C is None else max((m[k] for m in maxima), default=0.0)
+            for k, (*_, C) in enumerate(levels)]
     return list(zip(lmax, values))
 
 

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -398,28 +399,32 @@ def test_subprocess_entry_point_with_thread_env(tmp_path):
     assert "experiment.kind = lebesgue_trace" in proc.stdout
 
 
-# Run in a fresh interpreter: prints {library file: thread count} for every
-# OpenBLAS mapped into the process once kinterp is imported.
-# Prints the thread count of each OpenBLAS mapped into the process after
-# `import kinterp`, keyed by the directory it was loaded from (numpy's wheel
-# ships its copy in numpy.libs, scipy's in scipy.libs), and the
-# OPENBLAS_NUM_THREADS the process sees then.
-_OPENBLAS_THREADS = """
-import ctypes, json, os
-import kinterp
-with open("/proc/self/maps") as fh:
-    paths = sorted({line.split()[-1] for line in fh
-                    if "openblas" in line.lower() and ".so" in line})
-threads = {}
-for path in paths:
-    lib = ctypes.CDLL(path)
-    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
-        if hasattr(lib, symbol):
-            threads[os.path.basename(os.path.dirname(path))] = getattr(lib, symbol)()
-            break
-print(json.dumps({"threads": threads, "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
-"""
+def openblas_threads() -> dict:
+    """The thread count of each OpenBLAS mapped into this process, keyed by
+    the directory it was loaded from (numpy's wheel ships its copy in
+    numpy.libs, scipy's in scipy.libs)."""
+    import ctypes
+    import os
+
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh
+                        if "openblas" in line.lower() and ".so" in line})
+    threads = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                threads[os.path.basename(os.path.dirname(path))] = getattr(lib, symbol)()
+                break
+    return threads
+
+
+# Run in a fresh interpreter: prints openblas_threads() after `import
+# kinterp`, and the OPENBLAS_NUM_THREADS the process sees then.
+_OPENBLAS_THREADS = ("import json, os\nimport kinterp\n" + inspect.getsource(openblas_threads)
+                     + 'print(json.dumps({"threads": openblas_threads(),'
+                       ' "env": os.environ.get("OPENBLAS_NUM_THREADS")}))\n')
 
 
 def _blas_threads(**env_vars):
@@ -471,6 +476,17 @@ def test_numpy_blas_takes_one_thread_and_scipy_lapack_the_pinned_count(
     assert threads["numpy.libs"] == 1
     if env is not None and len(os.sched_getaffinity(0)) >= int(env):
         assert threads["scipy.libs"] == int(env)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the libraries mapped into the process")
+def test_the_test_process_runs_numpy_blas_on_one_thread():
+    # conftest imports kinterp before any test module imports numpy, so the
+    # tests' scan GEMMs run one thread per tile worker, as the CLI's do
+    threads = openblas_threads()
+    if "numpy.libs" not in threads:
+        pytest.skip(f"no OpenBLAS from the numpy wheel mapped into the process: {threads}")
+    assert threads["numpy.libs"] == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),

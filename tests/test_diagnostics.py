@@ -1,3 +1,4 @@
+import operator
 import warnings
 
 import numpy as np
@@ -771,8 +772,9 @@ def _worker_case_2d():
 @pytest.mark.parametrize("case", [_worker_case_1d, _worker_case_2d])
 def test_scan_bits_do_not_depend_on_the_worker_count(monkeypatch, tile_workers, case):
     # also with more workers than cores and frequent thread switches: a
-    # block lost or scanned twice, a maximum not merged, or a level dropped
-    # before its last reader, changes a bit or raises
+    # block lost or scanned twice, or a maximum not merged, changes a bit or
+    # raises; the workers share only the block queue and leave the list as
+    # it was
     import os
     import sys
 
@@ -803,7 +805,7 @@ def test_scan_bits_do_not_depend_on_the_worker_count(monkeypatch, tile_workers, 
             levels = list(fits)
             scanned = interpolation._scan_levels(kernel, levels, grid, functions, blocks)
             assert 1 <= len(buffers) <= workers
-            assert levels == [None] * len(fits)
+            assert len(levels) == len(fits) and all(map(operator.is_, levels, fits))
             runs.append((scanned, functions))
             assert (kernels._pool is not None) == (workers > 1)
     finally:
@@ -1030,36 +1032,6 @@ def _recording_cardinal_sums(monkeypatch):
     return refs, alive
 
 
-def test_one_block_scan_frees_each_cardinal_matrix_before_the_next_level(monkeypatch):
-    level_sets = design_levels(nested_equispaced_design(0, 1, 8, 4))
-    refs, alive = _recording_cardinal_sums(monkeypatch)
-    rows = measure_levels(M32, level_sets, grid1d(EVAL_CHUNK), lebesgue=True)
-    assert len(refs) == len(level_sets)
-    # level k's C is dead by the time level k + 1's product is formed
-    assert alive == [[False] * k for k in range(len(level_sets))]
-    assert all(ref() is None for ref in refs)
-    assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
-
-
-def test_multi_block_scan_keeps_each_cardinal_matrix_until_its_last_block(monkeypatch,
-                                                                          tile_workers):
-    # 129^2 points: 9 blocks of up to 16 lines, scanned in plan order by one worker
-    tile_workers(1)
-    kernel, box, m, level_sets = _square_levels()
-    grid = EvalGrid.tensor(box, m)
-    blocks = len(_scan_rows(grid, level_sets))
-    refs, alive = _recording_cardinal_sums(monkeypatch)
-    measure_levels(kernel, level_sets, grid, lebesgue=True)
-    count = len(level_sets)
-    assert len(refs) == blocks * count
-    for call, flags in enumerate(alive):
-        block, k = divmod(call, count)
-        # every earlier call's level stays alive until the last block, where
-        # the levels before k have been dropped
-        assert flags == [block < blocks - 1 or j % count >= k for j in range(call)], call
-    assert all(ref() is None for ref in refs)
-
-
 def test_one_level_calls_keep_the_callers_arrays():
     # two scan blocks; each public call hands the scan a list of its own
     X = nested_equispaced_design(0, 1, 8, 4).master
@@ -1077,46 +1049,35 @@ def test_one_level_calls_keep_the_callers_arrays():
     values = evaluate(s, grid[:])
     assert np.array_equal(evaluate(s, grid[:]), values)
     assert np.array_equal(s.coefficients, coefficients)
-    # the scan itself consumes the list it is given
-    levels = [(X, s.coefficients, C)]
+    # the scan itself leaves the list it is given unchanged
+    entry = (X, s.coefficients, C)
+    levels = [entry]
     ((lmax, scanned),) = interpolation._scan_levels(M32, levels, grid[:])
-    assert levels == [None]
+    assert len(levels) == 1 and levels[0] is entry
     assert lmax == ref and np.array_equal(scanned, values)
     assert np.array_equal(C, kept)
 
 
-def test_top_level_product_is_formed_beside_no_other_cardinal_matrix(monkeypatch,
-                                                                      tile_workers):
-    # nested Matern 3/2 levels up to n = 1087 on a 2048-point grid, one scan
-    # block. From the top level's product on, the run holds its C, the cross
-    # block and the product, plus row tiles and grid vectors: the smaller
-    # levels' C are freed by then. (The peak of the whole run is earlier,
-    # where the block is filled beside every level's C: tracemalloc counts
-    # the product buffer when it is allocated, not as its pages are touched.)
-    import tracemalloc
-
+def test_shared_pass_peaks_at_its_cardinal_matrices_and_one_block_workspace(tile_workers):
+    # nested Matern 3/2 levels up to n = 1087 on a 576-point grid: one scan
+    # block, so one shared pass, scanned in the caller. The whole run holds
+    # at most every level's C, one cross block and one product, plus row
+    # tiles and grid vectors: the top level's fit (its factor, its C and the
+    # smaller Cs) stays below that, and the scan copies no C and no block.
     tile_workers(2)
     design = nested_equispaced_design(0, 1, 16, 7)
-    n, G = len(design.master), EVAL_CHUNK
+    level_sets, G = design_levels(design), EVAL_CHUNK
+    n = len(design.master)
+    assert interpolation._scan_plan(level_sets, grid1d(G), True)[0] == [list(range(7))]
     target = make_target("abs_power", {"power": 1.0 / 3.0}, M32, UNIT)
-    bound = (8 * (n * n + 2 * G * n)  # C_top, the cross block and the product
+    bound = (8 * (sum(len(X) ** 2 for X in level_sets) + 2 * G * n)  # every C, cross, product
              + 2 * 2 * kernels.TILE_BYTES  # two tile temporaries on each worker
              + 16 * 8 * G)  # grid vectors: values, target, differences, sums
-    sums = interpolation._cardinal_abs_sums
-    tops = []
-
-    def top_resets_the_peak(cross, C, out, product):
-        if len(C) == n:
-            tops.append(len(C))
-            tracemalloc.reset_peak()
-        return sums(cross, C, out, product)
-
-    monkeypatch.setattr(interpolation, "_cardinal_abs_sums", top_resets_the_peak)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the larger levels' fit residual warnings
-        rows, peak = traced_peak(measure_levels, M32, design_levels(design), grid1d(G),
+        rows, peak = traced_peak(measure_levels, M32, level_sets, grid1d(G),
                                  target, lebesgue=True, errors=True)
-    assert tops == [n] and rows[-1]["n"] == n
+    assert rows[-1]["n"] == n
     assert all(np.isfinite(row["lebesgue_constant"]) for row in rows)
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
 

@@ -668,6 +668,30 @@ def test_one_tile_calls_run_inline(monkeypatch):
         kernel_matrix(k, rng.uniform(size=(_tile_rows(50) + 1, 2)), rng.uniform(size=(50, 2)))
 
 
+def test_tile_workers_fixture_shuts_down_only_the_pools_it_made(monkeypatch):
+    # a test that takes the fixture but sets no worker count leaves the
+    # process-wide pool running (here a pool of this test's own stands in
+    # for it); one that sets a count gets a fresh pool, shut down after
+    from conftest import tile_worker_rule
+
+    monkeypatch.setattr(kernels, "_pool", None)
+    shared = kernels._tile_pool()
+    try:
+        rule = tile_worker_rule(monkeypatch)
+        next(rule)
+        next(rule, None)
+        assert kernels._pool is shared and shared.submit(int).result() == 0
+        rule = tile_worker_rule(monkeypatch)
+        next(rule)(2)
+        own = kernels._tile_pool()
+        next(rule, None)
+        assert own is not shared and shared.submit(int).result() == 0
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            own.submit(int)
+    finally:
+        shared.shutdown()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_evaluates_blocks_on_its_own_pool():
