@@ -103,6 +103,6 @@ from .diagnostics import (
     measure_levels,
     sup_error,
 )
-from .targets import Target, make_target
+from .targets import make_target
 
 __version__ = "0.1.0"

@@ -150,15 +150,12 @@ def _validate(cp: configparser.ConfigParser) -> ExperimentConfig:
             raise ConfigError(f"{name}: {exc}") from exc
 
     kind, family, dim = cfg["experiment.kind"], cfg["kernel.family"], cfg["kernel.dim"]
-    lower, upper = cfg["domain.lower"], cfg["domain.upper"]
-    if len(lower) != len(upper):
-        raise ConfigError("domain.lower and domain.upper must have equal length")
-    if len(lower) != dim:
-        raise ConfigError(f"domain has dimension {len(lower)}, kernel.dim is {dim}")
     try:
-        domain = Box(lower=lower, upper=upper)
+        domain = Box(lower=cfg["domain.lower"], upper=cfg["domain.upper"])
     except geometry.GeometryError as exc:
         raise ConfigError(f"domain.lower, domain.upper: {exc}") from exc
+    if domain.dim != dim:
+        raise ConfigError(f"domain has dimension {domain.dim}, kernel.dim is {dim}")
     if family == "w21" and dim != 1:
         raise ConfigError("kernel.family w21 requires kernel.dim = 1")
     try:
@@ -173,6 +170,8 @@ def _validate(cp: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("design.levels must be strictly increasing")
     if levels[0] < 1:
         raise ConfigError("design.levels must be at least 1")
+    if kind == "interp_once" and len(levels) > 1:
+        raise ConfigError("interp_once fits one level: design.levels must hold one size")
     if cfg["design.seed"] < 0:
         raise ConfigError("design.seed must be at least 0")
     if scheme.startswith("greedy") and cfg["design.candidates"] < max(levels):
@@ -411,7 +410,10 @@ def plot(csv_path: str, spec: str) -> tuple[int, list[str]]:
     if "x" not in opts or "y" not in opts or "out" not in opts:
         raise ConfigError("plot spec needs x=, y=, and out=")
 
-    rows, _ = read_report_csv(csv_path)
+    try:
+        rows, _ = read_report_csv(csv_path)
+    except ValueError as exc:  # a cell of a numeric column that is not a number
+        raise ConfigError(f"{csv_path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"no data rows in {csv_path}")
     xcol = opts["x"]
@@ -429,12 +431,12 @@ def plot(csv_path: str, spec: str) -> tuple[int, list[str]]:
                 xs.append(xv)
                 ys.append(yv)
         series.append(Series(ycol, tuple(xs), tuple(ys)))
-    axes = AxesSpec(xlabel=xcol, ylabel=opts["y"],
-                    xscale=opts.get("xscale", "linear"),
-                    yscale=opts.get("yscale", "linear"),
-                    title=opts.get("title", ""))
-    Path(opts["out"]).parent.mkdir(parents=True, exist_ok=True)
     try:
+        axes = AxesSpec(xlabel=xcol, ylabel=opts["y"],
+                        xscale=opts.get("xscale", "linear"),
+                        yscale=opts.get("yscale", "linear"),
+                        title=opts.get("title", ""))
+        Path(opts["out"]).parent.mkdir(parents=True, exist_ok=True)
         emit_svg(series, axes, opts["out"])
     except SvgError as exc:
         raise ConfigError(str(exc)) from exc

@@ -225,7 +225,8 @@ class DiagnosticsReport:
 
 
 def read_report_csv(path) -> tuple[list[dict], dict]:
-    """Counterpart of DiagnosticsReport.to_csv: (rows, metadata)."""
+    """Counterpart of DiagnosticsReport.to_csv: (rows, metadata). A cell
+    of a numeric column that is not a number raises ValueError."""
     meta, rows = {}, []
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
@@ -237,7 +238,7 @@ def read_report_csv(path) -> tuple[list[dict], dict]:
         else:
             body.append(line)
     rdr = csv.reader(body)
-    header = next(rdr)
+    header = next(rdr, ())  # a file of metadata lines alone has no rows
     for rec in rdr:
         rows.append({col: val if col in ("jitter_flag", "sampling_condition") else float(val)
                      for col, val in zip(header, rec)})
@@ -274,6 +275,8 @@ def measure_levels(kernel: Kernel, level_sets, grid: EvalGrid | None, target=Non
     """
     if (grid is None and (lebesgue or errors)) or (errors and target is None):
         raise DiagnosticsError("lebesgue and errors need a grid, and errors a target")
+    if not level_sets:
+        return []
     passes, blocks = interpolation._scan_plan(
         level_sets, grid if lebesgue or errors else None, lebesgue)
     rows, exact = [None] * len(level_sets), None

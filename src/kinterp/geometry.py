@@ -449,10 +449,12 @@ def generate_candidates(domain: Box, count: int, scheme: str, seed: int = 0) -> 
 def nested_equispaced_design(a: float, b: float, n0: int, num_levels: int) -> NestedDesign:
     """Nested equispaced interval designs with level sizes n0, 2*n0+1, ...
 
-    Level k has the points i*(b-a)/(n_k+1), whose spacing halves from level
-    to level; every level's points contain the previous level's exactly, and
-    the master list orders each level's new points ascending. (Exact size
-    doubling cannot be prefix-nested, so sizes follow n -> 2n+1.)
+    Level k has the n_k points a + i*(b-a)/(n_k+1), i = 1..n_k, whose
+    spacing halves from level to level, so every level's points contain the
+    previous level's exactly. The master list holds the first level's points
+    ascending, then each later level's new points, the odd multiples of its
+    spacing, ascending. (Exact size doubling cannot be prefix-nested, so
+    sizes follow n -> 2n+1.)
     """
     if n0 < 1 or num_levels < 1:
         raise GeometryError("need n0 >= 1 and num_levels >= 1")
@@ -460,15 +462,10 @@ def nested_equispaced_design(a: float, b: float, n0: int, num_levels: int) -> Ne
     for _ in range(num_levels - 1):
         sizes.append(2 * sizes[-1] + 1)
     denom = sizes[-1] + 1
-    seen = np.zeros(denom + 1, dtype=bool)
-    order = []
-    for n in sizes:
-        step = denom // (n + 1)
-        for i in range(step, denom, step):
-            if not seen[i]:
-                seen[i] = True
-                order.append(i / denom)
-    pts = a + (b - a) * np.asarray(order)[:, None]
+    steps = [denom // (n + 1) for n in sizes]  # each level's spacing, in units of the last's
+    order = np.concatenate([np.arange(steps[0], denom, steps[0])]
+                           + [np.arange(step, denom, 2 * step) for step in steps[1:]])
+    pts = a + (b - a) * (order / denom)[:, None]
     return NestedDesign(master=PointSet(points=pts, domain=Box.interval(a, b)),
                         levels=tuple(sizes))
 

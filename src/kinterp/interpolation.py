@@ -24,13 +24,13 @@ import numpy as np
 from .geometry import EvalGrid, PointSet
 from .kernels import (
     GRAM_ROW_BLOCK,
-    TILE_BYTES,
     GramMatrix,
     GridLines,
     Kernel,
     ScratchGram,
     _fill,
     _run_tasks,
+    _tiles,
     assemble_gram,
     line_table,
     mirror_upper,
@@ -220,7 +220,7 @@ def fit(kernel: Kernel, X: PointSet, values,
     """
     r = np.asarray(values, dtype=float)
     if r.shape != (len(X),):
-        raise ValueError(f"got {r.shape[0] if r.ndim else 0} values for {len(X)} nodes")
+        raise ValueError(f"data of shape {r.shape} for {len(X)} nodes: expected ({len(X)},)")
     if factorization is None:
         factorization = factorize(ScratchGram(assemble_gram(kernel, X).entries))
     alpha = factorization.solve(r)
@@ -342,12 +342,11 @@ def _cardinal_abs_sums(cross: np.ndarray, C: np.ndarray, out: np.ndarray,
 
 
 def _weighted_row_sums(block: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = sum_j block[i, j] * weights[j], in row tiles of about
-    TILE_BYTES, whose products stay in cache; every row is summed on its
-    own, so the sums equal those of the whole block's product."""
-    step = max(1, TILE_BYTES // max(block[:1].nbytes, 1))
-    for i in range(0, block.shape[0], step):
-        np.sum(block[i:i + step] * weights, axis=1, out=out[i:i + step])
+    """out[i] = sum_j block[i, j] * weights[j], in the row tiles of
+    `kernels._tiles`, whose products stay in cache; every row is summed on
+    its own, so the sums equal those of the whole block's product."""
+    for rows in _tiles(block.shape[0], block[:1].nbytes):
+        np.sum(block[rows] * weights, axis=1, out=out[rows])
 
 
 def evaluate(s: Interpolant, points) -> np.ndarray:

@@ -65,6 +65,15 @@ def _transform(v: float, lo: float, hi: float, log: bool) -> float:
     return (v - lo) / (hi - lo)
 
 
+def _span(values, log: bool) -> tuple[float, float]:
+    """(min, max) of an axis's values; a range of one value is padded by a
+    decade each way on a log axis and by 1 on a linear one."""
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        return (lo / 10.0, hi * 10.0) if log else (lo - 1.0, hi + 1.0)
+    return lo, hi
+
+
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     if log:
         lo10, hi10 = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
@@ -96,19 +105,9 @@ def emit_svg(series: list[Series], axes: AxesSpec, path) -> None:
         _check_values(s, s.x, "x", axes.xscale == "log")
         _check_values(s, s.y, "y", axes.yscale == "log")
 
-    all_x = [v for s in series for v in s.x]
-    all_y = [v for s in series for v in s.y]
-    xlo, xhi = min(all_x), max(all_x)
-    ylo, yhi = min(all_y), max(all_y)
-    if axes.yscale == "linear" and ylo == yhi:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
-    if axes.xscale == "linear" and xlo == xhi:
-        xlo, xhi = xlo - 1.0, xhi + 1.0
     logx, logy = axes.xscale == "log", axes.yscale == "log"
-    if logy and ylo == yhi:
-        ylo, yhi = ylo / 10.0, yhi * 10.0
-    if logx and xlo == xhi:
-        xlo, xhi = xlo / 10.0, xhi * 10.0
+    xlo, xhi = _span([v for s in series for v in s.x], logx)
+    ylo, yhi = _span([v for s in series for v in s.y], logy)
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

@@ -2,15 +2,12 @@
 
 Targets are supplied by name plus parameters instead of user code, which
 keeps experiment configs declarative and reruns deterministic. A target is
-a callable mapping an (m, N) array of points to an (m,) array of values and
-carries its name/parameters for report metadata; points of another width
-than its domain's dimension N are rejected.
+a function mapping an (m, N) array of points to an (m,) array of values;
+points of another width than its domain's dimension N are rejected. The
+CSV metadata names a target from the config, not from the function.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -20,20 +17,6 @@ from .kernels import Kernel, kernel_matrix
 
 class TargetError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Target:
-    name: str
-    params: dict = field(compare=False)
-    fn: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
-    dim: int
-
-    def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise TargetError(f"a {pts.shape[1]}-d point array for a {self.dim}-d target")
-        return self.fn(pts)
 
 
 def _centers_array(params, dim: int, key: str = "centers") -> np.ndarray:
@@ -51,10 +34,10 @@ _PARAMETERS = {"constant": ("value",), "abs_power": ("center", "power"),
                "smooth_step": ("center", "width"), "trig": ("freq", "amplitude")}
 
 
-def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box) -> Target:
-    """Build a named target. An unknown name, a parameter the target does
-    not read, a non-finite parameter, or a negative abs_power power raises
-    with the offending field."""
+def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box):
+    """Build a named target, a function of an (m, N) point array. An unknown
+    name, a parameter the target does not read, a non-finite parameter, or a
+    negative abs_power power raises with the offending field."""
     p = dict(params or {})
     dim = domain.dim
     if name not in _PARAMETERS:
@@ -100,5 +83,11 @@ def make_target(name: str, params: dict | None, kernel: Kernel, domain: Box) -> 
         freq = float(p.get("freq", 1.0))
         amp = float(p.get("amplitude", 1.0))
         fn = lambda x, f=freq, a=amp: a * np.sin(2.0 * np.pi * f * x).sum(axis=1)
-    return Target(name=name, params=p, fn=fn, dim=dim)
+
+    def target(points) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != dim:
+            raise TargetError(f"a {pts.shape[1]}-d point array for a {dim}-d target")
+        return fn(pts)
+    return target
 

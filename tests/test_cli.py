@@ -351,6 +351,22 @@ def test_plot_names_the_non_numeric_column(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: column 'jitter_flag' is not numeric\n"
 
 
+@pytest.mark.parametrize("text,spec,names", [
+    ("n,h\n4,0.25\n9,0.1\n", ",xscale=loog", "'loog'"),
+    ("# kernel.family = matern32\n", "", "no data rows"),
+    ("n,h\n4,0.25\n9,abc\n", "", "'abc'"),
+], ids=["unknown-axis-scale", "metadata-lines-only", "non-numeric-cell"])
+def test_plot_of_a_bad_input_is_one_config_error_line(tmp_path, capsys, text, spec, names):
+    # each of these once ended in a Python traceback
+    csv_path = tmp_path / "in.csv"
+    csv_path.write_text(text)
+    out_svg = tmp_path / "p.svg"
+    assert cli.main(["plot", str(csv_path), f"x=n,y=h,out={out_svg}{spec}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err and err.count("\n") == 1
+    assert not out_svg.exists()
+
+
 def test_plot_of_a_missing_csv_is_one_error_line(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert cli.main(["plot", str(missing), f"x=n,y=h,out={tmp_path}/p.svg"]) == 1
@@ -639,6 +655,8 @@ _BAD_CONFIGS = [
      {"experiment.kind": "norm_growth", "target.name": "trig", "target.power": "2.0",
       "target.center": "0.3"}, "trig reads no parameter center, power"),
     ("domain-lengths-differ", MINIMAL_1D, {"domain.lower": "0.0, 0.0"}, "domain.lower"),
+    # lower has kernel.dim entries, so only the equal-length rule of Box can catch it
+    ("domain-upper-shorter", MINIMAL_2D, {"domain.upper": "1.0"}, "domain.lower"),
     ("domain-dimension-not-kernel-dim", MINIMAL_2D, {"kernel.dim": None}, "kernel.dim"),
     ("domain-bounds-reversed", MINIMAL_1D,
      {"domain.lower": "1.0", "domain.upper": "0.0"}, "domain.lower"),
@@ -706,6 +724,9 @@ _RUN_WOULD_FAIL = [
     ("decay-with-gaussian", MINIMAL_1D,
      {"experiment.kind": "decay", "kernel.family": "gaussian",
       "design.scheme": "equispaced_levels"}, "kernel.family"),
+    # `run` fitted the first of several levels, ignored the rest and exited 0
+    ("interp-once-of-several-levels", MINIMAL_1D,
+     {"experiment.kind": "interp_once", "target.name": "constant"}, "design.levels"),
 ]
 
 

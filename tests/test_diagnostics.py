@@ -171,6 +171,13 @@ def test_measure_levels_rejects_a_missing_input_before_fitting(monkeypatch, has_
         measure_levels(M32, level_sets, grid, target, **quantities)
 
 
+@pytest.mark.parametrize("quantities", [{}, {"lebesgue": True}, {"errors": True}])
+def test_measure_levels_of_no_level_is_no_row(quantities):
+    # the scan plan once took the max of the empty level list
+    target = make_target("constant", {"value": 1.0}, M32, UNIT)
+    assert measure_levels(M32, [], grid1d(65), target, **quantities) == []
+
+
 def materialized_tensor_grid(domain, points_per_axis):
     """(points, quad_weights) of the tensor grid as they were once built and
     stored for the whole run: the reference for the lazy grid's bits."""

@@ -424,6 +424,35 @@ def test_nested_equispaced_prefix_nesting():
         assert np.allclose(np.sort(X.points[:, 0]), expect, atol=1e-15)
 
 
+def _nested_equispaced_reference(a, b, n0, num_levels):
+    """The master points listed by a walk over every grid index of every
+    level that keeps the indices not seen before: the reference for the
+    direct listing."""
+    sizes = [n0]
+    for _ in range(num_levels - 1):
+        sizes.append(2 * sizes[-1] + 1)
+    denom = sizes[-1] + 1
+    seen = np.zeros(denom + 1, dtype=bool)
+    order = []
+    for n in sizes:
+        step = denom // (n + 1)
+        for i in range(step, denom, step):
+            if not seen[i]:
+                seen[i] = True
+                order.append(i / denom)
+    return a + (b - a) * np.asarray(order)[:, None]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 2.5), (0.1, 0.3)])
+def test_nested_equispaced_master_equals_the_seen_walk(a, b):
+    for n0 in range(1, 40):
+        for num_levels in range(1, 8):
+            design = nested_equispaced_design(a, b, n0, num_levels)
+            expect = _nested_equispaced_reference(a, b, n0, num_levels)
+            assert design.master.points.tobytes() == expect.tobytes(), (n0, num_levels)
+            assert design.master.points.shape == expect.shape
+
+
 def test_nested_equispaced_recorded_geometry():
     design = nested_equispaced_design(0.0, 1.0, 8, 4)
     for i, n in enumerate(design.levels):

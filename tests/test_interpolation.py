@@ -523,6 +523,13 @@ def test_fit_wrong_length_rejected():
         fit(matern(0.5), two_nodes(), [1.0])
 
 
+def test_fit_names_the_given_and_the_expected_data_shape():
+    # a column of 5 values for 5 nodes once read "got 5 values for 5 nodes"
+    X = equispaced_interval(0, 1, 5)
+    with pytest.raises(ValueError, match=r"^data of shape \(5, 1\) for 5 nodes: expected \(5,\)$"):
+        fit(matern(1.5), X, np.ones((5, 1)))
+
+
 def test_evaluate_at_nodes_reproduces_data():
     rng = np.random.default_rng(12)
     X = equispaced_interval(0, 1, 30)
