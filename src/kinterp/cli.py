@@ -20,7 +20,8 @@ does before this module runs. It reaches scipy's LAPACK (the factor and
 the solves); numpy's OpenBLAS, which forms the grid scan's GEMMs on the
 tile workers, always runs one thread. A level that a log axis cannot show
 (zero or negative) keeps its CSV row, is left out of the SVG and is named
-on stderr.
+on stderr. Each warning a command raises (a fit's residual above 1e-8,
+say) is shown as one `warning: ...` line on stderr.
 
 Exit codes: 0 success (some level was measured), 1 config or file error,
 2 every level failed numerically.
@@ -32,6 +33,7 @@ import argparse
 import configparser
 import math
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -443,6 +445,10 @@ def plot(csv_path: str, spec: str) -> tuple[int, list[str]]:
     return 0, [opts["out"]]
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="kinterp",
                                      description="kernel interpolation experiments")
@@ -456,6 +462,7 @@ def main(argv=None) -> int:
     p_plot.add_argument("spec")
     args = parser.parse_args(argv)
 
+    format_warning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         if args.command == "validate":
             cfg = parse_config(args.config)
@@ -475,6 +482,8 @@ def main(argv=None) -> int:
         kind = "config error" if isinstance(exc, ConfigError) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = format_warning
 
 
 def main_entry() -> None:

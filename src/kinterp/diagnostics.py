@@ -226,7 +226,8 @@ class DiagnosticsReport:
 
 def read_report_csv(path) -> tuple[list[dict], dict]:
     """Counterpart of DiagnosticsReport.to_csv: (rows, metadata). A cell
-    of a numeric column that is not a number raises ValueError."""
+    of a numeric column that is not a number raises ValueError naming its
+    column and its 1-based data row."""
     meta, rows = {}, []
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
@@ -239,9 +240,15 @@ def read_report_csv(path) -> tuple[list[dict], dict]:
             body.append(line)
     rdr = csv.reader(body)
     header = next(rdr, ())  # a file of metadata lines alone has no rows
-    for rec in rdr:
-        rows.append({col: val if col in ("jitter_flag", "sampling_condition") else float(val)
-                     for col, val in zip(header, rec)})
+    for number, rec in enumerate(rdr, 1):
+        row = dict(zip(header, rec))
+        for col, val in row.items():
+            if col not in ("jitter_flag", "sampling_condition"):
+                try:
+                    row[col] = float(val)
+                except ValueError as exc:
+                    raise ValueError(f"column {col!r}, data row {number}: {exc}") from None
+        rows.append(row)
     return rows, meta
 
 

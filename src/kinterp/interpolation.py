@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import importlib.machinery
 import importlib.util
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -52,8 +53,8 @@ class FactorizationError(RuntimeError):
 
 def _load_flapack():
     """scipy's LAPACK wrapper module, scipy.linalg._flapack, loaded without
-    running scipy.linalg's package init, which imports numpy.f2py,
-    numpy.testing and scipy's array-API shims.
+    running the scipy or scipy.linalg package inits, which import numpy.f2py,
+    numpy.testing, subprocess and scipy's array-API shims, none of them used.
 
     The module is registered in sys.modules under its own name, so a later
     `import scipy.linalg` reuses it, and `get_lapack_funcs` then returns the
@@ -61,9 +62,9 @@ def _load_flapack():
     """
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        package = importlib.util.find_spec("scipy.linalg")
+        package = importlib.util.find_spec("scipy")  # found, not imported
         spec = importlib.machinery.PathFinder.find_spec(
-            name, package.submodule_search_locations)
+            name, [os.path.join(p, "linalg") for p in package.submodule_search_locations])
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
@@ -138,7 +139,7 @@ class Factorization:
                             ("interpolation", "r", float(np.max(np.abs(R)))))
         if not resid <= 1e-8 * max(scale, 1e-300):
             warnings.warn(f"{name} residual {resid:.3e} exceeds 1e-8 * ||{rhs}||_inf "
-                          f"(jitter {self.jitter:.1e})", stacklevel=3)
+                          f"at n = {self.order} (jitter {self.jitter:.1e})", stacklevel=3)
         return resid
 
 

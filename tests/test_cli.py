@@ -163,6 +163,22 @@ def test_norm_growth_classification(tmp_path):
                                                   "inconclusive")
 
 
+def test_run_shows_each_residual_warning_as_one_line_naming_its_n(tmp_path):
+    # Python's own format would add the source line of the fit call and
+    # leave the level unnamed
+    cfg = base_cfg(tmp_path, kind="norm_growth", extra_target=TARGET_ABS,
+                   family="matern52", levels="8, 17, 35, 71")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "kinterp.cli", "run", cfg],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines and "s = fit(" not in proc.stderr
+    for line in lines:
+        assert line.startswith("warning: interpolation residual ")
+        assert any(f" at n = {n} (" in line for n in (8, 17, 35, 71))
+
+
 def test_norm_growth_rejects_unnested_scheme(tmp_path):
     cfg = base_cfg(tmp_path, kind="norm_growth", extra_target=TARGET_ABS,
                    scheme="equispaced_levels")
@@ -352,9 +368,9 @@ def test_plot_names_the_non_numeric_column(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text,spec,names", [
-    ("n,h\n4,0.25\n9,0.1\n", ",xscale=loog", "'loog'"),
-    ("# kernel.family = matern32\n", "", "no data rows"),
-    ("n,h\n4,0.25\n9,abc\n", "", "'abc'"),
+    ("n,h\n4,0.25\n9,0.1\n", ",xscale=loog", ("'loog'",)),
+    ("# kernel.family = matern32\n", "", ("no data rows",)),
+    ("n,h\n4,0.25\n9,abc\n", "", ("'abc'", "column 'h'", "data row 2")),
 ], ids=["unknown-axis-scale", "metadata-lines-only", "non-numeric-cell"])
 def test_plot_of_a_bad_input_is_one_config_error_line(tmp_path, capsys, text, spec, names):
     # each of these once ended in a Python traceback
@@ -363,7 +379,8 @@ def test_plot_of_a_bad_input_is_one_config_error_line(tmp_path, capsys, text, sp
     out_svg = tmp_path / "p.svg"
     assert cli.main(["plot", str(csv_path), f"x=n,y=h,out={out_svg}{spec}"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and names in err and err.count("\n") == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert all(name in err for name in names)
     assert not out_svg.exists()
 
 

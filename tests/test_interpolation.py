@@ -207,15 +207,17 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_lapack_loads_without_scipy_linalg():
     # scipy.linalg's package init would import numpy.f2py, numpy.testing and
-    # the array-API shims: about 0.3 s and 24 MB of every run's start-up
+    # the array-API shims: about 0.3 s and 24 MB of every run's start-up; the
+    # scipy package's own init adds 10 scipy modules and subprocess
     out = _fresh_interpreter(
         "import sys\n"
         "import numpy as np\n"
         "import kinterp\n"
         "f = kinterp.factorize(np.array([[4.0, 2.0], [2.0, 5.0]]))\n"
         "print(*f.solve(np.array([8.0, 12.0])), 'scipy.linalg' in sys.modules,\n"
-        "      'scipy.linalg._flapack' in sys.modules)\n")
-    assert out.split() == ["1.0", "2.0", "False", "True"]
+        "      'scipy.linalg._flapack' in sys.modules, 'scipy' in sys.modules,\n"
+        "      'subprocess' in sys.modules)\n")
+    assert out.split() == ["1.0", "2.0", "False", "True", "False", "False"]
 
 
 def test_2d_levels_load_no_scipy_spatial():
@@ -231,20 +233,25 @@ def test_2d_levels_load_no_scipy_spatial():
         "                              [design.level_points(i) for i in range(2)],\n"
         "                              kinterp.EvalGrid.tensor(box, 33), lebesgue=True)\n"
         "print(all(r['h'] > 0 for r in rows),\n"
-        "      *(m in sys.modules for m in ('scipy.spatial', 'scipy.sparse', 'scipy.linalg')))\n")
-    assert out.split() == ["True", "False", "False", "False"]
+        "      *(m in sys.modules for m in ('scipy.spatial', 'scipy.sparse', 'scipy.linalg',\n"
+        "                                   'scipy')))\n")
+    assert out.split() == ["True", "False", "False", "False", "False"]
 
 
 def test_lapack_routines_are_scipys_own():
-    # a later import of scipy.linalg reuses the loaded module, so kinterp
-    # calls the very objects get_lapack_funcs returns
+    # a later import of scipy and scipy.linalg runs their inits then and
+    # reuses the loaded module, so kinterp calls the very objects
+    # get_lapack_funcs returns
     out = _fresh_interpreter(
         "import numpy as np\n"
         "from kinterp import interpolation\n"
+        "import scipy\n"
+        "import scipy.linalg\n"
         "from scipy.linalg import get_lapack_funcs\n"
         "potrf, trtrs = get_lapack_funcs(('potrf', 'trtrs'), (np.zeros((2, 2)),))\n"
-        "print(potrf is interpolation._flapack.dpotrf, trtrs is interpolation._flapack.dtrtrs)\n")
-    assert out.split() == ["True", "True"]
+        "print(potrf is interpolation._flapack.dpotrf, trtrs is interpolation._flapack.dtrtrs,\n"
+        "      scipy.linalg.lapack._flapack is interpolation._flapack)\n")
+    assert out.split() == ["True", "True", "True"]
 
 
 def test_inverse_bit_equal_to_identity_solve():
