@@ -31,6 +31,7 @@ from .kernels import (
     ScratchGram,
     _fill,
     _run_tasks,
+    _scratch_entries,
     _tiles,
     assemble_gram,
     line_table,
@@ -286,7 +287,9 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None, blocks=None) ->
     and its own Lebesgue maxima, merged after the join; a max ignores
     order, so no result depends on which worker took which block. A worker
     fills its block in its own row tiles (`kernels._fill`, with
-    `kernel_matrix`'s checks) and calls no public function, since the
+    `kernel_matrix`'s checks), whose temporaries are views of the product
+    buffer, sized to hold them too: the fill is done with them before the
+    block's first product. It calls no public function, since the
     benchmark's tracer keeps one span stack and is not thread-safe; its
     GEMMs run numpy's OpenBLAS, loaded with one thread. Each level reads
     cross[:, :n], bit-identical to its own block, so no result depends on
@@ -306,16 +309,17 @@ def _scan_levels(kernel: Kernel, levels, points, functions=None, blocks=None) ->
     table = line_table(points.axes[-1], nodes) if tabled else None
     height = max((b.stop - b.start for b in blocks), default=0)
     widest = max((C.shape[1] for *_, C in levels if C is not None), default=0)
+    product_size = max(height * widest, _scratch_entries(kernel, (height, len(nodes)), tabled))
     values = [None if alpha is None else np.empty(len(points)) for _, alpha, _ in levels]
 
     def workspace():
         lmax = [0.0] * len(levels)
-        return np.empty((height, len(nodes))), np.empty(height * widest), np.empty(height), lmax
+        return np.empty((height, len(nodes))), np.empty(product_size), np.empty(height), lmax
 
     def scan(rows, space):
         buffer, product, sums, lmax = space
         chunk = GridLines(points.axes, rows, table) if tabled else points[rows]
-        cross = _fill(kernel, chunk, nodes, buffer[:len(chunk)], pooled=False)
+        cross = _fill(kernel, chunk, nodes, buffer[:len(chunk)], pooled=False, scratch=product)
         for k, (X, alpha, C) in enumerate(levels):
             block = cross[:, :len(X)]
             if C is not None:

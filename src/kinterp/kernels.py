@@ -215,10 +215,13 @@ def kernel_matrix(kernel: Kernel, X, Y, out: np.ndarray | None = None) -> np.nda
     return _fill(kernel, X, Y, out, pooled=True)
 
 
-def _fill(kernel: Kernel, X, Y, out: np.ndarray | None, pooled: bool) -> np.ndarray:
+def _fill(kernel: Kernel, X, Y, out: np.ndarray | None, pooled: bool,
+          scratch: np.ndarray | None = None) -> np.ndarray:
     """`kernel_matrix`, with its checks, its tiles run on the tile pool when
     `pooled`, else in the caller: a grid scan's tile worker fills its block
-    buffer this way, through no public function."""
+    buffer this way, through no public function. An unpooled fill may take
+    each tile's temporaries from a flat float64 `scratch` of at least
+    `_scratch_entries` entries instead of fresh arrays."""
     Y = _as_points(Y, kernel.dim)
     if not isinstance(X, GridLines):
         X = _as_points(X, kernel.dim)
@@ -236,7 +239,10 @@ def _fill(kernel: Kernel, X, Y, out: np.ndarray | None, pooled: bool) -> np.ndar
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
                          f"need {shape} float64")
-    work, tiles = partial(_fill_rows, kernel, X, Y, out), _tiles(shape[0], out[:1].nbytes)
+    if scratch is not None and (pooled or scratch.size < _scratch_entries(
+            kernel, shape, isinstance(X, GridLines))):
+        raise ValueError("a scratch serves one unpooled fill, with one tile's temporaries")
+    work, tiles = partial(_fill_rows, kernel, X, Y, out, scratch), _tiles(shape[0], out[:1].nbytes)
     if pooled:
         _run_tasks(work, tiles)
     else:
@@ -245,11 +251,30 @@ def _fill(kernel: Kernel, X, Y, out: np.ndarray | None, pooled: bool) -> np.ndar
     return out
 
 
+def _scratch_entries(kernel: Kernel, shape: tuple[int, int], lines: bool) -> int:
+    """Entries of the scratch that an unpooled fill of a block of `shape`
+    takes its temporaries from: the most that `_fill_rows` holds at once in
+    one row tile, those of the profile (w21's min term, Matern's exp(-r)
+    and, at nu = 5/2, r^2) or the per-axis term of an (m, N) array, N >= 2,
+    which `lines` (a `GridLines` block) does not form."""
+    profile = {None: 0, 0.5: 0, 1.5: 1, 2.5: 2}[kernel.nu] + (kernel.family == INTERVAL_W21)
+    count = max(profile, int(kernel.dim > 1 and not lines))
+    return count * min(shape[0], _tile_rows(8 * shape[1])) * shape[1]
+
+
 def _fill_rows(kernel: Kernel, X: np.ndarray, Y: np.ndarray, out: np.ndarray,
-               rows: slice) -> None:
+               scratch: np.ndarray | None, rows: slice) -> None:
     """Write k(X[rows], Y) into out[rows], with the out-of-place formula's
-    ufuncs applied in the same order to every entry."""
+    ufuncs applied in the same order to every entry. Temporary k of the tile
+    is entries k * size, ... of `scratch`, size being the tile's, or a fresh
+    array without one."""
     r = out[rows]
+
+    def temporary(k: int) -> np.ndarray:
+        if scratch is None:
+            return np.empty(r.shape)
+        return scratch[k * r.size:(k + 1) * r.size].reshape(r.shape)
+
     if kernel.family == INTERVAL_W21:
         a, b = kernel.interval
         x = X[rows, 0]
@@ -257,7 +282,7 @@ def _fill_rows(kernel: Kernel, X: np.ndarray, Y: np.ndarray, out: np.ndarray,
         np.maximum.outer(x, Y[:, 0], out=r)
         np.subtract(b, r, out=r)
         np.cosh(r, out=r)
-        lo = np.minimum.outer(x, Y[:, 0])
+        lo = np.minimum.outer(x, Y[:, 0], out=temporary(0))
         lo -= a
         np.cosh(lo, out=lo)
         r *= lo
@@ -268,8 +293,9 @@ def _fill_rows(kernel: Kernel, X: np.ndarray, Y: np.ndarray, out: np.ndarray,
     else:
         np.subtract.outer(X[rows, 0], Y[:, 0], out=r)
         r *= r
+        d = temporary(0) if kernel.dim > 1 else None
         for k in range(1, kernel.dim):
-            d = np.subtract.outer(X[rows, k], Y[:, k])
+            np.subtract.outer(X[rows, k], Y[:, k], out=d)
             d *= d
             r += d
     np.sqrt(r, out=r)
@@ -277,13 +303,13 @@ def _fill_rows(kernel: Kernel, X: np.ndarray, Y: np.ndarray, out: np.ndarray,
     if kernel.family == GAUSSIAN:
         r *= r
     elif kernel.nu != 0.5:
-        e = np.negative(r)
+        e = np.negative(r, out=temporary(0))
         np.exp(e, out=e)
         if kernel.nu == 1.5:
             r += 1.0
         else:
             # (3 + 3 r + r^2) exp(-r), summed left to right
-            r2 = r * r
+            r2 = np.multiply(r, r, out=temporary(1))
             r *= 3.0
             r += 3.0
             r += r2
@@ -338,9 +364,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _tile_rows(row_bytes: int) -> int:
+    """Rows of a tile of about TILE_BYTES, at least one."""
+    return max(1, TILE_BYTES // max(row_bytes, 1))
+
+
 def _tiles(n_rows: int, row_bytes: int) -> list[slice]:
     """Row slices of about TILE_BYTES that cover range(n_rows)."""
-    step = max(1, TILE_BYTES // max(row_bytes, 1))
+    step = _tile_rows(row_bytes)
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 

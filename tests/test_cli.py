@@ -154,6 +154,7 @@ def test_convergence_slopes_in_metadata(tmp_path):
     float(meta["convergence.sup_slope"])  # parses as a number here
 
 
+@pytest.mark.filterwarnings("ignore:interpolation residual:UserWarning")
 def test_norm_growth_classification(tmp_path):
     cfg = base_cfg(tmp_path, kind="norm_growth", extra_target=TARGET_ABS,
                    family="matern52", levels="8, 17, 35, 71")

@@ -42,6 +42,7 @@ from kinterp.kernels import (
     DimensionMismatchError,
     DomainError,
     assemble_gram,
+    gaussian,
     interval_sobolev,
     kernel_matrix,
     matern,
@@ -623,11 +624,11 @@ def test_shared_scan_equals_per_level_functions(monkeypatch, levels):
     target = make_target("abs_power", {"power": 1.0 / 3.0}, kernel, box)
     fill, fills, widths = interpolation._fill, [], set()
 
-    def counting_fill(kernel, points, nodes, out, pooled):
+    def counting_fill(kernel, points, nodes, out, pooled, scratch=None):
         fills.append(len(nodes))
         # the worker's one block buffer of the pass the fill lands in
         widths.add((len(nodes), out.base.shape[1]))
-        return fill(kernel, points, nodes, out, pooled)
+        return fill(kernel, points, nodes, out, pooled, scratch)
 
     monkeypatch.setattr(interpolation, "_fill", counting_fill)
     rows = list(measure_levels(kernel, level_sets, grid, target,
@@ -762,38 +763,72 @@ def test_measure_levels_independent_of_worker_count(levels, tile_workers):
     assert _rows_key(runs[0]) == _rows_key(runs[1])
 
 
-def _worker_case_1d():
+def _worker_case_1d(monkeypatch):
     # nested levels up to n = 57 on 2049 points: four pieces of the one line
     return M32, design_levels(nested_equispaced_design(0, 1, 8, 4)), grid1d(2049)
 
 
-def _worker_case_2d():
-    # nested greedy levels up to n = 60 on 65^2 points, with a scan budget of
-    # 40 rows of 60 columns: each 65-point line is cut into 33 and 32 rows
-    box = Box.unit_cube(2)
-    design = geometric_greedy(generate_candidates(box, 800, "low_discrepancy"),
+def _greedy_square_levels():
+    # nested greedy levels up to n = 60 on the unit square
+    design = geometric_greedy(generate_candidates(Box.unit_cube(2), 800, "low_discrepancy"),
                               60, 0, (15, 30, 60))
-    return matern(1.5, gamma=5.0, dim=2), design_levels(design), EvalGrid.tensor(box, 65)
+    return design_levels(design)
 
 
-@pytest.mark.parametrize("case", [_worker_case_1d, _worker_case_2d])
+def _worker_case_2d(monkeypatch):
+    # the greedy levels on 65^2 points, with a scan budget of 40 rows of 60
+    # columns: each 65-point line is cut into 33 and 32 rows
+    monkeypatch.setattr(interpolation, "SCAN_BYTES", 40 * 60 * 8)
+    grid = EvalGrid.tensor(Box.unit_cube(2), 65)
+    return matern(1.5, gamma=5.0, dim=2), _greedy_square_levels(), grid
+
+
+def _worker_case_matern52(monkeypatch):
+    # the 1-d levels with two temporaries per tile, exp(-r) and r^2: one
+    # 513-row tile of each outweighs a block's product, so the product
+    # buffer is sized to hold both
+    return matern(2.5, gamma=10.0), *_worker_case_1d(monkeypatch)[1:]
+
+
+def _worker_case_w21(monkeypatch):
+    # the 1-d levels with w21's min term, in tiles of 100 rows: several per
+    # block, the last one shorter
+    monkeypatch.setattr(kernels, "TILE_BYTES", 100 * 57 * 8)
+    return interval_sobolev(0.0, 1.0), *_worker_case_1d(monkeypatch)[1:]
+
+
+def _worker_case_gaussian_2d(monkeypatch):
+    # the 2-d levels and blocks with the Gaussian, whose fill of grid lines
+    # forms no temporary
+    return gaussian(gamma=8.0, dim=2), *_worker_case_2d(monkeypatch)[1:]
+
+
+def _worker_case_2d_array(monkeypatch):
+    # the greedy levels on the 65^2 points as one (m, 2) array, whose fill
+    # forms a per-axis term before exp(-r), in tiles of 100 rows
+    monkeypatch.setattr(kernels, "TILE_BYTES", 100 * 60 * 8)
+    grid = EvalGrid.tensor(Box.unit_cube(2), 65)
+    return matern(1.5, gamma=5.0, dim=2), _greedy_square_levels(), grid[:]
+
+
+@pytest.mark.parametrize("case", [_worker_case_1d, _worker_case_2d, _worker_case_matern52,
+                                  _worker_case_w21, _worker_case_gaussian_2d,
+                                  _worker_case_2d_array])
 def test_scan_bits_do_not_depend_on_the_worker_count(monkeypatch, tile_workers, case):
     # also with more workers than cores and frequent thread switches: a
     # block lost or scanned twice, or a maximum not merged, changes a bit or
     # raises; the workers share only the block queue and leave the list as
-    # it was
+    # it was. Each kernel's fill forms its temporaries in the product buffer.
     import os
     import sys
 
-    kernel, level_sets, grid = case()
-    if len(grid.axes) > 1:
-        monkeypatch.setattr(interpolation, "SCAN_BYTES", 40 * 60 * 8)
+    kernel, level_sets, grid = case(monkeypatch)
     fits = [(X, fit(kernel, X, np.sin(3 * X.points[:, 0])).coefficients,
              lagrange_coefficients(kernel, X)[0]) for X in level_sets]
     blocks = interpolation._scan_plan(level_sets, grid, True)[1]
     heights = [b.stop - b.start for b in blocks]
     assert len(blocks) > 1
-    if len(grid.axes) > 1:
+    if isinstance(grid, EvalGrid) and len(grid.axes) > 1:
         assert heights[:2] == [33, 32] and len(blocks) == 2 * 65
     fill, runs = interpolation._fill, []
     interval = sys.getswitchinterval()
@@ -801,17 +836,18 @@ def test_scan_bits_do_not_depend_on_the_worker_count(monkeypatch, tile_workers, 
     try:
         for workers in (1, 2, (os.cpu_count() or 1) + 2):
             tile_workers(workers)
-            buffers = set()
+            buffers, scratches = set(), set()
 
-            def recording_fill(kernel, points, nodes, out, pooled):
+            def recording_fill(kernel, points, nodes, out, pooled, scratch=None):
                 buffers.add(id(out.base))  # the worker's block buffer
-                return fill(kernel, points, nodes, out, pooled)
+                scratches.add(id(scratch))  # and its product buffer
+                return fill(kernel, points, nodes, out, pooled, scratch)
 
             monkeypatch.setattr(interpolation, "_fill", recording_fill)
             functions = [np.empty(len(grid)) for _ in fits]
             levels = list(fits)
             scanned = interpolation._scan_levels(kernel, levels, grid, functions, blocks)
-            assert 1 <= len(buffers) <= workers
+            assert 1 <= len(buffers) <= workers and len(scratches) == len(buffers)
             assert len(levels) == len(fits) and all(map(operator.is_, levels, fits))
             runs.append((scanned, functions))
             assert (kernels._pool is not None) == (workers > 1)
@@ -878,11 +914,12 @@ def test_grid_scan_fills_one_workspace(monkeypatch, tile_workers):
     grid = EvalGrid.tensor(box, 120)
     C, _ = lagrange_coefficients(kernel, X)
     fill, abs_sums = interpolation._fill, interpolation._cardinal_abs_sums
-    outs, blocks, products = [], [], []
+    outs, blocks, products, scratches = [], [], [], []
 
-    def recording_fill(kernel, points, nodes, out, pooled):
-        result = fill(kernel, points, nodes, out, pooled)
+    def recording_fill(kernel, points, nodes, out, pooled, scratch=None):
+        result = fill(kernel, points, nodes, out, pooled, scratch)
         outs.append(out)
+        scratches.append(scratch)
         blocks.append(result.copy())  # the buffer is reused: keep this block's bits
         return result
 
@@ -897,6 +934,7 @@ def test_grid_scan_fills_one_workspace(monkeypatch, tile_workers):
     assert [len(b) for b in blocks] == [576] * 25
     assert all(np.shares_memory(out, outs[0]) for out in outs)
     assert len(products) == 25 and all(p is products[0] for p in products)
+    assert all(s is products[0] for s in scratches)  # the fill's temporaries
     assert products[0].shape == (576 * len(X),)
     # the last product landed in the shared buffer, C being n x n
     landed = products[0][:blocks[-1].size].reshape(blocks[-1].shape)
@@ -919,13 +957,13 @@ def _scan_blocks(monkeypatch, points, nodes=8):
     X = generate_candidates(Box.unit_cube(dim), nodes, "low_discrepancy")
     fill, blocks, tables = interpolation._fill, [], []
 
-    def recording_fill(kernel, points, nodes, out, pooled):
+    def recording_fill(kernel, points, nodes, out, pooled, scratch=None):
         if isinstance(points, kernels.GridLines):
             tables.append(points.table)
             blocks.append(EvalGrid(points.axes)[points.rows])
         else:
             blocks.append(points)
-        return fill(kernel, points, nodes, out, pooled)
+        return fill(kernel, points, nodes, out, pooled, scratch)
 
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(interpolation, "_fill", recording_fill)
@@ -996,23 +1034,27 @@ def test_square_lebesgue_scan_holds_one_line_across_its_workers(tile_workers):
     # pieces of 257 and 256 rows, and each of the two workers holds one
     # piece's cross block and product: with the table of squared last-axis
     # differences, (2 * 2 * 257 + 513) * 400 * 8 B = 4.93 MB, and 2 * 257
-    # sums. The bound still counts one 513-row line's workspace, as when one
-    # worker scanned whole lines, 3 * 513 * 400 * 8 B = 4.92 MB and 513 sums
-    # (the 2 rows more fit in the tile allowance); with two tile temporaries
-    # and two line vectors (a line's leading-axis sum and one axis term) on
-    # each of two workers it is 7.04 MB. 3-line blocks of points took
-    # 2 * 1539 * 400 * 8 B = 9.85 MB for the cross block and product alone,
-    # and 8192-row blocks 52.4 MB.
+    # sums. A fill's exp(-r) tile, 163 x 400, is a view of its worker's
+    # product buffer, so the bound counts no tile temporary. Beside the
+    # workspaces it counts, on each worker, two line vectors (a line's
+    # leading-axis sum and one axis term) and the iterator buffer numpy
+    # allocates for a broadcast add of a line's sum to its table rows
+    # (np.getbufsize() doubles, 64 KiB), and the scan's 1026 block slices
+    # with their bounds, 99 KB: 5.21 MB, against a 5.19 MB peak. A fresh
+    # exp(-r) tile on each worker took 1.04 MB more (a 6.08 MB peak), 3-line
+    # blocks of points 2 * 1539 * 400 * 8 B = 9.85 MB for the cross block
+    # and product alone, and 8192-row blocks 52.4 MB.
     tile_workers(2)
     box = Box.unit_cube(2)
     kernel = matern(1.5, gamma=5.0, dim=2)
     X = generate_candidates(box, 400, "low_discrepancy")
     C, _ = lagrange_coefficients(kernel, X)
     grid = EvalGrid.tensor(box, 513)
-    height, n = 513, len(X)
-    bound = (8 * (3 * height * n + height)  # the cross blocks, products and table, the sums
-             + 2 * 2 * kernels.TILE_BYTES  # two tile temporaries on each worker
-             + 2 * 2 * 8 * n)  # two line vectors on each worker
+    height, piece, n, workers = 513, 257, len(X), 2
+    bound = (8 * ((2 * workers * piece + height) * n  # cross blocks, products, the table
+                  + workers * piece)  # the sums
+             + workers * 8 * (2 * n + np.getbufsize())  # line vectors, a ufunc buffer
+             + 2 * height * 128)  # a slice and its bounds per block
     lmax, peak = traced_peak(lebesgue_max_from_coefficients, kernel, X, C, grid)
     assert np.isfinite(lmax) and lmax >= 1.0
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"
@@ -1164,9 +1206,9 @@ def test_workload_scan_order(monkeypatch, tile_workers, box, m, sizes, fills):
     passes, blocks = interpolation._scan_plan([X.prefix(n) for n in sizes], grid, True)
     fill, seen = interpolation._fill, []
 
-    def recording_fill(kernel, points, nodes, out, pooled):
+    def recording_fill(kernel, points, nodes, out, pooled, scratch=None):
         seen.append((len(points), len(nodes)))
-        return fill(kernel, points, nodes, out, pooled)
+        return fill(kernel, points, nodes, out, pooled, scratch)
 
     def no_sums(cross, C, out, product):
         out.fill(1.0)

@@ -827,7 +827,8 @@ def test_only_kernels_drives_the_tile_pool(monkeypatch, tile_workers):
     fill = interpolation._fill
     monkeypatch.setattr(kernels, "_tile_pool", lambda: rounds.append(1) or pool())
     monkeypatch.setattr(interpolation, "_fill",
-                        lambda *args, pooled: fills.append(pooled) or fill(*args, pooled=pooled))
+                        lambda *args, pooled, scratch=None:
+                        fills.append(pooled) or fill(*args, pooled=pooled, scratch=scratch))
     interpolation._scan_levels(kernel, levels, grid)
     assert len(rounds) == 1
     assert fills == [False] * -(-len(grid) // (10 * 129)) == [False] * 13

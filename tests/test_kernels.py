@@ -534,6 +534,24 @@ def test_tiled_kernel_matrix_bit_equal_to_one_pass(name, make, dim):
         view = np.full((m + 3, n), np.nan)[:m]
         assert kernel_matrix(k, X, Y[:n], out=view) is view
         assert np.array_equal(view, M)
+        # unpooled, with each tile's temporaries in one scratch, as a scan
+        # worker fills its block: the same bits
+        scratch = np.full(kernels._scratch_entries(k, (m, n), False), np.nan)
+        assert np.array_equal(kernels._fill(k, X, Y[:n], None, False, scratch), M)
+
+
+def test_fill_scratch_serves_one_unpooled_fill_of_its_size():
+    # Matern 5/2 holds exp(-r) and r^2 at once: two temporaries of one tile.
+    # A scratch the pool's tiles would share, or one short of that, is refused.
+    k, X, Y = matern(2.5, dim=2), np.zeros((3 * _tile_rows(40), 2)), np.ones((40, 2))
+    need = kernels._scratch_entries(k, X.shape[:1] + Y.shape[:1], False)
+    assert need == 2 * _tile_rows(40) * 40
+    assert kernels._scratch_entries(matern(1.5, dim=2), (5, 40), False) == 5 * 40
+    assert kernels._scratch_entries(gaussian(dim=2), (5, 40), True) == 0
+    kernels._fill(k, X, Y, None, False, np.empty(need))
+    for pooled, size in ((True, need), (False, need - 1)):
+        with pytest.raises(ValueError, match="one unpooled fill"):
+            kernels._fill(k, X, Y, None, pooled, np.empty(size))
 
 
 def test_kernel_matrix_rejects_a_mismatched_out():
